@@ -148,6 +148,16 @@ class LevelResult:
     seconds: float = 0.0
 
 
+def _row_orders(prev, row):
+    """(l2_order, h1_order) of row against the level before it. A level
+    with no free DOFs has only a round-off error, so the row after it
+    gets no order, like the first row."""
+    if prev is None or prev.dofs == 0:
+        return 0.0, 0.0
+    return (convergence_order(prev.l2, row.l2),
+            convergence_order(prev.h1, row.h1))
+
+
 @dataclass
 class ErrorReport:
     config: ExperimentConfig
@@ -157,11 +167,7 @@ class ErrorReport:
         lines = [CSV_HEADER]
         prev = None
         for r in self.rows:
-            if prev is None:
-                lo, ho = 0.0, 0.0
-            else:
-                lo = convergence_order(prev.l2, r.l2)
-                ho = convergence_order(prev.h1, r.h1)
+            lo, ho = _row_orders(prev, r)
             kap = "" if r.kappa is None else f"{r.kappa:.4e}"
             # the seconds field stays empty: wall time varies run to run
             # (it is kept in LevelResult.seconds), and the same
@@ -174,11 +180,7 @@ class ErrorReport:
 
     def orders(self):
         """[(l2_order, h1_order)] between consecutive levels."""
-        out = []
-        for a, b in zip(self.rows, self.rows[1:]):
-            out.append((convergence_order(a.l2, b.l2),
-                        convergence_order(a.h1, b.h1)))
-        return out
+        return [_row_orders(a, b) for a, b in zip(self.rows, self.rows[1:])]
 
 
 def _solve_level(cfg, mesh, problem):

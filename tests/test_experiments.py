@@ -95,6 +95,16 @@ class TestRunExperiment:
         assert first[6] == ""          # kappa disabled
         assert first[7] == ""          # no wall time: CSV is reproducible
 
+    def test_no_order_after_level_without_free_dofs(self):
+        # uniform level 1 has 0 free DOFs and a round-off error (~4e-33);
+        # a log-ratio against it would print an order near -105
+        rep = self.run()
+        assert rep.rows[0].dofs == 0
+        second = rep.csv_lines()[2].split(",")
+        assert second[3] == "0.00"
+        assert second[5] == "0.00"
+        assert rep.orders() == [(0.0, 0.0)]
+
     def test_deterministic_csv(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         run_experiment(ExperimentConfig(levels=(1, 2), out=str(out1)))

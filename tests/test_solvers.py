@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hctvem.solvers import (ConvergenceError, NotSpdError, SparseSym,
+from hctvem import solvers
+from hctvem.mesh import generate_mesh
+from hctvem.problems import get_solution
+from hctvem.sf_vem import solve_sf_vem
+from hctvem.solvers import (ConvergenceError, NotSpdError,
                             estimate_condition_2, export_matrix_market,
                             solve_cg, solve_dense_cholesky, solve_spd)
 
@@ -92,6 +96,32 @@ class TestSolveSpd:
         with pytest.raises(ValueError):
             solve_spd(sp.eye(3, format="csc"), np.ones(3), method="gmres")
 
+    def test_direct_matches_dense_cholesky_on_sf_hct_system(self):
+        # irregular8 k=3 L4: 3,233 free DOFs, under the dense cap
+        _, A, b = solve_sf_vem(generate_mesh("irregular8", 4), 3,
+                               get_solution("sinsin"), return_system=True)
+        assert A.shape[0] == 3233
+        x = solve_spd(A, b, method="direct")
+        ref = solve_dense_cholesky(A, b)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_direct_factor_fill_is_small(self, monkeypatch):
+        # a symmetric minimum-degree ordering keeps (nnz(L)+nnz(U))/nnz(A)
+        # near 2.7 at irregular8 k=3 L5; COLAMD gives 8.6
+        fills = []
+        splu = solvers.spla.splu
+
+        def spy(A, *args, **kwargs):
+            lu = splu(A, *args, **kwargs)
+            fills.append((lu.L.nnz + lu.U.nnz) / A.nnz)
+            return lu
+
+        monkeypatch.setattr(solvers.spla, "splu", spy)
+        solve_sf_vem(generate_mesh("irregular8", 5), 3,
+                     get_solution("sinsin"))
+        assert len(fills) == 1
+        assert fills[0] < 4
+
 
 class TestConditionEstimate:
     def test_diagonal_matrix_exact(self):
@@ -107,22 +137,6 @@ class TestConditionEstimate:
 
     def test_one_by_one(self):
         assert estimate_condition_2(np.array([[2.0]])) == 1.0
-
-
-class TestSparseSym:
-    def test_accumulates_and_symmetrizes(self):
-        acc = SparseSym(3)
-        acc.add([0, 1], [1, 0], [2.0, 2.0])
-        acc.add([2], [2], [1.0])
-        A = acc.finalize()
-        assert np.allclose(A.toarray(),
-                           [[0, 2, 0], [2, 0, 0], [0, 0, 1]])
-
-    def test_asymmetric_input_rejected(self):
-        acc = SparseSym(2)
-        acc.add([0], [1], [1.0])
-        with pytest.raises(ValueError):
-            acc.finalize()
 
 
 class TestMatrixMarketExport:
