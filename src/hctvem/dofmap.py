@@ -19,11 +19,8 @@ class DofMap:
 
         self.dirichlet = np.zeros(self.total, dtype=bool)
         self.dirichlet[:V] = mesh.boundary_vertex
-        if self.n_edge:
-            bed = np.where(mesh.boundary_edge)[0]
-            for e in bed:
-                s = self.edge_offset + e * self.n_edge
-                self.dirichlet[s:s + self.n_edge] = True
+        self.dirichlet[self.edge_offset:self.interior_offset] = np.repeat(
+            mesh.boundary_edge, self.n_edge)
         self.free = np.where(~self.dirichlet)[0]
 
         self.element_dofs = self._element_dofs()

@@ -2,22 +2,21 @@
 slightly irregular 8-triangle family, plus the barycentric macro split."""
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 MAX_LEVEL = 12
 
 # Base pattern of the irregular family: 9 vertices, 8 triangles on the unit
-# square.  Coordinates are exact rationals so that tiling deduplicates
-# shared vertices without any floating-point snapping.
-_F = Fraction
-_IRR8_VERTICES = [
-    (_F(0), _F(0)), (_F(1, 2), _F(0)), (_F(1), _F(0)),
-    (_F(0), _F(1, 2)), (_F(3, 4), _F(1, 2)), (_F(1), _F(1, 2)),
-    (_F(0), _F(1)), (_F(1, 2), _F(1)), (_F(1), _F(1)),
-]
-_IRR8_TRIANGLES = [
+# square.  Coordinates are in units of 1/4, so a tiling holds exact integer
+# lattice points and deduplicates shared vertices without floating-point
+# snapping.
+_IRR8_QUARTERS = np.array([
+    (0, 0), (2, 0), (4, 0),
+    (0, 2), (3, 2), (4, 2),
+    (0, 4), (2, 4), (4, 4),
+], dtype=np.int64)
+_IRR8_TRIANGLES = np.array([
     (0, 1, 3),
     (1, 4, 3),
     (1, 2, 4),
@@ -26,7 +25,7 @@ _IRR8_TRIANGLES = [
     (4, 8, 7),
     (4, 7, 6),
     (3, 4, 6),
-]
+], dtype=np.int64)
 
 
 class MeshError(ValueError):
@@ -79,6 +78,17 @@ class MacroSplit:
     sub_triangles: np.ndarray     # (3, 3, 2) coordinates
 
 
+def _unique_first_seen(keys):
+    """np.unique of integer keys with the unique values numbered in order
+    of first appearance: (first index of each, id of every key, counts)."""
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse], counts[order]
+
+
 def _build_topology(vertices, triangles, level, family):
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
@@ -90,27 +100,21 @@ def _build_topology(vertices, triangles, level, family):
     if np.any(areas <= 0):
         raise MeshError("mesh contains a non-CCW or degenerate triangle")
 
-    edge_index = {}
-    tri_edges = np.empty((len(triangles), 3), dtype=np.int64)
-    edge_list = []
-    edge_tris = []
-    for t, (a, b, c) in enumerate(triangles):
-        for j, (p, q) in enumerate(((a, b), (b, c), (c, a))):
-            key = (p, q) if p < q else (q, p)
-            e = edge_index.get(key)
-            if e is None:
-                e = len(edge_list)
-                edge_index[key] = e
-                edge_list.append(key)
-                edge_tris.append([t, -1])
-            else:
-                if edge_tris[e][1] != -1:
-                    raise MeshError("edge shared by more than two triangles")
-                edge_tris[e][1] = t
-            tri_edges[t, j] = e
-
-    edges = np.array(edge_list, dtype=np.int64)
-    edge_tris = np.array(edge_tris, dtype=np.int64)
+    # half-edges in (triangle, local edge 01, 12, 20) order; edges are
+    # numbered by first appearance in that order
+    nxt = np.roll(triangles, -1, axis=1)
+    lo = np.minimum(triangles, nxt).ravel()
+    hi = np.maximum(triangles, nxt).ravel()
+    first, inverse, counts = _unique_first_seen(lo * len(vertices) + hi)
+    if np.any(counts > 2):
+        raise MeshError("edge shared by more than two triangles")
+    tri_edges = inverse.reshape(triangles.shape)
+    edges = np.column_stack([lo[first], hi[first]])
+    edge_tris = np.full((len(first), 2), -1, dtype=np.int64)
+    edge_tris[:, 0] = first // 3
+    second = np.ones(len(lo), dtype=bool)
+    second[first] = False
+    edge_tris[inverse[second], 1] = np.flatnonzero(second) // 3
     boundary_edge = edge_tris[:, 1] == -1
     boundary_vertex = np.zeros(len(vertices), dtype=bool)
     boundary_vertex[edges[boundary_edge].ravel()] = True
@@ -127,7 +131,8 @@ def _build_topology(vertices, triangles, level, family):
 
 
 def _check_level(level):
-    if not isinstance(level, (int, np.integer)) or level < 1:
+    if (isinstance(level, bool) or not isinstance(level, (int, np.integer))
+            or level < 1):
         raise MeshError(f"level must be a positive integer, got {level!r}")
     if level > MAX_LEVEL:
         raise MeshError(f"level {level} exceeds cap {MAX_LEVEL}")
@@ -141,42 +146,28 @@ def gen_uniform_mesh(level):
     xx, yy = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    triangles = []
-    for j in range(n):
-        for i in range(n):
-            # diagonal from (i, j+1) down to (i+1, j)
-            triangles.append((vid(i, j), vid(i + 1, j), vid(i, j + 1)))
-            triangles.append((vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)))
+    j, i = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    sw = j * (n + 1) + i
+    se, nw = sw + 1, sw + n + 1
+    # diagonal from (i, j+1) down to (i+1, j)
+    triangles = np.column_stack([sw, se, nw, se, nw + 1, nw]).reshape(-1, 3)
     return _build_topology(vertices, triangles, level, "uniform")
 
 
 def gen_irregular8_mesh(level):
     """Tile 2^(level-1) x 2^(level-1) scaled copies of the 8-triangle base
-    pattern, deduplicating shared vertices by exact rational coordinates."""
+    pattern, deduplicating shared vertices by exact integer coordinates in
+    units of 1/(4n)."""
     _check_level(level)
     n = 2 ** (level - 1)
-    scale = _F(1, n)
-    vid = {}
-    vertices = []
-    triangles = []
-    for ty in range(n):
-        for tx in range(n):
-            local_ids = []
-            for (x, y) in _IRR8_VERTICES:
-                p = ((tx + x) * scale, (ty + y) * scale)
-                i = vid.get(p)
-                if i is None:
-                    i = len(vertices)
-                    vid[p] = i
-                    vertices.append(p)
-                local_ids.append(i)
-            for (a, b, c) in _IRR8_TRIANGLES:
-                triangles.append(
-                    (local_ids[a], local_ids[b], local_ids[c]))
-    vertices = np.array([[float(x), float(y)] for x, y in vertices])
+    ty, tx = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    points = (4 * np.column_stack([tx, ty])[:, None, :]
+              + _IRR8_QUARTERS).reshape(-1, 2)
+    first, inverse, _ = _unique_first_seen(
+        points[:, 0] * (4 * n + 1) + points[:, 1])
+    # exact integers divided once: the correctly rounded float of x/(4n)
+    vertices = points[first] / (4 * n)
+    triangles = inverse.reshape(n * n, 9)[:, _IRR8_TRIANGLES].reshape(-1, 3)
     return _build_topology(vertices, triangles, level, "irregular8")
 
 

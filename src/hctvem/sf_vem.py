@@ -27,10 +27,14 @@ def group_elements(mesh, ndigits=12):
     v = mesh.vertices[mesh.triangles]
     rel = v[:, 1:, :] - v[:, :1, :]
     keys = np.round(rel.reshape(len(v), 4), ndigits)
-    groups = {}
-    for t, key in enumerate(map(tuple, keys)):
-        groups.setdefault(key, []).append(t)
-    return {key: np.array(idx) for key, idx in groups.items()}
+    # the sort is stable and treats -0.0 and 0.0 as equal, so each class
+    # lists its triangles ascending; classes come in the order of their
+    # first triangle, keyed by that triangle's key
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    starts = np.flatnonzero(np.any(ordered[1:] != ordered[:-1], axis=1)) + 1
+    classes = sorted(np.split(order, starts), key=lambda idx: idx[0])
+    return {tuple(keys[idx[0]]): idx for idx in classes}
 
 
 class SfElementClass:

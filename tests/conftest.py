@@ -1,6 +1,8 @@
-"""Shared helpers: cached convergence runs and random triangle sampling."""
+"""Shared helpers: cached convergence runs, random triangle sampling and
+loop-based oracles for the mesh and class-grouping code."""
 
 import functools
+from fractions import Fraction
 
 import numpy as np
 
@@ -204,3 +206,117 @@ def p1_fem_stiffness(mesh):
     A = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     free = np.where(~mesh.boundary_vertex)[0]
     return A[free][:, free]
+
+
+def topology_oracle(vertices, triangles):
+    """The array fields and h_max of a TriangleMesh by a per-triangle dict
+    walk: edges are numbered in order of first appearance over (triangle,
+    local edge 01, 12, 20), edge_tris holds the first and the second
+    triangle seen."""
+    edge_index = {}
+    tri_edges = np.empty((len(triangles), 3), dtype=np.int64)
+    edge_list = []
+    edge_tris = []
+    for t, (a, b, c) in enumerate(triangles):
+        for j, (p, q) in enumerate(((a, b), (b, c), (c, a))):
+            key = (p, q) if p < q else (q, p)
+            e = edge_index.get(key)
+            if e is None:
+                e = len(edge_list)
+                edge_index[key] = e
+                edge_list.append(key)
+                edge_tris.append([t, -1])
+            else:
+                assert edge_tris[e][1] == -1
+                edge_tris[e][1] = t
+            tri_edges[t, j] = e
+    edges = np.array(edge_list, dtype=np.int64)
+    edge_tris = np.array(edge_tris, dtype=np.int64)
+    boundary_edge = edge_tris[:, 1] == -1
+    boundary_vertex = np.zeros(len(vertices), dtype=bool)
+    boundary_vertex[edges[boundary_edge].ravel()] = True
+    lengths = np.linalg.norm(
+        vertices[edges[:, 0]] - vertices[edges[:, 1]], axis=1)
+    return dict(vertices=vertices, triangles=triangles, edges=edges,
+                edge_tris=edge_tris, tri_edges=tri_edges,
+                boundary_vertex=boundary_vertex, boundary_edge=boundary_edge,
+                h_max=float(lengths.max()))
+
+
+def uniform_mesh_oracle(level):
+    """(vertices, triangles) of the uniform family by an i/j double loop."""
+    n = 2 ** (level - 1)
+    xs = np.linspace(0.0, 1.0, n + 1)
+    xx, yy = np.meshgrid(xs, xs, indexing="xy")
+    vertices = np.column_stack([xx.ravel(), yy.ravel()])
+
+    def vid(i, j):
+        return j * (n + 1) + i
+
+    triangles = []
+    for j in range(n):
+        for i in range(n):
+            triangles.append((vid(i, j), vid(i + 1, j), vid(i, j + 1)))
+            triangles.append((vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)))
+    return vertices, np.array(triangles, dtype=np.int64)
+
+
+_F = Fraction
+_IRR8_ORACLE_VERTICES = [
+    (_F(0), _F(0)), (_F(1, 2), _F(0)), (_F(1), _F(0)),
+    (_F(0), _F(1, 2)), (_F(3, 4), _F(1, 2)), (_F(1), _F(1, 2)),
+    (_F(0), _F(1)), (_F(1, 2), _F(1)), (_F(1), _F(1)),
+]
+_IRR8_ORACLE_TRIANGLES = [
+    (0, 1, 3), (1, 4, 3), (1, 2, 4), (2, 5, 4),
+    (5, 8, 4), (4, 8, 7), (4, 7, 6), (3, 4, 6),
+]
+
+
+def irregular8_mesh_oracle(level):
+    """(vertices, triangles) of the irregular8 family by tiling the base
+    pattern in exact rationals, vertices numbered in order of first
+    appearance."""
+    n = 2 ** (level - 1)
+    scale = _F(1, n)
+    vid = {}
+    vertices = []
+    triangles = []
+    for ty in range(n):
+        for tx in range(n):
+            local_ids = []
+            for (x, y) in _IRR8_ORACLE_VERTICES:
+                p = ((tx + x) * scale, (ty + y) * scale)
+                i = vid.get(p)
+                if i is None:
+                    i = len(vertices)
+                    vid[p] = i
+                    vertices.append(p)
+                local_ids.append(i)
+            for (a, b, c) in _IRR8_ORACLE_TRIANGLES:
+                triangles.append(
+                    (local_ids[a], local_ids[b], local_ids[c]))
+    vertices = np.array([[float(x), float(y)] for x, y in vertices])
+    return vertices, np.array(triangles, dtype=np.int64)
+
+
+def group_elements_oracle(mesh, ndigits=12):
+    """Translation classes of group_elements by a per-triangle dict walk."""
+    v = mesh.vertices[mesh.triangles]
+    rel = v[:, 1:, :] - v[:, :1, :]
+    keys = np.round(rel.reshape(len(v), 4), ndigits)
+    groups = {}
+    for t, key in enumerate(map(tuple, keys)):
+        groups.setdefault(key, []).append(t)
+    return {key: np.array(idx) for key, idx in groups.items()}
+
+
+def dirichlet_oracle(mesh, k):
+    """DofMap.dirichlet by a walk over the boundary vertices and edges."""
+    n_edge = k - 1
+    V, E, T = mesh.num_vertices, mesh.num_edges, mesh.num_triangles
+    flags = np.zeros(V + E * n_edge + T * k * (k - 1) // 2, dtype=bool)
+    flags[:V] = mesh.boundary_vertex
+    for e in np.flatnonzero(mesh.boundary_edge):
+        flags[V + e * n_edge:V + (e + 1) * n_edge] = True
+    return flags

@@ -1,9 +1,23 @@
 import numpy as np
 import pytest
 
-from hctvem.mesh import (MAX_LEVEL, MeshError, export_mesh,
+from conftest import (irregular8_mesh_oracle, topology_oracle,
+                      uniform_mesh_oracle)
+
+from hctvem.mesh import (MAX_LEVEL, MeshError, _build_topology, export_mesh,
                          gen_irregular8_mesh, gen_uniform_mesh,
                          generate_mesh, macro_split, split_hct)
+
+
+def assert_mesh_matches_oracle(mesh, expected):
+    for name, want in expected.items():
+        got = getattr(mesh, name)
+        if name == "h_max":
+            assert got == want
+            continue
+        assert got.dtype == want.dtype, name
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
 
 
 class TestUniformFamily:
@@ -72,6 +86,34 @@ class TestTopology:
         assert np.all((inner > 0) & (inner < 1))
 
 
+class TestAgainstLoopOracle:
+    """The array code reproduces the per-triangle loops bit for bit: vertex
+    order, edge numbering, adjacency and boundary flags."""
+
+    @pytest.mark.parametrize("level", range(1, 9))
+    def test_uniform(self, level):
+        vertices, triangles = uniform_mesh_oracle(level)
+        assert_mesh_matches_oracle(gen_uniform_mesh(level),
+                                   topology_oracle(vertices, triangles))
+
+    @pytest.mark.parametrize("level", range(1, 8))
+    def test_irregular8(self, level):
+        vertices, triangles = irregular8_mesh_oracle(level)
+        assert_mesh_matches_oracle(gen_irregular8_mesh(level),
+                                   topology_oracle(vertices, triangles))
+
+    def test_relabelled_irregular8(self):
+        rng = np.random.default_rng(3)
+        m = gen_irregular8_mesh(3)
+        new_id = rng.permutation(m.num_vertices)
+        vertices = np.empty_like(m.vertices)
+        vertices[new_id] = m.vertices
+        triangles = new_id[m.triangles][rng.permutation(m.num_triangles)]
+        assert_mesh_matches_oracle(_build_topology(vertices, triangles, 3,
+                                                   "custom"),
+                                   topology_oracle(vertices, triangles))
+
+
 class TestMacroSplit:
     def test_split_preserves_area_and_orientation(self):
         coords = np.array([[0.0, 0.0], [1.0, 0.2], [0.3, 0.8]])
@@ -94,10 +136,23 @@ class TestMacroSplit:
 
 
 class TestValidationAndExport:
-    @pytest.mark.parametrize("bad", [0, -1, MAX_LEVEL + 1, 1.5, "2"])
+    @pytest.mark.parametrize("bad", [0, -1, MAX_LEVEL + 1, 1.5, "2",
+                                     True, False])
     def test_bad_levels_rejected(self, bad):
         with pytest.raises(MeshError):
             gen_uniform_mesh(bad)
+
+    def test_clockwise_triangle_rejected(self):
+        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(MeshError, match="non-CCW"):
+            _build_topology(vertices, [(0, 2, 1)], 1, "custom")
+
+    def test_edge_shared_by_three_triangles_rejected(self):
+        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0],
+                             [0.5, 2.0], [0.5, 3.0]])
+        with pytest.raises(MeshError, match="more than two triangles"):
+            _build_topology(vertices, [(0, 1, 2), (0, 1, 3), (0, 1, 4)], 1,
+                            "custom")
 
     def test_unknown_family_rejected(self):
         with pytest.raises(MeshError):

@@ -1,8 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from conftest import orders, random_ccw_triangle, sf_errors
+from conftest import (dirichlet_oracle, group_elements_oracle, orders,
+                      random_ccw_triangle, sf_errors)
 
+from hctvem.dofmap import DofMap
 from hctvem.hct import HctLocalSpace
 from hctvem.mesh import generate_mesh
 from hctvem.problems import get_solution
@@ -12,6 +16,14 @@ from hctvem.sf_vem import (AssemblyError, SfElementClass, _assemble,
                            local_projection_matrix, solve_sf_vem)
 
 TRI = np.array([[0.0, 0.0], [1.0, 0.1], [0.3, 0.9]])
+
+
+def assert_groups_match_oracle(mesh):
+    got, want = group_elements(mesh), group_elements_oracle(mesh)
+    assert list(got) == list(want)
+    assert np.array(list(got)).tobytes() == np.array(list(want)).tobytes()
+    for a, b in zip(got.values(), want.values()):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestElementClasses:
@@ -27,6 +39,22 @@ class TestElementClasses:
         # the tiling scales with 1/n, so shapes differ across levels but
         # the number of classes stays that of the 8-triangle pattern
         assert len(g1) == len(g2) == 8
+
+    @pytest.mark.parametrize("family,level",
+                             [("uniform", lev) for lev in range(1, 9)]
+                             + [("irregular8", lev) for lev in range(1, 8)])
+    def test_groups_match_loop_oracle(self, family, level):
+        assert_groups_match_oracle(generate_mesh(family, level))
+
+    def test_signed_zero_keys_form_one_class(self):
+        # the first key rounds to -0.0, the second to 0.0: one class,
+        # keyed by the first triangle's key as in the dict walk
+        m = SimpleNamespace(
+            vertices=np.array([[0.0, 0.0], [1.0, -1e-15], [0.0, 1.0],
+                               [1.0, 0.0], [2.0, 0.0], [1.0, 1.0]]),
+            triangles=np.array([[0, 1, 2], [3, 4, 5]]))
+        assert len(group_elements(m)) == 1
+        assert_groups_match_oracle(m)
 
     def test_class_cache_reuses_instances(self):
         cache = {}
@@ -100,6 +128,14 @@ class TestAssembly:
         boundary_nodes = int(m.boundary_vertex.sum()
                              + m.boundary_edge.sum())
         assert dm.total - A.shape[0] == boundary_nodes
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_dirichlet_flags(self, k):
+        m = generate_mesh("irregular8", 3)
+        dm = DofMap(m, k)
+        assert dm.dirichlet.sum() == (m.boundary_vertex.sum()
+                                      + (k - 1) * m.boundary_edge.sum())
+        assert np.array_equal(dm.dirichlet, dirichlet_oracle(m, k))
 
     def test_unknown_load_rule_rejected(self):
         m = generate_mesh("uniform", 1)
