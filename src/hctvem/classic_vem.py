@@ -4,17 +4,14 @@ stabilizer h^alpha sum F_i(v - Pv) F_i(w - Pw)) and the harmonic-enriched
 stabilizer-free variant (projection onto P_k plus harmonic polynomials,
 no stabilizer)."""
 
-from dataclasses import dataclass
-
 import numpy as np
-import scipy.sparse as sp
 
 from .dofmap import DofMap
+from .pipeline import (AssemblyError, Field, Solution, assemble,
+                       build_classes, solve_reduced, source_interp)
 from .polynomials import ScaledMonomialBasis, harmonic_basis, \
     monomial_exponents
 from .quadrature import quad_rule_triangle, quad_rule_edge
-from .sf_vem import AssemblyError, group_elements
-from .hct import _lattice_multi_indices
 
 DOF_MODES = ("standard", "l2_normalized", "l2_normalized_x10")
 
@@ -30,9 +27,10 @@ class ClassicDofs:
         standard            area of K
         l2_normalized       L2 norm of the monomial over K
         l2_normalized_x10   L2 norm over K, DOF multiplied by 10
+    The volume quadrature is exact to quad_degree (default 2k+6).
     """
 
-    def __init__(self, k, local_verts, mode="standard"):
+    def __init__(self, k, local_verts, mode="standard", quad_degree=None):
         if mode not in DOF_MODES:
             raise ValueError(f"unknown dof mode {mode!r}")
         self.k = k
@@ -55,7 +53,8 @@ class ClassicDofs:
         self.n_moment = len(self.moment_exps)
         self.ndof = self.n_boundary + self.n_moment
 
-        self.rule = quad_rule_triangle(2 * k + 6)
+        self.rule = quad_rule_triangle(
+            2 * k + 6 if quad_degree is None else quad_degree)
         self.quad_points, self.quad_weights = self.rule.physical(v)
         d = self.quad_points - self.barycenter
         self.moment_values = np.column_stack(
@@ -72,16 +71,18 @@ class ClassicDofs:
         else:
             self.normalizer = np.zeros(0)
 
-    def dof_values(self, func):
-        """DOF vector of an explicitly known function."""
-        vals = np.asarray(func(self.nodes[:, 0], self.nodes[:, 1]),
-                          dtype=float)
+    def dof_values(self, func, origins=None):
+        """DOF vector of an explicitly known function; given (nE, 2)
+        origins, one row per copy of the element translated by each."""
+        shift = 0.0 if origins is None else origins[:, None, :]
+        nodes = shift + self.nodes
+        vals = np.asarray(func(nodes[..., 0], nodes[..., 1]), dtype=float)
         if self.n_moment:
-            fq = np.asarray(func(self.quad_points[:, 0],
-                                 self.quad_points[:, 1]))
-            mom = (self.quad_weights * fq) @ self.moment_values \
+            qp = shift + self.quad_points
+            fq = np.asarray(func(qp[..., 0], qp[..., 1]))
+            mom = (fq * self.quad_weights) @ self.moment_values \
                 / self.normalizer
-            vals = np.concatenate([vals, mom])
+            vals = np.concatenate([vals, mom], axis=-1)
         return vals
 
 
@@ -111,194 +112,110 @@ def _edge_trace_data(dofs, degree):
     return out
 
 
-class ClassicElementClass:
-    """Cached per-shape data for the stabilized method: projection onto
-    P_k, consistency stiffness, DOF-residual stabilizer factor."""
+class EnrichedElementClass:
+    """Cached per-shape data of a moment-DOF element with the energy
+    projection onto P_k plus the harmonic polynomials of the given degrees
+    (none: the classical projection onto P_k), and no stabilizer."""
 
-    def __init__(self, k, local_verts, mode="standard"):
+    def __init__(self, k, local_verts, harmonic_degrees, mode="standard"):
         self.k = k
-        self.mode = mode
-        self.dofs = ClassicDofs(k, local_verts, mode)
+        self.harmonic_degrees = tuple(harmonic_degrees)
+        top = max(self.harmonic_degrees, default=k)
+        # the L2 terms of a degree-m harmonic have degree 2m
+        self.dofs = ClassicDofs(k, local_verts, mode,
+                                max(2 * k + 6, 2 * top))
         d = self.dofs
         self.diameter = d.diameter
         self.ndof = d.ndof
-        self.basis = ScaledMonomialBasis(d.barycenter, d.diameter, k)
+        self.poly = ScaledMonomialBasis(d.barycenter, d.diameter, k)
+        self.harm = harmonic_basis(k, self.harmonic_degrees, d.barycenter,
+                                   d.diameter) \
+            if self.harmonic_degrees else None
         self.quad_points = d.quad_points
         self.quad_weights = d.quad_weights
-        self.basis_values = self.basis.values(d.quad_points)
-        self.basis_gradients = self.basis.gradients(d.quad_points)
-        self._build_projection()
-        G = np.einsum("q,qad,qbd->ab", d.quad_weights,
-                      self.basis_gradients, self.basis_gradients)
-        self.grad_gram = 0.5 * (G + G.T)
+        self.basis_values = self._values(d.quad_points)
+        self.basis_gradients = self._gradients(d.quad_points)
+        self.dim = self.basis_values.shape[1]
+        self._build_projection(2 * top + 6)
         Kc = self.projection.T @ self.grad_gram @ self.projection
-        self.K_consistency = 0.5 * (Kc + Kc.T)
-        R = np.eye(d.ndof) - self.dof_of_poly @ self.projection
-        self.stab_factor = R.T @ R
-        # load: (f, P^1 of unit DOF)_K
+        self.K_loc = 0.5 * (Kc + Kc.T)
+        # load: (f, proj of unit DOF)_K
         self.load_matrix = (d.quad_weights[:, None] * self.basis_values) \
             @ self.projection
-        self._build_source_interp()
+        self.source_nodes, self.interp_load_matrix = source_interp(
+            k, d.verts, self.diameter, self.quad_points, self.load_matrix)
 
-    def _build_projection(self):
-        """Energy projection onto P_k from the DOFs: gradient moments by
+    def _values(self, pts):
+        vals = self.poly.values(pts)
+        if self.harm is None:
+            return vals
+        return np.column_stack([vals, self.harm.values(pts)])
+
+    def _gradients(self, pts):
+        grads = self.poly.gradients(pts)
+        if self.harm is None:
+            return grads
+        return np.concatenate([grads, self.harm.gradients(pts)], axis=1)
+
+    def _build_projection(self, edge_degree):
+        """Energy projection from the DOFs: gradient moments by
         integration by parts, constant fixed by the boundary mean."""
         d = self.dofs
         k, nb = self.k, d.n_boundary
-        nP = self.basis.dim
-        # D: P_k coefficients -> DOF values
-        D = np.zeros((d.ndof, nP))
-        D[:nb] = self.basis.values(d.nodes)
-        if d.n_moment:
-            D[nb:] = (d.moment_values.T * d.quad_weights) \
-                @ self.basis_values / d.normalizer[:, None]
-        self.dof_of_poly = D
-        # B: DOF values -> right-hand side (gradient moments + mean row)
-        B = np.zeros((nP, d.ndof))
-        lap = self.basis.laplacian_map()        # Delta m_a in mu basis
+        B = np.zeros((self.dim, d.ndof))
         if k >= 2:
             mu = ScaledMonomialBasis(d.barycenter, d.diameter, k - 2)
             # (v, mu_b)_K from moment DOFs: physical monomial / d^(j+l)
             scale = np.array([d.diameter ** (j + l)
                               for (j, l) in mu.exponents])
             mom_to_mu = np.diag(d.normalizer / scale)
-            B[:, nb:] -= lap @ mom_to_mu
-        for pts, w, n, lag, cols in _edge_trace_data(d, 2 * k + 6):
-            gn = self.basis.gradients(pts) @ n      # (nq, nP)
-            B[:, cols] += gn.T @ (w[:, None] * lag)
-            B[0, cols] = 0.0
-        mean_row = np.zeros(d.ndof)
-        mean_poly = np.zeros(nP)
-        for pts, w, n, lag, cols in _edge_trace_data(d, 2 * k + 6):
-            mean_row[cols] += w @ lag
-            mean_poly += w @ self.basis.values(pts)
-        G = np.einsum("q,qad,qbd->ab", d.quad_weights,
-                      self.basis.gradients(d.quad_points),
-                      self.basis.gradients(d.quad_points))
-        G[0, :] = mean_poly
-        B[0, :] = mean_row
-        self.projection = np.linalg.solve(G, B)
-
-    def _build_source_interp(self):
-        """P_k lattice interpolation of the source, as in the SF method."""
-        k = self.k
-        v = self.dofs.verts
-        lat = np.array([(a * v[0] + b * v[1] + c * v[2]) / k
-                        for (a, b, c) in _lattice_multi_indices(k)])
-        Vm = self.basis.values(lat)
-        lag_quad = self.basis_values @ np.linalg.inv(Vm)
-        self.source_nodes = lat
-        self.interp_load_matrix = lag_quad.T @ self.load_matrix
-
-    def local_stiffness(self, alpha):
-        S = self.diameter ** alpha * self.stab_factor
-        return self.K_consistency + S
-
-    def reference_coeffs(self, problem, origins):
-        """Projection of the exact solution's DOFs, per element."""
-        d = self.dofs
-        nodes = origins[:, None, :] + d.nodes[None, :, :]
-        vals = problem.u(nodes[..., 0], nodes[..., 1])
-        if d.n_moment:
-            qp = origins[:, None, :] + d.quad_points[None, :, :]
-            uq = problem.u(qp[..., 0], qp[..., 1])
-            mom = (uq * d.quad_weights[None, :]) @ d.moment_values \
-                / d.normalizer[None, :]
-            vals = np.concatenate([vals, mom], axis=1)
-        return vals @ self.projection.T
-
-
-class EnrichedElementClass:
-    """Stabilizer-free projection onto P_k plus harmonic polynomials of
-    the given degrees; moment DOFs in standard mode, no stabilizer."""
-
-    def __init__(self, k, local_verts, harmonic_degrees):
-        self.k = k
-        self.harmonic_degrees = tuple(harmonic_degrees)
-        self.dofs = ClassicDofs(k, local_verts, "standard")
-        d = self.dofs
-        self.diameter = d.diameter
-        self.ndof = d.ndof
-        self.poly = ScaledMonomialBasis(d.barycenter, d.diameter, k)
-        self.harm = harmonic_basis(k, self.harmonic_degrees,
-                                   d.barycenter, d.diameter)
-        self.dim = self.poly.dim + self.harm.dim
-        self.quad_points = d.quad_points
-        self.quad_weights = d.quad_weights
-        self.basis_values = np.column_stack(
-            [self.poly.values(d.quad_points),
-             self.harm.values(d.quad_points)])
-        self.basis_gradients = np.concatenate(
-            [self.poly.gradients(d.quad_points),
-             self.harm.gradients(d.quad_points)], axis=1)
-        self._build_projection()
-        G = np.einsum("q,qad,qbd->ab", d.quad_weights,
-                      self.basis_gradients, self.basis_gradients)
-        Kc = self.projection.T @ (0.5 * (G + G.T)) @ self.projection
-        self.K_loc = 0.5 * (Kc + Kc.T)
-        self.load_matrix = (d.quad_weights[:, None] * self.basis_values) \
-            @ self.projection
-        self._build_source_interp()
-
-    def _eval_gradients(self, pts):
-        return np.concatenate(
-            [self.poly.gradients(pts), self.harm.gradients(pts)], axis=1)
-
-    def _build_projection(self):
-        d = self.dofs
-        k, nb = self.k, d.n_boundary
-        B = np.zeros((self.dim, d.ndof))
-        if k >= 2:
-            mu = ScaledMonomialBasis(d.barycenter, d.diameter, k - 2)
-            scale = np.array([d.diameter ** (j + l)
-                              for (j, l) in mu.exponents])
-            mom_to_mu = np.diag(d.normalizer / scale)
-            lap = self.poly.laplacian_map()
+            lap = self.poly.laplacian_map()     # Delta m_a in mu basis
             B[:self.poly.dim, nb:] -= lap @ mom_to_mu
             # harmonic members have vanishing Laplacian: no volume term
-        deg = 2 * max(self.harmonic_degrees) + 6
         mean_row = np.zeros(d.ndof)
         mean_basis = np.zeros(self.dim)
-        for pts, w, n, lag, cols in _edge_trace_data(d, deg):
-            gn = self._eval_gradients(pts) @ n
+        for pts, w, n, lag, cols in _edge_trace_data(d, edge_degree):
+            gn = self._gradients(pts) @ n
             B[:, cols] += gn.T @ (w[:, None] * lag)
             B[0, cols] = 0.0
             mean_row[cols] += w @ lag
-            mean_basis += w @ np.column_stack(
-                [self.poly.values(pts), self.harm.values(pts)])
+            mean_basis += w @ self._values(pts)
         G = np.einsum("q,qad,qbd->ab", d.quad_weights,
                       self.basis_gradients, self.basis_gradients)
+        self.grad_gram = 0.5 * (G + G.T)
         G[0, :] = mean_basis
         B[0, :] = mean_row
         cond = np.linalg.cond(G)
         if cond > 1e14:
             raise AssemblyError(
-                f"near-singular enriched projection (cond {cond:.2e}); "
-                "enrichment degrees likely insufficient or dependent")
+                f"near-singular projection (cond {cond:.2e}); enrichment "
+                "degrees likely insufficient or dependent")
         self.projection = np.linalg.solve(G, B)
 
-    def _build_source_interp(self):
-        k = self.k
-        v = self.dofs.verts
-        lat = np.array([(a * v[0] + b * v[1] + c * v[2]) / k
-                        for (a, b, c) in _lattice_multi_indices(k)])
-        pk = ScaledMonomialBasis(self.dofs.barycenter, self.diameter, k)
-        Vm = pk.values(lat)
-        lag_quad = pk.values(self.quad_points) @ np.linalg.inv(Vm)
-        self.source_nodes = lat
-        self.interp_load_matrix = lag_quad.T @ self.load_matrix
-
     def reference_coeffs(self, problem, origins):
+        """Projection of the exact solution's DOFs, per element."""
+        return self.dofs.dof_values(problem.u, origins) @ self.projection.T
+
+
+class ClassicElementClass(EnrichedElementClass):
+    """The classical stabilized element: the projection onto P_k (no
+    harmonic degrees) plus the DOF-residual stabilizer scaled by
+    h^alpha."""
+
+    def __init__(self, k, local_verts, mode="standard", alpha=0.0):
+        super().__init__(k, local_verts, (), mode)
         d = self.dofs
-        nodes = origins[:, None, :] + d.nodes[None, :, :]
-        vals = problem.u(nodes[..., 0], nodes[..., 1])
+        # D: P_k coefficients -> DOF values
+        D = np.zeros((d.ndof, self.poly.dim))
+        D[:d.n_boundary] = self.poly.values(d.nodes)
         if d.n_moment:
-            qp = origins[:, None, :] + d.quad_points[None, :, :]
-            uq = problem.u(qp[..., 0], qp[..., 1])
-            mom = (uq * d.quad_weights[None, :]) @ d.moment_values \
-                / d.normalizer[None, :]
-            vals = np.concatenate([vals, mom], axis=1)
-        return vals @ self.projection.T
+            D[d.n_boundary:] = (d.moment_values.T * d.quad_weights) \
+                @ self.basis_values / d.normalizer[:, None]
+        R = np.eye(d.ndof) - D @ self.projection
+        self.stab_factor = R.T @ R
+        self.K_consistency = self.K_loc
+        self.K_loc = self.K_consistency \
+            + self.diameter ** alpha * self.stab_factor
 
 
 # single-element spec surface ---------------------------------------------
@@ -308,7 +225,7 @@ def project_h1_classic(coords, k, dof_values, mode="standard"):
     projection of the virtual function with the given DOF values."""
     coords = np.asarray(coords, dtype=float)
     ec = ClassicElementClass(k, coords, mode)
-    return ec.projection @ np.asarray(dof_values, dtype=float), ec.basis
+    return ec.projection @ np.asarray(dof_values, dtype=float), ec.poly
 
 
 def stabilizer_matrix(coords, k, mode="standard", alpha=0.0):
@@ -319,116 +236,33 @@ def stabilizer_matrix(coords, k, mode="standard", alpha=0.0):
 
 # global solves -----------------------------------------------------------
 
-@dataclass
-class PolyField:
-    """Piecewise-polynomial field stored as per-class coefficient
-    batches in each class's projection basis."""
-
-    mesh: object
-    k: int
-    parts: list                      # [(class, element idx, coeffs)]
-
-    def error_norms(self, other):
-        if other.mesh is not self.mesh or other.k != self.k:
-            raise ValueError("fields live on different meshes or degrees")
-        l2 = 0.0
-        h1 = 0.0
-        for (ec, idx, ca), (_, idx2, cb) in zip(self.parts, other.parts):
-            if not np.array_equal(idx, idx2):
-                raise ValueError("field partitions disagree")
-            d = ca - cb
-            vals = d @ ec.basis_values.T
-            l2 += float(np.einsum("q,eq->", ec.quad_weights, vals ** 2))
-            gx = d @ ec.basis_gradients[:, :, 0].T
-            gy = d @ ec.basis_gradients[:, :, 1].T
-            h1 += float(np.einsum("q,eq->", ec.quad_weights,
-                                  gx ** 2 + gy ** 2))
-        return np.sqrt(l2), np.sqrt(h1)
+# PolyField and ClassicSolution add nothing to the shared classes.  They
+# exist so that each method's field and solution are distinct classes,
+# which the benchmark's per-layer tracer times separately.
+class PolyField(Field):
+    pass
 
 
-@dataclass
-class ClassicSolution:
-    mesh: object
-    k: int
-    dofmap: DofMap
-    dofs: np.ndarray
-    classes: list
-
-    def solution_field(self):
-        out = []
-        for ec, idx in self.classes:
-            d = self.dofs[self.dofmap.element_dofs[idx]]
-            out.append((ec, idx, d @ ec.projection.T))
-        return PolyField(self.mesh, self.k, out)
-
-    def reference_field(self, problem):
-        v0 = self.mesh.vertices[self.mesh.triangles[:, 0]]
-        out = []
-        for ec, idx in self.classes:
-            out.append((ec, idx, ec.reference_coeffs(problem, v0[idx])))
-        return PolyField(self.mesh, self.k, out)
+class ClassicSolution(Solution):
+    field_class = PolyField
 
 
 _CLASSIC_CACHE = {}
 _ENRICHED_CACHE = {}
 
 
+# _build_classes and _assemble_and_solve are this module's entries into
+# the shared pipeline, apart from sf_vem's for the benchmark's tracer
 def _build_classes(mesh, factory, cache, cache_key):
-    groups = group_elements(mesh)
-    out = []
-    for key, idx in groups.items():
-        full = cache_key + (key,)
-        if full in cache:
-            ec = cache[full]
-        else:
-            local = np.array([[0.0, 0.0], [key[0], key[1]],
-                              [key[2], key[3]]])
-            ec = factory(local)
-            cache[full] = ec
-        out.append((ec, idx))
-    return out
+    return build_classes(mesh, factory, cache, cache_key)
 
 
-def _assemble_and_solve(mesh, k, classes, problem, k_loc, solver, tol,
-                        load_rule, return_system):
-    from . import solvers
+def _assemble_and_solve(mesh, k, classes, problem, solver, tol, load_rule,
+                        return_system):
     dm = DofMap(mesh, k)
-    rows, cols, vals = [], [], []
-    b = np.zeros(dm.total)
-    v0 = mesh.vertices[mesh.triangles[:, 0]]
-    for ec, idx in classes:
-        gd = dm.element_dofs[idx]
-        if gd.shape[1] != ec.ndof:
-            raise AssemblyError("inconsistent local DOF count")
-        n = ec.ndof
-        K = k_loc(ec)
-        rows.append(np.repeat(gd, n, axis=1).ravel())
-        cols.append(np.tile(gd, (1, n)).ravel())
-        vals.append(np.tile(K.ravel(), len(idx)))
-        if load_rule == "interp":
-            pts = v0[idx][:, None, :] + ec.source_nodes[None, :, :]
-            fv = np.asarray(problem.f(pts[..., 0], pts[..., 1]))
-            loads = fv @ ec.interp_load_matrix
-        elif load_rule == "exact":
-            qp = v0[idx][:, None, :] + ec.quad_points[None, :, :]
-            fv = np.asarray(problem.f(qp[..., 0], qp[..., 1]))
-            loads = fv @ ec.load_matrix
-        else:
-            raise AssemblyError(f"unknown load rule {load_rule!r}")
-        np.add.at(b, gd.ravel(), loads.ravel())
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dm.total, dm.total)).tocsr()
-    free = dm.free
-    A_red = A[free][:, free].tocsc()
-    b_red = b[free]
-    x = solvers.solve_spd(A_red, b_red, method=solver, tol=tol)
-    dofs = np.zeros(dm.total)
-    dofs[free] = x
-    sol = ClassicSolution(mesh, k, dm, dofs, classes)
-    if return_system:
-        return sol, A_red, b_red
-    return sol
+    A, b = assemble(dm, classes, problem.f, load_rule)
+    return solve_reduced(ClassicSolution, dm, A, b, classes, solver, tol,
+                         return_system)
 
 
 def solve_classic_vem(mesh, k, problem, dof_mode="standard", alpha=0.0,
@@ -437,12 +271,10 @@ def solve_classic_vem(mesh, k, problem, dof_mode="standard", alpha=0.0,
     if not 1 <= k <= 4:
         raise ValueError(f"classical baseline supports k in 1..4, got {k}")
     classes = _build_classes(
-        mesh, lambda lv: ClassicElementClass(k, lv, dof_mode),
-        _CLASSIC_CACHE, (k, dof_mode))
-    return _assemble_and_solve(
-        mesh, k, classes, problem,
-        lambda ec: ec.local_stiffness(alpha),
-        solver, tol, load_rule, return_system)
+        mesh, lambda lv: ClassicElementClass(k, lv, dof_mode, alpha),
+        _CLASSIC_CACHE, (k, dof_mode, alpha))
+    return _assemble_and_solve(mesh, k, classes, problem, solver, tol,
+                               load_rule, return_system)
 
 
 def solve_enriched_vem(mesh, k, problem, harmonic_degrees, solver="direct",
@@ -456,6 +288,5 @@ def solve_enriched_vem(mesh, k, problem, harmonic_degrees, solver="direct",
     classes = _build_classes(
         mesh, lambda lv: EnrichedElementClass(k, lv, degrees),
         _ENRICHED_CACHE, (k, degrees))
-    return _assemble_and_solve(
-        mesh, k, classes, problem, lambda ec: ec.K_loc,
-        solver, tol, load_rule, return_system)
+    return _assemble_and_solve(mesh, k, classes, problem, solver, tol,
+                               load_rule, return_system)

@@ -156,7 +156,6 @@ def _p1_fem_stiffness(mesh):
     n = mesh.num_vertices
     rows, cols, vals = [], [], []
     for tri in mesh.triangles:
-        v = mesh.vertices[tri]
         for i in range(3):
             a, b, c = tri[i], tri[(i + 1) % 3], tri[(i + 2) % 3]
             e1 = mesh.vertices[b] - mesh.vertices[a]

@@ -9,6 +9,7 @@ import numpy as np
 
 from .mesh import generate_mesh
 from .problems import get_solution
+from .quadrature import MAX_DEGREE
 from .sf_vem import solve_sf_vem
 from .classic_vem import solve_classic_vem, solve_enriched_vem, DOF_MODES
 
@@ -63,6 +64,11 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"harmonic degrees must exceed k={self.k}, "
                     f"got {tuple(self.harmonic_degrees)}")
+            # a degree-m harmonic needs a volume rule of degree 2m
+            if 2 * max(self.harmonic_degrees) > MAX_DEGREE:
+                raise ConfigError(
+                    f"harmonic degrees above {MAX_DEGREE // 2} are not "
+                    "supported by the quadrature")
         if self.load_rule == "vem" and self.method != "sf-hct":
             raise ConfigError('load rule "vem" is for the sf-hct method')
         if self.tol <= 0:
@@ -132,10 +138,6 @@ def convergence_order(e_coarse, e_fine):
     if e_coarse <= 0 or e_fine <= 0:
         raise ValueError("convergence order needs positive errors")
     return float(np.log2(e_coarse / e_fine))
-
-
-def error_norms(u_field, reference_field):
-    return u_field.error_norms(reference_field)
 
 
 @dataclass

@@ -169,20 +169,6 @@ class HctLocalSpace:
             out[np.ix_(sel, self.sub_l2g[s])] = vals
         return out
 
-    def eval_basis_gradients(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        where = self._locate(points)
-        out = np.zeros((len(points), self.dim, 2))
-        for s in range(3):
-            sel = where == s
-            if not sel.any():
-                continue
-            g = np.einsum("qad,ap->qpd",
-                          self.sub_bases[s].gradients(points[sel]),
-                          self.sub_coeffs[s])
-            out[np.ix_(sel, self.sub_l2g[s])] = g
-        return out
-
     def moments(self, f):
         """Vector of integrals (f, phi_i)_K by the cached quadrature."""
         vals = np.asarray(f(self.quad_points[:, 0], self.quad_points[:, 1]))
@@ -212,19 +198,6 @@ class HctFunction:
 
     def __call__(self, points):
         return self.space.eval_basis(points) @ self.coefficients
-
-    def gradient(self, points):
-        return np.einsum("qid,i->qd",
-                         self.space.eval_basis_gradients(points),
-                         self.coefficients)
-
-
-def build_local_space(k, coords, quad_degree=None):
-    return HctLocalSpace(k, coords, quad_degree)
-
-
-def local_stiffness_hct(space):
-    return space.stiffness
 
 
 def project_hct(space, boundary_values, laplacian_coeffs=None,

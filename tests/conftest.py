@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from hctvem.cli import _p1_fem_stiffness as p1_fem_stiffness  # noqa: F401
 from hctvem.experiments import convergence_order
 from hctvem.mesh import generate_mesh
 from hctvem.problems import get_solution
@@ -183,29 +184,6 @@ def random_ccw_triangle(rng, min_area=0.05):
         a = 0.5 * (d1[0] * d2[1] - d1[1] * d2[0])
         if abs(a) > min_area:
             return tri[[0, 2, 1]] if a < 0 else tri
-
-
-def p1_fem_stiffness(mesh):
-    """Cotangent-formula P1 stiffness with boundary vertices eliminated;
-    an independent oracle for the lowest-order method."""
-    import scipy.sparse as sp
-
-    n = mesh.num_vertices
-    rows, cols, vals = [], [], []
-    for tri in mesh.triangles:
-        for i in range(3):
-            a, b, c = tri[i], tri[(i + 1) % 3], tri[(i + 2) % 3]
-            e1 = mesh.vertices[b] - mesh.vertices[a]
-            e2 = mesh.vertices[c] - mesh.vertices[a]
-            cot = float(e1 @ e2) / abs(e1[0] * e2[1] - e1[1] * e2[0])
-            for (r, s, w) in ((b, c, -0.5 * cot), (c, b, -0.5 * cot),
-                              (b, b, 0.5 * cot), (c, c, 0.5 * cot)):
-                rows.append(r)
-                cols.append(s)
-                vals.append(w)
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    free = np.where(~mesh.boundary_vertex)[0]
-    return A[free][:, free]
 
 
 def topology_oracle(vertices, triangles):

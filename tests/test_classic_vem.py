@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+from hctvem import classic_vem
 from hctvem.mesh import generate_mesh
-from hctvem.polynomials import ScaledMonomialBasis
+from hctvem.pipeline import AssemblyError
 from hctvem.problems import get_solution
 from hctvem.classic_vem import (DOF_MODES, ClassicDofs, ClassicElementClass,
                                 EnrichedElementClass, project_h1_classic,
                                 solve_classic_vem, solve_enriched_vem,
                                 stabilizer_matrix)
-from hctvem.sf_vem import AssemblyError, solve_sf_vem
+from hctvem.quadrature import quad_rule_triangle
+from hctvem.sf_vem import solve_sf_vem
 
 TRI = np.array([[0.0, 0.0], [1.0, 0.1], [0.3, 0.9]])
 
@@ -46,8 +48,8 @@ class TestProjection:
     def test_reproduces_degree_k_polynomials(self, k, mode):
         rng = np.random.default_rng(k)
         ec = ClassicElementClass(k, TRI, mode)
-        c = rng.normal(size=ec.basis.dim)
-        poly = lambda x, y: ec.basis.values(np.column_stack(
+        c = rng.normal(size=ec.poly.dim)
+        poly = lambda x, y: ec.poly.values(np.column_stack(
             [np.atleast_1d(x), np.atleast_1d(y)])) @ c
         dofs = ec.dofs.dof_values(poly)
         proj, basis = project_h1_classic(TRI, k, dofs, mode)
@@ -64,8 +66,8 @@ class TestStabilizer:
     def test_annihilates_polynomial_dofs(self, k):
         rng = np.random.default_rng(k)
         ec = ClassicElementClass(k, TRI)
-        c = rng.normal(size=ec.basis.dim)
-        poly = lambda x, y: ec.basis.values(np.column_stack(
+        c = rng.normal(size=ec.poly.dim)
+        poly = lambda x, y: ec.poly.values(np.column_stack(
             [np.atleast_1d(x), np.atleast_1d(y)])) @ c
         dofs = ec.dofs.dof_values(poly)
         S = stabilizer_matrix(TRI, k)
@@ -91,6 +93,31 @@ class TestGlobalSolves:
         _, A2, b2 = solve_classic_vem(m, 1, prob, return_system=True)
         assert abs(A1 - A2).max() < 1e-12
         assert np.allclose(b1, b2, atol=1e-13)
+
+    def test_alpha_is_part_of_the_class_cache_key(self, monkeypatch):
+        # one process, two alphas: each reduced matrix must equal a build
+        # from an empty cache, so a stale K_loc cannot be reused
+        prob = get_solution("sinsin")
+        m = generate_mesh("irregular8", 3)
+        got = {a: solve_classic_vem(m, 3, prob, alpha=a,
+                                    return_system=True)[1]
+               for a in (0.0, -1.0)}
+        for a, A in got.items():
+            monkeypatch.setattr(classic_vem, "_CLASSIC_CACHE", {})
+            _, fresh, _ = solve_classic_vem(m, 3, prob, alpha=a,
+                                            return_system=True)
+            assert (A != fresh).nnz == 0
+        assert abs(got[0.0] - got[-1.0]).max() > 1e-3 * abs(got[0.0]).max()
+
+    @pytest.mark.parametrize("rule", ["vem", "midpoint"])
+    def test_load_rule_errors_through_shared_assembler(self, rule):
+        prob = get_solution("sinsin")
+        m = generate_mesh("uniform", 2)
+        with pytest.raises(AssemblyError):
+            solve_classic_vem(m, 2, prob, load_rule=rule)
+        with pytest.raises(AssemblyError):
+            solve_enriched_vem(m, 2, prob, harmonic_degrees=(3,),
+                               load_rule=rule)
 
     def test_degree_above_4_rejected(self):
         with pytest.raises(ValueError):
@@ -137,3 +164,20 @@ class TestEnriched:
         ec = EnrichedElementClass(3, TRI, (4, 5))
         assert np.allclose(ec.K_loc, ec.K_loc.T)
         assert np.linalg.eigvalsh(ec.K_loc)[0] > -1e-10
+
+    @pytest.mark.parametrize("k,degrees", [(1, (6,)), (1, (8,)), (2, (9,))])
+    def test_gradient_gram_exact_for_high_harmonic_degrees(self, k, degrees):
+        # the volume rule must grow with the harmonic degree m: the
+        # gradient Gram matrix has degree 2m - 2, the L2 terms 2m
+        ec = EnrichedElementClass(k, TRI, degrees)
+        pts, w = quad_rule_triangle(30).physical(TRI)
+        g = np.concatenate([ec.poly.gradients(pts), ec.harm.gradients(pts)],
+                           axis=1)
+        G30 = np.einsum("q,qad,qbd->ab", w, g, g)
+        G = np.einsum("q,qad,qbd->ab", ec.quad_weights, ec.basis_gradients,
+                      ec.basis_gradients)
+        assert np.abs(G - G30).max() <= 1e-13 * np.abs(G30).max()
+        M = ec.basis_values.T @ (ec.quad_weights[:, None] * ec.basis_values)
+        v = np.column_stack([ec.poly.values(pts), ec.harm.values(pts)])
+        M30 = v.T @ (w[:, None] * v)
+        assert np.abs(M - M30).max() <= 1e-13 * np.abs(M30).max()

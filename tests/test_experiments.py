@@ -61,6 +61,8 @@ class TestValidation:
          "harmonic_degrees": (2,)},                      # degree <= k
         {"tol": 0.0},
         {"method": "classic", "load_rule": "vem"},       # sf-hct only
+        {"method": "enriched", "k": 1,
+         "harmonic_degrees": (16,)},                     # rule too high
     ])
     def test_invalid_configs_rejected(self, patch):
         cfg = ExperimentConfig()

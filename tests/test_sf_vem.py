@@ -7,13 +7,11 @@ from conftest import (dirichlet_oracle, group_elements_oracle, orders,
                       random_ccw_triangle, sf_errors)
 
 from hctvem.dofmap import DofMap
-from hctvem.hct import HctLocalSpace
 from hctvem.mesh import generate_mesh
+from hctvem.pipeline import AssemblyError, group_elements
 from hctvem.problems import get_solution
-from hctvem.sf_vem import (AssemblyError, SfElementClass, _assemble,
-                           _class_cache_build, assemble_global,
-                           group_elements, local_element_matrices,
-                           local_projection_matrix, solve_sf_vem)
+from hctvem.sf_vem import (SfElementClass, _assemble, _class_cache_build,
+                           assemble_global, solve_sf_vem)
 
 TRI = np.array([[0.0, 0.0], [1.0, 0.1], [0.3, 0.9]])
 
@@ -82,11 +80,6 @@ class TestLocalProjection:
         assert P.shape == (ec.space.dim, ec.ndof)
         assert np.allclose(P[:3 * k, :3 * k], np.eye(3 * k))
 
-    def test_local_projection_matrix_matches_element_class(self):
-        sp = HctLocalSpace(2, TRI)
-        P = local_projection_matrix(sp, 2)
-        assert np.allclose(P, SfElementClass(2, TRI - TRI[0]).projection)
-
     def test_local_stiffness_symmetric_psd(self):
         for k in (1, 3, 6):
             ec = SfElementClass(k, TRI)
@@ -150,13 +143,6 @@ class TestAssembly:
         with pytest.raises(AssemblyError):
             _assemble(m, 2, classes, get_solution("sinsin").f,
                       load_rule="vem")
-
-    def test_local_element_matrices_surface(self):
-        m = generate_mesh("uniform", 2)
-        em = local_element_matrices(m, 2, 3, f=get_solution("sinsin").f)
-        assert em.element == 3
-        assert em.stiffness.shape == (em.load.shape[0],) * 2
-        assert len(em.dofs) == em.load.shape[0]
 
 
 class TestSolutions:
