@@ -1,0 +1,8 @@
+"""`python -m hctvem`: the command-line driver of hctvem.cli."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,7 +8,8 @@ import numpy as np
 
 from .dofmap import DofMap
 from .pipeline import (AssemblyError, Field, Solution, assemble,
-                       build_classes, solve_reduced, source_interp)
+                       barycentric_coeffs, build_classes, solve_reduced,
+                       source_interp)
 from .polynomials import ScaledMonomialBasis, harmonic_basis, \
     monomial_exponents
 from .quadrature import quad_rule_triangle, quad_rule_edge
@@ -144,6 +145,9 @@ class EnrichedElementClass:
             @ self.projection
         self.source_nodes, self.interp_load_matrix = source_interp(
             k, d.verts, self.diameter, self.quad_points, self.load_matrix)
+        self.p1_dofs = np.column_stack(
+            [d.dof_values(lambda x, y, c=c: c[0] + c[1] * x + c[2] * y)
+             for c in barycentric_coeffs(d.verts)])
 
     def _values(self, pts):
         vals = self.poly.values(pts)

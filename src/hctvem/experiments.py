@@ -211,7 +211,9 @@ def run_experiment(cfg):
         sol, A, _ = _solve_level(cfg, mesh, problem)
         l2, h1 = sol.solution_field().error_norms(
             sol.reference_field(problem))
-        kappa = solvers.estimate_condition_2(A) if cfg.kappa else None
+        # a level with no free DOFs has no condition number
+        kappa = solvers.estimate_condition_2(A) \
+            if cfg.kappa and A.shape[0] else None
         if cfg.dump_matrix:
             solvers.export_matrix_market(
                 A, f"{cfg.dump_matrix}.level{level}")

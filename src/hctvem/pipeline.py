@@ -17,6 +17,9 @@ Every method supplies an element class with this protocol:
     reference_coeffs(problem, origins)
                                 (nE, dim) projection coefficients of the
                                 exact solution on the translated copies
+    p1_dofs                     (ndof, 3) DOFs of the barycentric
+                                coordinates of the class's vertices; they
+                                span the coarse space of the CG solve
 
 Local coordinates put the class's first vertex at the origin; `origins`
 are the first vertices of the class's triangles.
@@ -84,6 +87,41 @@ def source_interp(k, verts, diameter, quad_points, load_matrix):
     return lat, lag_quad.T @ load_matrix
 
 
+def barycentric_coeffs(verts):
+    """(3, 3): row i holds (c0, cx, cy) with lambda_i = c0 + cx x + cy y,
+    the barycentric coordinate of vertex i of the triangle verts."""
+    return np.linalg.inv(np.vstack([np.ones(3), np.asarray(verts).T]))
+
+
+def free_index(dm):
+    """Position of each DOF among the free DOFs, -1 for Dirichlet DOFs."""
+    pos = np.full(dm.total, -1, dtype=np.int64)
+    pos[dm.free] = np.arange(len(dm.free))
+    return pos
+
+
+def coarse_space(dm, classes):
+    """P (CSR, free DOFs x free vertices): column j holds the free DOFs of
+    the P1 hat function of the j-th free vertex, so P^T A P is the P1
+    stiffness on the free vertices."""
+    T, n = dm.element_dofs.shape
+    lam = np.empty((T, n, 3))
+    for ec, idx in classes:
+        lam[idx] = ec.p1_dofs
+    # the hat functions are continuous, so any element holding a DOF gives
+    # their values there; one assignment keeps element and slot together
+    owner = np.empty(dm.total, dtype=np.int64)
+    owner[dm.element_dofs] = np.arange(T * n).reshape(T, n)
+    vals = lam.reshape(-1, 3)[owner]
+    pos = free_index(dm)
+    rows = np.broadcast_to(pos[:, None], vals.shape)
+    cols = pos[dm.mesh.triangles[owner // n]]     # vertex DOF = vertex id
+    keep = (rows >= 0) & (cols >= 0) & (vals != 0.0)
+    return sp.csr_matrix(
+        (vals[keep], (rows[keep], cols[keep])),
+        shape=(len(dm.free), np.count_nonzero(~dm.mesh.boundary_vertex)))
+
+
 def assemble(dm, classes, f, load_rule="interp", lap_f=None):
     """Global matrix (CSR) and load over the DOF numbering dm.  Load
     rules: "interp" (f interpolated in P_k on the parent triangle),
@@ -138,9 +176,14 @@ def solve_reduced(solution_class, dm, A, b, classes, solver, tol,
                   return_system):
     """Eliminate the Dirichlet DOFs, solve, and wrap the full DOF vector
     (Dirichlet zeros) in solution_class; with return_system also the
-    reduced matrix and load."""
+    reduced matrix and load.  CG gets the P1 coarse space and the
+    per-element free-DOF index for its two-level preconditioner."""
     A_red, b_red = reduce_dirichlet(dm, A, b)
-    x = solvers.solve_spd(A_red, b_red, method=solver, tol=tol)
+    two_level = {}
+    if solver == "cg":
+        two_level = dict(coarse=coarse_space(dm, classes),
+                         element_dofs=free_index(dm)[dm.element_dofs])
+    x = solvers.solve_spd(A_red, b_red, method=solver, tol=tol, **two_level)
     dofs = np.zeros(dm.total)
     dofs[dm.free] = x
     sol = solution_class(dm.mesh, dm.k, dm, dofs, classes)

@@ -8,8 +8,9 @@ from scipy.linalg import cho_solve
 
 from .dofmap import DofMap
 from .hct import HctLocalSpace
-from .pipeline import (Field, Solution, assemble, build_classes,
-                       reduce_dirichlet, solve_reduced, source_interp)
+from .pipeline import (Field, Solution, assemble, barycentric_coeffs,
+                       build_classes, reduce_dirichlet, solve_reduced,
+                       source_interp)
 from .polynomials import AffineMonomialBasis
 
 
@@ -60,6 +61,12 @@ class SfElementClass:
         self.source_nodes, self.interp_load_matrix = source_interp(
             k, self.local_verts, self.diameter, self.quad_points,
             self.load_matrix)
+        # barycentric coordinates: values at the boundary nodes, and
+        # -Delta = 0 gives zero interior DOFs
+        nodes = sp_.nodes[:self.n_boundary]
+        self.p1_dofs = np.zeros((self.ndof, 3))
+        self.p1_dofs[:self.n_boundary] = np.column_stack(
+            [np.ones(len(nodes)), nodes]) @ barycentric_coeffs(v).T
 
     def _projection_matrix(self):
         sp_ = self.space

@@ -20,19 +20,24 @@ class ConvergenceError(RuntimeError):
 def solve_cg(A, b, tol=1e-12, max_iter=None, preconditioner="none"):
     """Conjugate gradients with explicit negative-curvature detection.
 
+    preconditioner is "none", "jacobi" or a callable r -> M^-1 r with M
+    symmetric positive definite (see two_level_preconditioner).
     Returns (x, iterations); raises NotSpdError on negative curvature and
     ConvergenceError when the relative residual stays above tol.
     """
     n = A.shape[0]
     if max_iter is None:
         max_iter = 20 * n
-    if preconditioner == "jacobi":
+    if callable(preconditioner):
+        apply = preconditioner
+    elif preconditioner == "jacobi":
         d = A.diagonal()
         if np.any(d <= 0):
             raise NotSpdError("non-positive diagonal entry")
         minv = 1.0 / d
+        apply = lambda r: r * minv
     elif preconditioner == "none":
-        minv = None
+        apply = lambda r: r
     else:
         raise ValueError(f"unknown preconditioner {preconditioner!r}")
 
@@ -42,7 +47,7 @@ def solve_cg(A, b, tol=1e-12, max_iter=None, preconditioner="none"):
         return np.zeros(n), 0
     x = np.zeros(n)
     r = b.copy()
-    z = r * minv if minv is not None else r
+    z = apply(r)
     p = z.copy()
     rz = float(r @ z)
     for it in range(1, max_iter + 1):
@@ -56,7 +61,7 @@ def solve_cg(A, b, tol=1e-12, max_iter=None, preconditioner="none"):
         r -= alpha * Ap
         if np.linalg.norm(r) <= tol * bnorm:
             return x, it
-        z = r * minv if minv is not None else r
+        z = apply(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -79,8 +84,74 @@ def solve_dense_cholesky(A, b):
     return cho_solve(c, np.asarray(b, dtype=float))
 
 
-def solve_spd(A, b, method="direct", tol=1e-12):
-    """Default solve path for assembled systems."""
+# block entries gathered from the matrix per step of the smoother setup:
+# it bounds the temporaries (indices, blocks, factors), so that only the
+# stack of inverses is full size and the setup adds little to peak memory
+_BLOCK_CHUNK = 1 << 16
+
+
+def two_level_preconditioner(A, coarse, element_dofs):
+    """Additive two-level Schwarz preconditioner r -> M^-1 r for the SPD
+    matrix A (CSR):
+
+        M^-1 = P (P^T A P)^-1 P^T + sum_e R_e^T (R_e A R_e^T)^-1 R_e
+
+    P = coarse maps the coarse unknowns (the P1 hat functions) to A's
+    unknowns; P^T A P is factored once.  R_e restricts to the unknowns of
+    element e, the rows of element_dofs (-1 marks an eliminated DOF, whose
+    slot gets an identity row).  When P is square the coarse solve is
+    exact and is applied alone.  Raises NotSpdError when an element block
+    is not positive definite.
+    """
+    n = A.shape[0]
+    if n == 0:
+        return lambda r: r
+    nc = coarse.shape[1]
+    if nc:
+        coarse_solve = spla.factorized((coarse.T @ A @ coarse).tocsc())
+        if nc == n:
+            return lambda r: coarse @ coarse_solve(coarse.T @ r)
+
+    T, m = element_dofs.shape
+    fixed = element_dofs < 0
+    gather = np.where(fixed, 0, element_dofs)
+    inv = np.empty((T, m, m))
+    step = max(1, _BLOCK_CHUNK // (m * m))
+    for s in range(0, T, step):
+        g, f = gather[s:s + step], fixed[s:s + step]
+        rows = np.repeat(g, m, axis=1).ravel()
+        cols = np.tile(g, (1, m)).ravel()
+        blocks = np.asarray(A[rows, cols]).reshape(-1, m, m)
+        e, i = np.nonzero(f)
+        blocks[e, i, :] = 0.0
+        blocks[e, :, i] = 0.0
+        blocks[e, i, i] = 1.0
+        try:
+            chol = np.linalg.cholesky(blocks)
+        except np.linalg.LinAlgError as exc:
+            raise NotSpdError(
+                f"element block not positive definite: {exc}") from exc
+        linv = np.linalg.inv(chol)
+        inv[s:s + step] = linv.transpose(0, 2, 1) @ linv
+    # eliminated slots gather a zero and scatter to a discarded slot n
+    slots = np.where(fixed, n, element_dofs)
+    flat = slots.ravel()
+
+    def apply(r):
+        z_loc = inv @ np.append(r, 0.0)[slots][..., None]
+        z = np.bincount(flat, weights=z_loc.ravel(), minlength=n + 1)[:n]
+        if nc:
+            z += coarse @ coarse_solve(coarse.T @ r)
+        return z
+
+    return apply
+
+
+def solve_spd(A, b, method="direct", tol=1e-12, coarse=None,
+              element_dofs=None):
+    """Default solve path for assembled systems.  With the coarse space
+    and the per-element DOF index of two_level_preconditioner, "cg" is
+    preconditioned by it; otherwise by the diagonal."""
     if method == "direct":
         # the systems are SPD, so a minimum-degree ordering of A^T + A
         # with diagonal pivots preferred keeps the fill far below COLAMD's
@@ -88,7 +159,14 @@ def solve_spd(A, b, method="direct", tol=1e-12):
                        options=dict(SymmetricMode=True))
         return lu.solve(np.asarray(b, dtype=float))
     if method == "cg":
-        x, _ = solve_cg(A, b, tol=tol, preconditioner="jacobi")
+        # A is symmetric, so the transpose of its CSC form is A in CSR,
+        # with no copy
+        A = A.T if A.format == "csc" else A.tocsr()
+        if coarse is None:
+            pre = "jacobi"
+        else:
+            pre = two_level_preconditioner(A, coarse, element_dofs)
+        x, _ = solve_cg(A, b, tol=tol, preconditioner=pre)
         return x
     if method == "dense":
         return solve_dense_cholesky(A, b)
@@ -149,6 +227,8 @@ def _lambda_min_inverse_iteration(A, max_iter=200, tol=1e-8):
 def estimate_condition_2(A):
     """kappa_2 = lambda_max / lambda_min of an SPD matrix."""
     n = A.shape[0]
+    if n == 0:
+        raise ValueError("condition number of an empty (0 x 0) matrix")
     if n == 1:
         v = (A @ np.ones(1))[0] if sp.issparse(A) else float(A[0, 0])
         return 1.0 if v != 0 else np.inf

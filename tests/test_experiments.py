@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hctvem
 from hctvem.cli import main
 from hctvem.experiments import (CSV_HEADER, ConfigError, ExperimentConfig,
                                 config_from_mapping, convergence_order,
@@ -118,6 +124,24 @@ class TestRunExperiment:
         assert all(r.kappa is not None and r.kappa > 1 for r in rep.rows)
         assert rep.csv_lines()[1].split(",")[6] != ""
 
+    @pytest.mark.parametrize("method", ["sf-hct", "classic"])
+    def test_kappa_empty_on_level_without_free_dofs(self, method):
+        rep = self.run(method=method, kappa=True)
+        assert rep.rows[0].dofs == 0 and rep.rows[0].kappa is None
+        assert rep.rows[1].kappa == 1.0
+        assert rep.csv_lines()[1].split(",")[6] == ""
+
+    def test_cg_errors_match_direct_within_benchmark_gate(self):
+        # the benchmark's correctness gate, 1e-6 rel + 1e-12 abs, on the
+        # sf6-cg-kappa study without kappa: a preconditioner that leads CG
+        # to another solution fails here
+        cfg = dict(k=6, mesh="irregular8", levels=(1, 3))
+        cg = self.run(solver="cg", **cfg).rows
+        direct = self.run(solver="direct", **cfg).rows
+        for a, b in zip(cg, direct):
+            for x, ref in ((a.l2, b.l2), (a.h1, b.h1)):
+                assert abs(x - ref) <= 1e-6 * abs(ref) + 1e-12
+
     def test_orders_match_error_ratio(self):
         rep = self.run(k=2, levels=(2, 4))
         for (l2o, h1o), a, b in zip(rep.orders(), rep.rows, rep.rows[1:]):
@@ -181,6 +205,16 @@ class TestCli:
         rc = main(["run", "--method", "enriched", "--k", "2",
                    "--mesh", "uniform", "--levels", "1..1"])
         assert rc == 2
+
+    def test_python_m_hctvem(self):
+        src = str(Path(hctvem.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "hctvem", "--help"],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: hctvem")
 
     def test_verify_subcommand_passes(self, capsys):
         assert main(["verify"]) == 0

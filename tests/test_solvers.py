@@ -2,13 +2,18 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hctvem import solvers
+from conftest import p1_fem_stiffness
+from hctvem import pipeline, solvers
+from hctvem.classic_vem import (ClassicElementClass, EnrichedElementClass,
+                                solve_classic_vem)
+from hctvem.dofmap import DofMap
 from hctvem.mesh import generate_mesh
 from hctvem.problems import get_solution
-from hctvem.sf_vem import solve_sf_vem
+from hctvem.sf_vem import SfElementClass, solve_sf_vem
 from hctvem.solvers import (ConvergenceError, NotSpdError,
                             estimate_condition_2, export_matrix_market,
-                            solve_cg, solve_dense_cholesky, solve_spd)
+                            solve_cg, solve_dense_cholesky, solve_spd,
+                            two_level_preconditioner)
 
 
 def random_spd(n, seed=0, cond=100.0):
@@ -137,6 +142,111 @@ class TestConditionEstimate:
 
     def test_one_by_one(self):
         assert estimate_condition_2(np.array([[2.0]])) == 1.0
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            estimate_condition_2(sp.csc_matrix((0, 0)))
+
+
+# element-class factories by method; classic and enriched as the
+# benchmark runs them
+FACTORIES = {
+    "sf-hct": lambda k: lambda lv: SfElementClass(k, lv),
+    "classic": lambda k: lambda lv: ClassicElementClass(
+        k, lv, "l2_normalized_x10", -1.0),
+    "enriched": lambda k: lambda lv: EnrichedElementClass(k, lv, (k + 1,)),
+}
+CLASS_CACHE = {}
+
+
+def two_level_system(method, family, k, level):
+    """Reduced matrix and load, coarse space and per-element free-DOF
+    index, built as pipeline.solve_reduced builds them."""
+    mesh = generate_mesh(family, level)
+    classes = pipeline.build_classes(mesh, FACTORIES[method](k),
+                                     CLASS_CACHE, (method, k))
+    dm = DofMap(mesh, k)
+    A, b = pipeline.assemble(dm, classes, get_solution("sinsin").f)
+    A_red, b_red = pipeline.reduce_dirichlet(dm, A, b)
+    return (A_red.tocsr(), b_red, pipeline.coarse_space(dm, classes),
+            pipeline.free_index(dm)[dm.element_dofs])
+
+
+class TestTwoLevel:
+    @pytest.mark.parametrize("family", ["uniform", "irregular8"])
+    @pytest.mark.parametrize("method,k", [("sf-hct", k) for k in range(1, 7)]
+                             + [("classic", k) for k in range(1, 5)]
+                             + [("enriched", 2)])
+    def test_coarse_matrix_is_p1_stiffness(self, method, k, family):
+        # the P1 hat functions lie in every method's space and each local
+        # stiffness is exact on P_1, so P^T A P is the cotangent matrix
+        A, _, P, _ = two_level_system(method, family, k, 3)
+        F = p1_fem_stiffness(generate_mesh(family, 3))
+        assert P.shape == (A.shape[0], F.shape[0])
+        assert abs(P.T @ A @ P - F).max() <= 1e-12 * abs(F).max()
+
+    @pytest.mark.parametrize("family", ["uniform", "irregular8"])
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_iterations_flat_in_h_and_k(self, family, k):
+        # point Jacobi needs more than 40 at 34 of these 40 points, up to
+        # 1279 at k = 6 on irregular8 level 5
+        for level in (2, 3, 4, 5):
+            A, b, P, ed = two_level_system("sf-hct", family, k, level)
+            _, it = solve_cg(A, b, tol=1e-12,
+                             preconditioner=two_level_preconditioner(
+                                 A, P, ed))
+            assert it <= 40, (level, it)
+
+    def test_degree_one_coarse_solve_is_exact(self):
+        A, b, P, ed = two_level_system("sf-hct", "irregular8", 1, 5)
+        assert P.shape == A.shape
+        _, it = solve_cg(A, b, tol=1e-12,
+                         preconditioner=two_level_preconditioner(A, P, ed))
+        assert it <= 2
+
+    @pytest.mark.parametrize("solve", [
+        lambda mesh, solver: solve_sf_vem(
+            mesh, 3, get_solution("sinsin"), solver=solver),
+        lambda mesh, solver: solve_classic_vem(
+            mesh, 3, get_solution("sinsin"), dof_mode="l2_normalized_x10",
+            alpha=-1.0, solver=solver),
+    ], ids=["sf-hct", "classic"])
+    def test_cg_matches_direct(self, solve):
+        mesh = generate_mesh("irregular8", 4)
+        x = solve(mesh, "cg").dofs
+        ref = solve(mesh, "direct").dofs
+        assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_preconditioner_symmetric_positive(self):
+        A, _, P, ed = two_level_system("sf-hct", "irregular8", 4, 3)
+        apply = two_level_preconditioner(A, P, ed)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            u, v = rng.normal(size=(2, A.shape[0]))
+            Mu, Mv = apply(u), apply(v)
+            assert abs(u @ Mv - v @ Mu) <= 1e-12 * abs(u @ Mu)
+            assert u @ Mu > 0
+
+    def test_indefinite_matrix_raises(self):
+        A, b, P, ed = two_level_system("sf-hct", "irregular8", 3, 3)
+        # one eigenvalue below the shift: the element blocks stay positive
+        # definite, and CG has to meet the negative curvature
+        lam = np.linalg.eigvalsh(A.toarray())
+        assert lam[1] > 2.0 * lam[0]
+        B = (A - 2.0 * lam[0] * sp.eye(A.shape[0])).tocsc()
+        with pytest.raises(NotSpdError):
+            solve_spd(B, b, method="cg", coarse=P, element_dofs=ed)
+        with pytest.raises(NotSpdError):
+            solve_spd(-A.tocsc(), b, method="cg", coarse=P, element_dofs=ed)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_level_one(self, k):
+        # uniform level 1 has no free vertex: at k = 1 no free DOF at all,
+        # at k = 3 an empty coarse space and the smoother alone
+        mesh = generate_mesh("uniform", 1)
+        sol = solve_sf_vem(mesh, k, get_solution("sinsin"), solver="cg")
+        ref = solve_sf_vem(mesh, k, get_solution("sinsin"))
+        assert np.allclose(sol.dofs, ref.dofs, rtol=0, atol=1e-12)
 
 
 class TestMatrixMarketExport:
