@@ -196,9 +196,10 @@ class EnrichedElementClass:
                 "degrees likely insufficient or dependent")
         self.projection = np.linalg.solve(G, B)
 
-    def reference_coeffs(self, problem, origins):
-        """Projection of the exact solution's DOFs, per element."""
-        return self.dofs.dof_values(problem.u, origins) @ self.projection.T
+    def dof_values(self, g, lap_g, origins):
+        """(nE, ndof) DOFs of g on the translated copies; they are moments
+        of g, so lap_g is not used."""
+        return self.dofs.dof_values(g, origins)
 
 
 class ClassicElementClass(EnrichedElementClass):

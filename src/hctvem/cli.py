@@ -6,9 +6,12 @@ import sys
 
 import numpy as np
 
-from .experiments import (ConfigError, ExperimentConfig, config_from_mapping,
-                          parse_config_file, parse_degree_list,
-                          parse_level_range, run_experiment)
+from .experiments import (FAMILIES, METHODS, ConfigError, ExperimentConfig,
+                          config_from_mapping, parse_config_file,
+                          parse_degree_list, parse_level_range,
+                          run_experiment)
+from .pipeline import LOAD_RULES
+from .solvers import SOLVERS
 
 _DOF_MODE_ALIAS = {"standard": "standard", "l2": "l2_normalized",
                    "l2x10": "l2_normalized_x10"}
@@ -17,9 +20,9 @@ _DOF_MODE_ALIAS = {"standard": "standard", "l2": "l2_normalized",
 def _add_run_parser(sub):
     p = sub.add_parser("run", help="run a convergence study, write CSV")
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--method", choices=["sf-hct", "classic", "enriched"])
+    p.add_argument("--method", choices=METHODS)
     p.add_argument("--k", type=int)
-    p.add_argument("--mesh", choices=["uniform", "irregular8"])
+    p.add_argument("--mesh", choices=FAMILIES)
     p.add_argument("--levels", help="level range a..b")
     p.add_argument("--solution")
     p.add_argument("--alpha", type=float,
@@ -30,8 +33,8 @@ def _add_run_parser(sub):
     p.add_argument("--kappa", action="store_true",
                    help="estimate the 2-norm condition number per level")
     p.add_argument("--tol", type=float)
-    p.add_argument("--load-rule", choices=["interp", "exact", "vem"])
-    p.add_argument("--solver", choices=["direct", "cg", "dense"])
+    p.add_argument("--load-rule", choices=LOAD_RULES)
+    p.add_argument("--solver", choices=SOLVERS)
     p.add_argument("--out", help="CSV output path (default: stdout)")
     p.add_argument("--dump-matrix",
                    help="Matrix-Market export path prefix per level")
@@ -39,8 +42,7 @@ def _add_run_parser(sub):
 
 def _add_mesh_parser(sub):
     p = sub.add_parser("mesh", help="generate and export a mesh")
-    p.add_argument("--family", choices=["uniform", "irregular8"],
-                   required=True)
+    p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--mesh-out", required=True)
 
@@ -120,7 +122,9 @@ def _cmd_verify(args):
         basis = ec.space.sub_bases[0]
         c = rng.normal(size=basis.dim)
         full = basis.values(ec.space.nodes) @ c
-        rec = ec.projection @ ec.polynomial_dofs(c, basis)
+        p, lap_p = _polynomial(basis, c)
+        rec = ec.dof_values(p, lap_p, np.zeros((1, 2)))[0] \
+            @ ec.projection.T
         err = np.abs(rec - full).max() / max(np.abs(full).max(), 1e-30)
         if err > 1e-9:
             failures.append(f"P_{k} reproduction error {err:.2e}")
@@ -147,6 +151,17 @@ def _cmd_verify(args):
         return 1
     print("all checks passed")
     return 0
+
+
+def _polynomial(basis, coeffs):
+    """Callables (x, y) -> p and (x, y) -> Delta p for the polynomial p
+    with the given coefficients in basis; x and y are arrays of one
+    shape, which the values keep."""
+    def at(b, c):
+        return lambda x, y: (b.values(np.column_stack(
+            [np.ravel(x), np.ravel(y)])) @ c).reshape(np.shape(x))
+    return at(basis, coeffs), at(basis.lowered(),
+                                 basis.laplacian_map().T @ coeffs)
 
 
 def _p1_fem_stiffness(mesh):

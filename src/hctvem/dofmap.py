@@ -12,7 +12,6 @@ class DofMap:
         self.n_edge = k - 1
         self.n_interior = k * (k - 1) // 2
         V, E, T = mesh.num_vertices, mesh.num_edges, mesh.num_triangles
-        self.vertex_offset = 0
         self.edge_offset = V
         self.interior_offset = V + E * self.n_edge
         self.total = V + E * self.n_edge + T * self.n_interior

@@ -7,8 +7,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import solvers
 from .mesh import generate_mesh
-from .problems import get_solution
+from .pipeline import LOAD_RULES
+from .problems import SOLUTIONS, get_solution
 from .quadrature import MAX_DEGREE
 from .sf_vem import solve_sf_vem
 from .classic_vem import solve_classic_vem, solve_enriched_vem, DOF_MODES
@@ -41,12 +43,16 @@ class ExperimentConfig:
     dump_matrix: str = None
 
     def validate(self):
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown method {self.method!r}; "
-                              f"choose from {METHODS}")
-        if self.mesh not in FAMILIES:
-            raise ConfigError(f"unknown mesh family {self.mesh!r}; "
-                              f"choose from {FAMILIES}")
+        for what, value, choices in (
+                ("method", self.method, METHODS),
+                ("mesh family", self.mesh, FAMILIES),
+                ("dof mode", self.dof_mode, DOF_MODES),
+                ("solution", self.solution, SOLUTIONS),
+                ("load rule", self.load_rule, LOAD_RULES),
+                ("solver", self.solver, solvers.SOLVERS)):
+            if value not in choices:
+                raise ConfigError(f"unknown {what} {value!r}; "
+                                  f"choose from {choices}")
         if not 1 <= self.k <= 6:
             raise ConfigError(f"k must be in 1..6, got {self.k}")
         if self.method == "classic" and self.k > 4:
@@ -55,8 +61,6 @@ class ExperimentConfig:
         if not (isinstance(lo, int) and isinstance(hi, int) and
                 1 <= lo <= hi):
             raise ConfigError(f"bad level range {self.levels!r}")
-        if self.dof_mode not in DOF_MODES:
-            raise ConfigError(f"unknown dof mode {self.dof_mode!r}")
         if self.method == "enriched":
             if not self.harmonic_degrees:
                 raise ConfigError("enriched method needs harmonic degrees")
@@ -200,7 +204,6 @@ def _solve_level(cfg, mesh, problem):
 
 
 def run_experiment(cfg):
-    from . import solvers
     cfg.validate()
     problem = get_solution(cfg.solution)
     report = ErrorReport(cfg)

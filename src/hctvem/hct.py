@@ -1,14 +1,13 @@
 """Continuous piecewise-P_k space on the barycentric macro split of a
-triangle, and the energy projection onto it."""
-
-from dataclasses import dataclass
+triangle: nodes, nodal basis at a volume quadrature, stiffness, and the
+factored bubble block that the stabilizer-free element's projection
+solves with."""
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
 
 from .mesh import macro_split
-from .polynomials import (AffineMonomialBasis, ScaledMonomialBasis,
-                          monomial_dim)
+from .polynomials import AffineMonomialBasis, monomial_dim
 from .quadrature import quad_rule_triangle
 
 
@@ -137,94 +136,3 @@ class HctLocalSpace:
         bnd = self.boundary_index
         self._s_bub_bnd = self.stiffness[np.ix_(bub, bnd)]
         self._bubble_chol = cho_factor(self.stiffness[np.ix_(bub, bub)])
-
-    # -- queries ----------------------------------------------------------
-
-    def _locate(self, points):
-        """Sub-triangle index for each point (ties are harmless: the basis
-        is continuous across internal edges)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        best = np.full(len(points), -1)
-        best_min = np.full(len(points), -np.inf)
-        for s, sub in enumerate(self.split.sub_triangles):
-            T = np.column_stack([sub[1] - sub[0], sub[2] - sub[0]])
-            lam = np.linalg.solve(T, (points - sub[0]).T).T
-            bary = np.column_stack([1 - lam.sum(axis=1), lam])
-            m = bary.min(axis=1)
-            upd = m > best_min
-            best[upd] = s
-            best_min[upd] = m[upd]
-        return best
-
-    def eval_basis(self, points):
-        """Values of all nodal basis functions, (npts, dim)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        where = self._locate(points)
-        out = np.zeros((len(points), self.dim))
-        for s in range(3):
-            sel = where == s
-            if not sel.any():
-                continue
-            vals = self.sub_bases[s].values(points[sel]) @ self.sub_coeffs[s]
-            out[np.ix_(sel, self.sub_l2g[s])] = vals
-        return out
-
-    def moments(self, f):
-        """Vector of integrals (f, phi_i)_K by the cached quadrature."""
-        vals = np.asarray(f(self.quad_points[:, 0], self.quad_points[:, 1]))
-        return self.quad_values.T @ (self.quad_weights * vals)
-
-    # -- projection -------------------------------------------------------
-
-    def project(self, boundary_values, laplacian_moments=None):
-        """Coefficients of the energy projection given boundary node values
-        and the bubble moment vector of -Delta(v)."""
-        boundary_values = np.asarray(boundary_values, dtype=float)
-        if boundary_values.shape != (self.num_boundary,):
-            raise HctError("expected one value per boundary node")
-        c = np.zeros(self.dim)
-        c[:self.num_boundary] = boundary_values
-        rhs = -self._s_bub_bnd @ boundary_values
-        if laplacian_moments is not None:
-            rhs = rhs + laplacian_moments
-        c[self.num_boundary:] = cho_solve(self._bubble_chol, rhs)
-        return c
-
-
-@dataclass
-class HctFunction:
-    space: HctLocalSpace
-    coefficients: np.ndarray
-
-    def __call__(self, points):
-        return self.space.eval_basis(points) @ self.coefficients
-
-
-def project_hct(space, boundary_values, laplacian_coeffs=None,
-                laplacian_basis=None):
-    """Energy projection of the virtual function with the given boundary
-    trace and interior -Delta expansion (a P_{k-2} scaled-monomial field)."""
-    lap_m = None
-    if laplacian_coeffs is not None and len(laplacian_coeffs):
-        basis = laplacian_basis
-        if basis is None:
-            basis = ScaledMonomialBasis(
-                space.split.barycenter, space.diameter, space.k - 2)
-        if basis.dim != len(laplacian_coeffs):
-            raise HctError("laplacian coefficient count mismatch")
-        vals = basis.values(space.quad_points) @ np.asarray(laplacian_coeffs)
-        lap_m = space.quad_values[:, space.bubble_index].T \
-            @ (space.quad_weights * vals)
-    return HctFunction(space, space.project(boundary_values, lap_m))
-
-
-def interpolate_exact_solution(space, u, laplacian_u):
-    """Projection driven by exact data: u at the boundary nodes, and the
-    bubble load (-Delta u, phi)_K by quadrature."""
-    bnd = space.nodes[:space.num_boundary]
-    bvals = np.asarray(u(bnd[:, 0], bnd[:, 1]), dtype=float)
-    qp = space.quad_points
-    f = -np.asarray(laplacian_u(qp[:, 0], qp[:, 1]))
-    lap_m = space.quad_values[:, space.bubble_index].T \
-        @ (space.quad_weights * f)
-    return HctFunction(space, space.project(bvals, lap_m))

@@ -14,9 +14,11 @@ Every method supplies an element class with this protocol:
     quad_points, quad_weights   volume quadrature, local coordinates
     basis_values                (nq, dim) projection basis at quad_points
     basis_gradients             (nq, dim, 2) its gradients
-    reference_coeffs(problem, origins)
-                                (nE, dim) projection coefficients of the
-                                exact solution on the translated copies
+    dof_values(g, lap_g, origins)
+                                (nE, ndof) DOFs of the virtual interpolant
+                                of g (lap_g: its Laplacian) on the
+                                translated copies; @ projection.T gives
+                                the error reference Pi_h I_h u
     p1_dofs                     (ndof, 3) DOFs of the barycentric
                                 coordinates of the class's vertices; they
                                 span the coarse space of the CG solve
@@ -127,12 +129,13 @@ def assemble(dm, classes, f, load_rule="interp", lap_f=None):
     rules: "interp" (f interpolated in P_k on the parent triangle),
     "exact" (f at the quadrature points) and "vem" (f interpolated in the
     virtual element space like the error reference; it needs lap_f, the
-    Laplacian of f, and an element class with interpolant_coeffs)."""
+    Laplacian of f, and an element class with vem_load_matrix, which takes
+    the DOFs of that interpolant to the load)."""
     if load_rule not in LOAD_RULES:
         raise AssemblyError(f"unknown load rule {load_rule!r}")
     if load_rule == "vem" and lap_f is None:
         raise AssemblyError('load rule "vem" needs the Laplacian of f')
-    if load_rule == "vem" and not all(hasattr(ec, "interpolant_coeffs")
+    if load_rule == "vem" and not all(hasattr(ec, "vem_load_matrix")
                                       for ec, _ in classes):
         raise AssemblyError('load rule "vem" is for the sf-hct method')
     rows, cols, vals = [], [], []
@@ -157,8 +160,7 @@ def assemble(dm, classes, f, load_rule="interp", lap_f=None):
             fv = np.asarray(f(qp[..., 0], qp[..., 1]))
             loads = fv @ ec.load_matrix
         else:
-            loads = ec.interpolant_coeffs(f, lap_f, v0[idx]) \
-                @ ec.vem_load_matrix
+            loads = ec.dof_values(f, lap_f, v0[idx]) @ ec.vem_load_matrix
         np.add.at(b, gd.ravel(), loads.ravel())
     A = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -240,8 +242,11 @@ class Solution:
         return self.field_class(self.mesh, self.k, out)
 
     def reference_field(self, problem):
+        """Per-class projection coefficients of Pi_h I_h u, the projected
+        virtual interpolant of the exact solution."""
         v0 = self.mesh.vertices[self.mesh.triangles[:, 0]]
         out = []
         for ec, idx in self.classes:
-            out.append((ec, idx, ec.reference_coeffs(problem, v0[idx])))
+            d = ec.dof_values(problem.u, problem.lap_u, v0[idx])
+            out.append((ec, idx, d @ ec.projection.T))
         return self.field_class(self.mesh, self.k, out)

@@ -56,6 +56,7 @@ def _bubble_poly():
 
 
 _REGISTRY = {s.name: s for s in (_sin_sin(), _bubble_poly())}
+SOLUTIONS = tuple(_REGISTRY)
 
 
 def get_solution(name):

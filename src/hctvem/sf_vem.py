@@ -9,8 +9,7 @@ from scipy.linalg import cho_solve
 from .dofmap import DofMap
 from .hct import HctLocalSpace
 from .pipeline import (Field, Solution, assemble, barycentric_coeffs,
-                       build_classes, reduce_dirichlet, solve_reduced,
-                       source_interp)
+                       build_classes, solve_reduced, source_interp)
 from .polynomials import AffineMonomialBasis
 
 
@@ -50,8 +49,9 @@ class SfElementClass:
         self.load_matrix = (sp_.quad_weights[:, None] * sp_.quad_values) \
             @ self.projection
         # load rule "vem": (proj of the virtual interpolant of f, proj of
-        # unit DOF)_K = HCT coefficients of that projection @ this matrix
-        self.vem_load_matrix = sp_.quad_values.T @ self.load_matrix
+        # unit DOF)_K = DOFs of that interpolant @ this matrix
+        self.vem_load_matrix = self.projection.T \
+            @ (sp_.quad_values.T @ self.load_matrix)
         self.basis_values = sp_.quad_values
         self.basis_gradients = sp_.quad_gradients
         # load rule "interp": the P_k interpolant of f on the parent
@@ -83,52 +83,22 @@ class SfElementClass:
             P[nb:, nb:] = cho_solve(sp_._bubble_chol, M)
         return P
 
-    def polynomial_dofs(self, coeffs, basis=None):
-        """DOF vector representing the P_k polynomial with the given
-        coefficients (default basis: the first sub-triangle's)."""
-        sp_ = self.space
-        if basis is None:
-            basis = sp_.sub_bases[0]
-        bvals = basis.values(sp_.nodes[:self.n_boundary]) @ coeffs
+    def dof_values(self, g, lap_g, origins):
+        """(nE, ndof) DOFs of the virtual interpolant of g on the copies
+        translated by origins: g at the boundary nodes, and -Delta of the
+        interpolant taken as the L2 projection of -Delta(g) onto P_{k-2},
+        scaled like the interior columns of projection."""
+        nodes = origins[:, None, :] + self.space.nodes[None, :self.n_boundary]
+        bvals = np.asarray(g(nodes[..., 0], nodes[..., 1]), dtype=float)
         if not self.n_interior:
             return bvals
-        # -Delta p lies in P_{k-2}; expand it in the interior basis
-        lap_c = -(basis.laplacian_map().T @ coeffs)
-        lap_basis = basis.lowered()
-        mu = self.interior_basis.values(sp_.quad_points)
-        w = sp_.quad_weights
-        gram = mu.T @ (w[:, None] * mu)
-        lap_q = lap_basis.values(sp_.quad_points) @ lap_c
-        c_mu = np.linalg.solve(gram, mu.T @ (w * lap_q))
-        interior = c_mu * self.diameter ** 2 * self.interior_scale
-        return np.concatenate([bvals, interior])
-
-    def reference_coeffs(self, problem, origins):
-        """HCT projection of the virtual interpolant of the exact solution
-        (see interpolant_coeffs)."""
-        return self.interpolant_coeffs(problem.u, problem.lap_u, origins)
-
-    def interpolant_coeffs(self, g, lap_g, origins):
-        """HCT projection of the virtual interpolant of g: g at the
-        boundary nodes, -Delta of the interpolant taken as the L2
-        projection of -Delta(g) onto P_{k-2} (zero when k = 1)."""
-        sp_ = self.space
-        nb = sp_.num_boundary
-        nodes = origins[:, None, :] + sp_.nodes[None, :nb, :]
-        bvals = g(nodes[..., 0], nodes[..., 1])
-        rhs = -bvals @ sp_._s_bub_bnd.T
-        if self.n_interior:
-            qp = origins[:, None, :] + sp_.quad_points[None, :, :]
-            fvals = -lap_g(qp[..., 0], qp[..., 1])
-            mu = self.interior_basis.values(sp_.quad_points)
-            wmu = sp_.quad_weights[:, None] * mu
-            gram = mu.T @ wmu
-            mom = fvals @ wmu                     # (nE, dim P_{k-2})
-            coeffs = np.linalg.solve(gram, mom.T).T
-            mu_phi_b = wmu.T @ sp_.quad_values[:, sp_.bubble_index]
-            rhs = rhs + coeffs @ mu_phi_b
-        cbub = cho_solve(sp_._bubble_chol, rhs.T).T
-        return np.concatenate([bvals, cbub], axis=1)
+        qp = origins[:, None, :] + self.quad_points[None, :, :]
+        mu = self.interior_basis.values(self.quad_points)
+        wmu = self.quad_weights[:, None] * mu
+        mom = -lap_g(qp[..., 0], qp[..., 1]) @ wmu    # (nE, dim P_{k-2})
+        coeffs = np.linalg.solve(mu.T @ wmu, mom.T).T
+        interior = coeffs * self.diameter ** 2 * self.interior_scale
+        return np.concatenate([bvals, interior], axis=1)
 
 
 def _class_cache_build(mesh, k, cache=None):
@@ -144,13 +114,6 @@ def _assemble(mesh, k, classes, f, load_rule="interp", lap_f=None):
     dm = DofMap(mesh, k)
     A, b = assemble(dm, classes, f, load_rule, lap_f)
     return dm, A, b
-
-
-def assemble_global(mesh, k, f=None):
-    """Assembled system with Dirichlet DOFs eliminated (homogeneous BC)."""
-    classes = _class_cache_build(mesh, k, _GLOBAL_CACHE)
-    dm, A, b = _assemble(mesh, k, classes, f)
-    return (*reduce_dirichlet(dm, A, b), dm)
 
 
 # SfField and SfSolution add nothing to the shared classes.  They exist so

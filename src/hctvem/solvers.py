@@ -7,6 +7,9 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import cho_factor, cho_solve
 
 
+SOLVERS = ("direct", "cg", "dense")
+
+
 class NotSpdError(RuntimeError):
     """Raised when a matrix expected to be SPD shows negative curvature."""
 
@@ -204,13 +207,13 @@ def _lanczos_lambda_max(A, max_iter=200, tol=1e-10):
 
 
 def _lambda_min_inverse_iteration(A, max_iter=200, tol=1e-8):
-    """Smallest eigenvalue by inverse iteration with direct inner solves."""
+    """Smallest eigenvalue by inverse iteration with direct inner solves.
+    Raises NotSpdError when A is singular."""
     n = A.shape[0]
-    if sp.issparse(A):
-        solve = spla.factorized(A.tocsc())
-    else:
-        c = cho_factor(np.asarray(A, dtype=float))
-        solve = lambda v: cho_solve(c, v)
+    try:
+        solve = spla.factorized(sp.csc_matrix(A, dtype=float))
+    except RuntimeError as exc:
+        raise NotSpdError(f"singular matrix: {exc}") from exc
     x = np.ones(n) / np.sqrt(n)
     lam_prev = None
     for _ in range(max_iter):
@@ -229,9 +232,6 @@ def estimate_condition_2(A):
     n = A.shape[0]
     if n == 0:
         raise ValueError("condition number of an empty (0 x 0) matrix")
-    if n == 1:
-        v = (A @ np.ones(1))[0] if sp.issparse(A) else float(A[0, 0])
-        return 1.0 if v != 0 else np.inf
     lam_max = _lanczos_lambda_max(A)
     lam_min = _lambda_min_inverse_iteration(A)
     if lam_min <= 0:

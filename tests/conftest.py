@@ -1,17 +1,25 @@
-"""Shared helpers: cached convergence runs, random triangle sampling and
+"""Shared helpers: cached convergence runs, reduced systems built through
+the pipeline, random triangle sampling, the per-element oracle of the
+stabilizer-free method with its HCT evaluation and energy projection, and
 loop-based oracles for the mesh and class-grouping code."""
 
 import functools
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import cho_solve
 
+from hctvem import pipeline
 from hctvem.cli import _p1_fem_stiffness as p1_fem_stiffness  # noqa: F401
+from hctvem.cli import _polynomial as polynomial  # noqa: F401
+from hctvem.classic_vem import (ClassicElementClass, EnrichedElementClass,
+                                solve_classic_vem, solve_enriched_vem)
+from hctvem.dofmap import DofMap
 from hctvem.experiments import convergence_order
 from hctvem.mesh import generate_mesh
+from hctvem.polynomials import ScaledMonomialBasis
 from hctvem.problems import get_solution
-from hctvem.sf_vem import solve_sf_vem
-from hctvem.classic_vem import solve_classic_vem, solve_enriched_vem
+from hctvem.sf_vem import SfElementClass, solve_sf_vem
 
 
 @functools.lru_cache(maxsize=None)
@@ -52,6 +60,79 @@ def enriched_errors(family, k, degrees, lo, hi):
     return out
 
 
+# element-class factories by method; classic and enriched as the
+# benchmark runs them
+FACTORIES = {
+    "sf-hct": lambda k: lambda lv: SfElementClass(k, lv),
+    "classic": lambda k: lambda lv: ClassicElementClass(
+        k, lv, "l2_normalized_x10", -1.0),
+    "enriched": lambda k: lambda lv: EnrichedElementClass(k, lv, (k + 1,)),
+}
+CLASS_CACHE = {}
+
+
+def reduced_system(method, family, k, level, f=get_solution("sinsin").f):
+    """(A, b, dm, classes): the matrix (CSC) and load on the free DOFs of
+    one method at one mesh level, with its DofMap and element classes,
+    built through pipeline as the solve_* functions build them; f=None
+    assembles a zero load."""
+    mesh = generate_mesh(family, level)
+    classes = pipeline.build_classes(mesh, FACTORIES[method](k),
+                                     CLASS_CACHE, (method, k))
+    dm = DofMap(mesh, k)
+    A, b = pipeline.assemble(dm, classes, f)
+    return (*pipeline.reduce_dirichlet(dm, A, b), dm, classes)
+
+
+def eval_basis(space, points):
+    """Values of all nodal basis functions of the HctLocalSpace at the
+    points, (npts, dim); each point is evaluated in the sub-triangle where
+    its smallest barycentric coordinate is largest (ties are harmless: the
+    basis is continuous across internal edges)."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    where = np.full(len(points), -1)
+    best_min = np.full(len(points), -np.inf)
+    for s, sub in enumerate(space.split.sub_triangles):
+        T = np.column_stack([sub[1] - sub[0], sub[2] - sub[0]])
+        lam = np.linalg.solve(T, (points - sub[0]).T).T
+        bary = np.column_stack([1 - lam.sum(axis=1), lam])
+        m = bary.min(axis=1)
+        upd = m > best_min
+        where[upd] = s
+        best_min[upd] = m[upd]
+    out = np.zeros((len(points), space.dim))
+    for s in range(3):
+        sel = where == s
+        if not sel.any():
+            continue
+        vals = space.sub_bases[s].values(points[sel]) @ space.sub_coeffs[s]
+        out[np.ix_(sel, space.sub_l2g[s])] = vals
+    return out
+
+
+def project_hct(space, boundary_values, laplacian_coeffs=None,
+                laplacian_basis=None):
+    """HCT coefficients of the energy projection of the virtual function
+    with the given boundary node values and interior -Delta expansion (a
+    P_{k-2} scaled-monomial field, by default about the barycenter and
+    scaled by the diameter): the bubble part solves the bubble block of the
+    stiffness against the boundary part and the -Delta moments."""
+    boundary_values = np.asarray(boundary_values, dtype=float)
+    rhs = -space._s_bub_bnd @ boundary_values
+    if laplacian_coeffs is not None and len(laplacian_coeffs):
+        basis = laplacian_basis
+        if basis is None:
+            basis = ScaledMonomialBasis(
+                space.split.barycenter, space.diameter, space.k - 2)
+        vals = basis.values(space.quad_points) @ np.asarray(laplacian_coeffs)
+        rhs = rhs + space.quad_values[:, space.bubble_index].T \
+            @ (space.quad_weights * vals)
+    c = np.zeros(space.dim)
+    c[:space.num_boundary] = boundary_values
+    c[space.num_boundary:] = cho_solve(space._bubble_chol, rhs)
+    return c
+
+
 def _sf_oracle_elements(family, k, level):
     """Per-triangle data of the stabilizer-free method built without the
     translation-class cache, DofMap or SfElementClass: one HctLocalSpace on
@@ -59,8 +140,8 @@ def _sf_oracle_elements(family, k, level):
     by project_hct (interior DOFs: -Delta v = one scaled monomial of degree
     k - 2 about the barycenter), and global boundary DOFs matched by node
     coordinates."""
-    from hctvem.hct import HctLocalSpace, project_hct
-    from hctvem.polynomials import ScaledMonomialBasis, monomial_dim
+    from hctvem.hct import HctLocalSpace
+    from hctvem.polynomials import monomial_dim
 
     mesh = generate_mesh(family, level)
     qdeg = 2 * k + 10
@@ -74,8 +155,8 @@ def _sf_oracle_elements(family, k, level):
         lap_basis = ScaledMonomialBasis(space.split.barycenter,
                                         space.diameter, k - 2)
         P = np.column_stack(
-            [project_hct(space, e).coefficients for e in np.eye(nb)]
-            + [project_hct(space, np.zeros(nb), e, lap_basis).coefficients
+            [project_hct(space, e) for e in np.eye(nb)]
+            + [project_hct(space, np.zeros(nb), e, lap_basis)
                for e in np.eye(n_interior)])
         keys = map(tuple, np.round(space.nodes[:nb], 10))
         bnd = [node_ids.setdefault(key, len(node_ids)) for key in keys]
@@ -96,7 +177,7 @@ def sf_oracle_errors(family, k, level, load_rule="interp"):
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    from hctvem.hct import _lattice_multi_indices, project_hct
+    from hctvem.hct import _lattice_multi_indices
     from hctvem.polynomials import monomial_dim, monomial_exponents
     from hctvem.quadrature import quad_rule_triangle
 
@@ -124,8 +205,7 @@ def sf_oracle_errors(family, k, level, load_rule="interp"):
             lap_c = np.linalg.solve(
                 M.T @ (wp[:, None] * M),
                 M.T @ (wp * -lap_g(pts[:, 0], pts[:, 1])))
-        return project_hct(space, g(bn[:, 0], bn[:, 1]), lap_c,
-                           lap_basis).coefficients
+        return project_hct(space, g(bn[:, 0], bn[:, 1]), lap_c, lap_basis)
 
     rows, cols, vals = [], [], []
     b = np.zeros(ndof)

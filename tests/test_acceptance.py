@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 
 from conftest import (classic_errors, enriched_errors, orders,
-                      p1_fem_stiffness, random_ccw_triangle, sf_errors,
-                      sf_oracle_errors)
+                      p1_fem_stiffness, random_ccw_triangle, reduced_system,
+                      sf_errors, sf_oracle_errors)
 
 from hctvem import solvers
 from hctvem.classic_vem import solve_classic_vem
 from hctvem.mesh import generate_mesh
 from hctvem.problems import get_solution
-from hctvem.sf_vem import SfElementClass, assemble_global, solve_sf_vem
+from hctvem.sf_vem import SfElementClass, solve_sf_vem
 
 
 class TestProjectionPreservesPolynomials:
@@ -64,20 +64,16 @@ class TestGlobalSystemsPositiveDefinite:
     @pytest.mark.parametrize("family", ["uniform", "irregular8"])
     @pytest.mark.parametrize("k", range(1, 7))
     def test_cholesky_levels_1_to_3(self, family, k):
-        prob = get_solution("sinsin")
         for level in (1, 2, 3):
-            mesh = generate_mesh(family, level)
-            A, b, _ = assemble_global(mesh, k, prob.f)
+            A, b, _, _ = reduced_system("sf-hct", family, k, level)
             x = solvers.solve_dense_cholesky(A, b)   # raises if not SPD
             assert np.all(np.isfinite(x))
 
     @pytest.mark.parametrize("family", ["uniform", "irregular8"])
     @pytest.mark.parametrize("k", range(1, 7))
     def test_cg_levels_4_to_6(self, family, k):
-        prob = get_solution("sinsin")
         for level in (4, 5, 6):
-            mesh = generate_mesh(family, level)
-            A, b, _ = assemble_global(mesh, k, prob.f)
+            A, b, _, _ = reduced_system("sf-hct", family, k, level)
             x, _ = solvers.solve_cg(A, b, tol=1e-10, max_iter=20000,
                                     preconditioner="jacobi")
             assert np.all(np.isfinite(x))

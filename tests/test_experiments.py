@@ -69,6 +69,9 @@ class TestValidation:
         {"method": "classic", "load_rule": "vem"},       # sf-hct only
         {"method": "enriched", "k": 1,
          "harmonic_degrees": (16,)},                     # rule too high
+        {"load_rule": "foo"},
+        {"solver": "foo"},
+        {"solution": "foo"},
     ])
     def test_invalid_configs_rejected(self, patch):
         cfg = ExperimentConfig()
@@ -205,6 +208,13 @@ class TestCli:
         rc = main(["run", "--method", "enriched", "--k", "2",
                    "--mesh", "uniform", "--levels", "1..1"])
         assert rc == 2
+
+    def test_unknown_load_rule_in_config_file_exits_2(self, tmp_path,
+                                                       capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("load_rule=foo\nlevels=1..1\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_python_m_hctvem(self):
         src = str(Path(hctvem.__file__).resolve().parent.parent)

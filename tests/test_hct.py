@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from hctvem.hct import (HctError, HctLocalSpace, hct_dimension,
-                        interpolate_exact_solution, project_hct)
+from conftest import eval_basis, polynomial
+
+from hctvem.hct import HctError, HctLocalSpace, hct_dimension
+from hctvem.polynomials import ScaledMonomialBasis
+from hctvem.sf_vem import SfElementClass
 
 TRI = np.array([[0.0, 0.0], [1.0, 0.1], [0.3, 0.9]])
 
@@ -45,7 +48,7 @@ class TestBasis:
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_lagrange_property_at_nodes(self, k):
         sp = HctLocalSpace(k, TRI)
-        assert np.allclose(sp.eval_basis(sp.nodes), np.eye(sp.dim),
+        assert np.allclose(eval_basis(sp, sp.nodes), np.eye(sp.dim),
                            atol=1e-10)
 
     @pytest.mark.parametrize("k", [1, 3, 6])
@@ -54,7 +57,7 @@ class TestBasis:
         rng = np.random.default_rng(0)
         lam = rng.dirichlet(np.ones(3), size=50)
         pts = lam @ TRI
-        assert np.allclose(sp.eval_basis(pts).sum(axis=1), 1.0, atol=1e-11)
+        assert np.allclose(eval_basis(sp, pts).sum(axis=1), 1.0, atol=1e-11)
 
     def test_continuity_across_internal_edges(self):
         sp = HctLocalSpace(3, TRI)
@@ -65,8 +68,8 @@ class TestBasis:
             t = np.linspace(0.1, 0.9, 7)[:, None]
             seg = v + t * (bc - v)
             eps = 1e-9 * np.array([bc[1] - v[1], v[0] - bc[0]])
-            left = sp.eval_basis(seg + eps)
-            right = sp.eval_basis(seg - eps)
+            left = eval_basis(sp, seg + eps)
+            right = eval_basis(sp, seg - eps)
             assert np.allclose(left, right, atol=1e-6)
 
     def test_gradient_matches_finite_differences(self):
@@ -76,8 +79,8 @@ class TestBasis:
         sp = HctLocalSpace(2, TRI)
         h = 1e-6
         for p, g in zip(sp.quad_points, sp.quad_gradients):
-            gx = sp.eval_basis(p + [h, 0]) - sp.eval_basis(p - [h, 0])
-            gy = sp.eval_basis(p + [0, h]) - sp.eval_basis(p - [0, h])
+            gx = eval_basis(sp, p + [h, 0]) - eval_basis(sp, p - [h, 0])
+            gy = eval_basis(sp, p + [0, h]) - eval_basis(sp, p - [0, h])
             fd = np.stack([gx[0], gy[0]], axis=-1) / (2 * h)
             assert np.allclose(g, fd, atol=1e-6)
 
@@ -106,44 +109,21 @@ class TestStiffness:
 class TestProjection:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_interpolation_reproduces_degree_k_polynomials(self, k):
+        # the live interpolant, SfElementClass.dof_values composed with
+        # projection, evaluated off the nodes
         rng = np.random.default_rng(k)
-        c = rng.normal(size=(k + 1) * (k + 2) // 2)
-        from hctvem.polynomials import ScaledMonomialBasis
         poly = ScaledMonomialBasis(TRI.mean(axis=0), 1.0, k)
-        lap_c = poly.laplacian_map().T @ c
-
-        def u(x, y):
-            return poly.values(np.column_stack([x, y])) @ c
-
-        def lap_u(x, y):
-            if k < 2:
-                return np.zeros_like(np.asarray(x, dtype=float))
-            return poly.lowered().values(np.column_stack([x, y])) @ lap_c
-
-        sp = HctLocalSpace(k, TRI)
-        f = interpolate_exact_solution(sp, u, lap_u)
+        u, lap_u = polynomial(poly, rng.normal(size=poly.dim))
+        ec = SfElementClass(k, TRI)
+        coeffs = ec.dof_values(u, lap_u, np.zeros((1, 2)))[0] \
+            @ ec.projection.T
         pts = np.random.default_rng(7).dirichlet(np.ones(3), 30) @ TRI
-        assert np.allclose(f(pts), u(pts[:, 0], pts[:, 1]), atol=1e-10)
-
-    def test_project_requires_boundary_value_count(self):
-        sp = HctLocalSpace(2, TRI)
-        with pytest.raises(HctError):
-            sp.project(np.zeros(5))
-
-    def test_project_hct_validates_laplacian_coefficients(self):
-        sp = HctLocalSpace(3, TRI)
-        with pytest.raises(HctError):
-            project_hct(sp, np.zeros(9), laplacian_coeffs=np.ones(5))
-
-    def test_zero_data_gives_zero_function(self):
-        sp = HctLocalSpace(3, TRI)
-        f = project_hct(sp, np.zeros(sp.num_boundary))
-        pts = TRI.mean(axis=0)[None, :]
-        assert np.allclose(f(pts), 0.0, atol=1e-14)
+        assert np.allclose(eval_basis(ec.space, pts) @ coeffs,
+                           u(pts[:, 0], pts[:, 1]), atol=1e-10)
 
     def test_moments_integrate_against_basis(self):
         sp = HctLocalSpace(2, TRI)
-        m = sp.moments(lambda x, y: np.ones_like(x))
+        m = sp.quad_values.T @ sp.quad_weights
         # sum of (1, phi_i) = integral of the partition of unity = area
         d1, d2 = TRI[1] - TRI[0], TRI[2] - TRI[0]
         area = 0.5 * abs(d1[0] * d2[1] - d1[1] * d2[0])

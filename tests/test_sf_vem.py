@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import (dirichlet_oracle, group_elements_oracle, orders,
-                      random_ccw_triangle, sf_errors)
+                      polynomial, random_ccw_triangle, reduced_system,
+                      sf_errors)
 
+from hctvem.classic_vem import ClassicElementClass, EnrichedElementClass
 from hctvem.dofmap import DofMap
 from hctvem.mesh import generate_mesh
 from hctvem.pipeline import AssemblyError, group_elements
 from hctvem.problems import get_solution
 from hctvem.sf_vem import (SfElementClass, _assemble, _class_cache_build,
-                           assemble_global, solve_sf_vem)
+                           solve_sf_vem)
 
 TRI = np.array([[0.0, 0.0], [1.0, 0.1], [0.3, 0.9]])
 
@@ -65,13 +67,34 @@ class TestElementClasses:
 class TestLocalProjection:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_polynomial_dofs_reproduced_through_projection(self, k):
+        # dof_values(p, Delta p, origins) @ projection.T is p on every
+        # translated copy: sf-hct compared by HCT node values, classic
+        # (k <= 4) and enriched (k = 2, degree 3) by the coefficients of
+        # their P_k basis, whose origin moves with the copy
         rng = np.random.default_rng(k)
+        origins = rng.uniform(-2.0, 2.0, (3, 2))
         ec = SfElementClass(k, TRI)
         basis = ec.space.sub_bases[0]
         c = rng.normal(size=basis.dim)
-        rec = ec.projection @ ec.polynomial_dofs(c, basis)
-        exact = basis.values(ec.space.nodes) @ c
-        assert np.allclose(rec, exact, atol=1e-11 * np.abs(exact).max())
+        p, lap_p = polynomial(basis, c)
+        got = ec.dof_values(p, lap_p, origins) @ ec.projection.T
+        want = p(origins[:, None, 0] + ec.space.nodes[:, 0],
+                 origins[:, None, 1] + ec.space.nodes[:, 1])
+        assert np.allclose(got, want, rtol=0,
+                           atol=1e-11 * np.abs(want).max())
+        others = [ClassicElementClass(k, TRI)] if k <= 4 else []
+        if k == 2:
+            others.append(EnrichedElementClass(k, TRI, (3,)))
+        for ec in others:
+            c = rng.normal(size=ec.poly.dim)
+            p, lap_p = polynomial(ec.poly, c)
+            for o in origins:
+                got = ec.dof_values(lambda x, y: p(x - o[0], y - o[1]),
+                                    lambda x, y: lap_p(x - o[0], y - o[1]),
+                                    o[None, :])[0] @ ec.projection.T
+                assert np.allclose(got[:ec.poly.dim], c, rtol=0,
+                                   atol=1e-10 * np.abs(c).max())
+                assert np.allclose(got[ec.poly.dim:], 0.0, atol=1e-10)
 
     def test_projection_matrix_shape_and_boundary_identity(self):
         k = 3
@@ -110,14 +133,13 @@ class TestLocalProjection:
 
 class TestAssembly:
     def test_assembled_matrix_symmetric(self):
-        m = generate_mesh("irregular8", 2)
-        A, b, dm = assemble_global(m, 3, get_solution("sinsin").f)
+        A, b, dm, _ = reduced_system("sf-hct", "irregular8", 3, 2)
         assert abs(A - A.T).max() < 1e-12 * abs(A).max()
         assert A.shape[0] == len(dm.free) == len(b)
 
     def test_dirichlet_elimination_counts(self):
-        m = generate_mesh("uniform", 2)
-        A, b, dm = assemble_global(m, 2, None)
+        A, b, dm, _ = reduced_system("sf-hct", "uniform", 2, 2, f=None)
+        m = dm.mesh
         boundary_nodes = int(m.boundary_vertex.sum()
                              + m.boundary_edge.sum())
         assert dm.total - A.shape[0] == boundary_nodes

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import p1_fem_stiffness
+from conftest import p1_fem_stiffness, reduced_system
 from hctvem import pipeline, solvers
-from hctvem.classic_vem import (ClassicElementClass, EnrichedElementClass,
-                                solve_classic_vem)
-from hctvem.dofmap import DofMap
+from hctvem.classic_vem import solve_classic_vem
 from hctvem.mesh import generate_mesh
 from hctvem.problems import get_solution
-from hctvem.sf_vem import SfElementClass, solve_sf_vem
+from hctvem.sf_vem import solve_sf_vem
 from hctvem.solvers import (ConvergenceError, NotSpdError,
                             estimate_condition_2, export_matrix_market,
                             solve_cg, solve_dense_cholesky, solve_spd,
@@ -143,32 +141,22 @@ class TestConditionEstimate:
     def test_one_by_one(self):
         assert estimate_condition_2(np.array([[2.0]])) == 1.0
 
+    @pytest.mark.parametrize("value", [-2.0, 0.0])
+    @pytest.mark.parametrize("form", [np.array, sp.csc_matrix])
+    def test_one_by_one_not_spd_rejected(self, form, value):
+        with pytest.raises(NotSpdError):
+            estimate_condition_2(form(np.array([[value]])))
+
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             estimate_condition_2(sp.csc_matrix((0, 0)))
 
 
-# element-class factories by method; classic and enriched as the
-# benchmark runs them
-FACTORIES = {
-    "sf-hct": lambda k: lambda lv: SfElementClass(k, lv),
-    "classic": lambda k: lambda lv: ClassicElementClass(
-        k, lv, "l2_normalized_x10", -1.0),
-    "enriched": lambda k: lambda lv: EnrichedElementClass(k, lv, (k + 1,)),
-}
-CLASS_CACHE = {}
-
-
 def two_level_system(method, family, k, level):
-    """Reduced matrix and load, coarse space and per-element free-DOF
+    """Reduced matrix (CSR) and load, coarse space and per-element free-DOF
     index, built as pipeline.solve_reduced builds them."""
-    mesh = generate_mesh(family, level)
-    classes = pipeline.build_classes(mesh, FACTORIES[method](k),
-                                     CLASS_CACHE, (method, k))
-    dm = DofMap(mesh, k)
-    A, b = pipeline.assemble(dm, classes, get_solution("sinsin").f)
-    A_red, b_red = pipeline.reduce_dirichlet(dm, A, b)
-    return (A_red.tocsr(), b_red, pipeline.coarse_space(dm, classes),
+    A, b, dm, classes = reduced_system(method, family, k, level)
+    return (A.tocsr(), b, pipeline.coarse_space(dm, classes),
             pipeline.free_index(dm)[dm.element_dofs])
 
 
