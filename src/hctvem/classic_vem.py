@@ -7,9 +7,8 @@ no stabilizer)."""
 import numpy as np
 
 from .dofmap import DofMap
-from .pipeline import (AssemblyError, Field, Solution, assemble,
-                       barycentric_coeffs, build_classes, solve_reduced,
-                       source_interp)
+from .pipeline import (AssemblyError, ElementClass, Field, Solution,
+                       assemble, build_classes, solve_reduced)
 from .polynomials import ScaledMonomialBasis, harmonic_basis, \
     monomial_exponents
 from .quadrature import quad_rule_triangle, quad_rule_edge
@@ -113,7 +112,7 @@ def _edge_trace_data(dofs, degree):
     return out
 
 
-class EnrichedElementClass:
+class EnrichedElementClass(ElementClass):
     """Cached per-shape data of a moment-DOF element with the energy
     projection onto P_k plus the harmonic polynomials of the given degrees
     (none: the classical projection onto P_k), and no stabilizer."""
@@ -126,6 +125,7 @@ class EnrichedElementClass:
         self.dofs = ClassicDofs(k, local_verts, mode,
                                 max(2 * k + 6, 2 * top))
         d = self.dofs
+        self.verts = d.verts
         self.diameter = d.diameter
         self.ndof = d.ndof
         self.poly = ScaledMonomialBasis(d.barycenter, d.diameter, k)
@@ -138,16 +138,6 @@ class EnrichedElementClass:
         self.basis_gradients = self._gradients(d.quad_points)
         self.dim = self.basis_values.shape[1]
         self._build_projection(2 * top + 6)
-        Kc = self.projection.T @ self.grad_gram @ self.projection
-        self.K_loc = 0.5 * (Kc + Kc.T)
-        # load: (f, proj of unit DOF)_K
-        self.load_matrix = (d.quad_weights[:, None] * self.basis_values) \
-            @ self.projection
-        self.source_nodes, self.interp_load_matrix = source_interp(
-            k, d.verts, self.diameter, self.quad_points, self.load_matrix)
-        self.p1_dofs = np.column_stack(
-            [d.dof_values(lambda x, y, c=c: c[0] + c[1] * x + c[2] * y)
-             for c in barycentric_coeffs(d.verts)])
 
     def _values(self, pts):
         vals = self.poly.values(pts)
@@ -186,7 +176,7 @@ class EnrichedElementClass:
             mean_basis += w @ self._values(pts)
         G = np.einsum("q,qad,qbd->ab", d.quad_weights,
                       self.basis_gradients, self.basis_gradients)
-        self.grad_gram = 0.5 * (G + G.T)
+        self.stiffness = 0.5 * (G + G.T)
         G[0, :] = mean_basis
         B[0, :] = mean_row
         cond = np.linalg.cond(G)
@@ -218,9 +208,7 @@ class ClassicElementClass(EnrichedElementClass):
                 @ self.basis_values / d.normalizer[:, None]
         R = np.eye(d.ndof) - D @ self.projection
         self.stab_factor = R.T @ R
-        self.K_consistency = self.K_loc
-        self.K_loc = self.K_consistency \
-            + self.diameter ** alpha * self.stab_factor
+        self.stabilizer = self.diameter ** alpha * self.stab_factor
 
 
 # single-element spec surface ---------------------------------------------

@@ -2,13 +2,13 @@
 self-verification suite."""
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
 
 from .experiments import (FAMILIES, METHODS, ConfigError, ExperimentConfig,
                           config_from_mapping, parse_config_file,
-                          parse_degree_list, parse_level_range,
                           run_experiment)
 from .pipeline import LOAD_RULES
 from .solvers import SOLVERS
@@ -52,39 +52,16 @@ def _add_verify_parser(sub):
 
 
 def _config_from_args(args):
-    if args.config:
-        cfg = config_from_mapping(parse_config_file(args.config))
-    else:
-        cfg = ExperimentConfig()
-    if args.method is not None:
-        cfg.method = args.method
-    if args.k is not None:
-        cfg.k = args.k
-    if args.mesh is not None:
-        cfg.mesh = args.mesh
-    if args.levels is not None:
-        cfg.levels = parse_level_range(args.levels)
-    if args.solution is not None:
-        cfg.solution = args.solution
-    if args.alpha is not None:
-        cfg.alpha = args.alpha
-    if args.dof_mode is not None:
-        cfg.dof_mode = _DOF_MODE_ALIAS[args.dof_mode]
-    if args.harmonic_degrees is not None:
-        cfg.harmonic_degrees = parse_degree_list(args.harmonic_degrees)
-    if args.kappa:
-        cfg.kappa = True
-    if args.tol is not None:
-        cfg.tol = args.tol
-    if args.load_rule is not None:
-        cfg.load_rule = args.load_rule
-    if args.solver is not None:
-        cfg.solver = args.solver
-    if args.out is not None:
-        cfg.out = args.out
-    if args.dump_matrix is not None:
-        cfg.dump_matrix = args.dump_matrix
-    return cfg
+    """The config file's key=value mapping, overridden by the flags that
+    were given, typed and checked once by config_from_mapping."""
+    values = parse_config_file(args.config) if args.config else {}
+    for f in dataclasses.fields(ExperimentConfig):
+        given = getattr(args, f.name)
+        if given is None or given is False:
+            continue
+        values[f.name] = _DOF_MODE_ALIAS[given] if f.name == "dof_mode" \
+            else given
+    return config_from_mapping(values)
 
 
 def _cmd_run(args):

@@ -73,6 +73,11 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"harmonic degrees above {MAX_DEGREE // 2} are not "
                     "supported by the quadrature")
+        if self.harmonic_degrees and self.method != "enriched":
+            raise ConfigError("harmonic degrees are for the enriched method")
+        if self.method != "classic" and (self.alpha != 0.0
+                                         or self.dof_mode != "standard"):
+            raise ConfigError("alpha and dof mode are for the classic method")
         if self.load_rule == "vem" and self.method != "sf-hct":
             raise ConfigError('load rule "vem" is for the sf-hct method')
         if self.tol <= 0:
@@ -105,7 +110,7 @@ def config_from_mapping(values):
         elif key in ("alpha", "tol"):
             setattr(cfg, key, float(raw))
         elif key == "kappa":
-            setattr(cfg, key, str(raw).lower() in ("1", "true", "yes", "on"))
+            setattr(cfg, key, parse_flag(key, raw))
         elif key == "levels":
             setattr(cfg, key, parse_level_range(raw))
         elif key == "harmonic_degrees":
@@ -113,6 +118,15 @@ def config_from_mapping(values):
         else:
             setattr(cfg, key, raw)
     return cfg
+
+
+def parse_flag(key, raw):
+    text = str(raw).strip().lower()
+    if text in ("1", "true", "yes", "on"):
+        return True
+    if text in ("0", "false", "no", "off"):
+        return False
+    raise ConfigError(f"bad {key} value {raw!r}; expected true or false")
 
 
 def parse_level_range(text):

@@ -2,15 +2,17 @@
 classes per translation class, global assembly, Dirichlet reduction and
 solve, and the discrete and reference fields with their error norms.
 
-Every method supplies an element class with this protocol:
+Every method's element class derives from ElementClass and sets what
+differs between methods:
 
+    k                           polynomial degree
+    verts                       (3, 2) vertices, local coordinates
+    diameter                    diameter of the triangle
     ndof                        local DOF count
-    K_loc                       (ndof, ndof) local stiffness
     projection                  (dim, ndof) DOFs -> projection coefficients
-    load_matrix                 (nq, ndof) f at quad_points -> local load
-    interp_load_matrix          (len(source_nodes), ndof) f at the P_k
-                                lattice of the parent triangle -> load
-    source_nodes                (n, 2) lattice nodes, local coordinates
+    stiffness                   (dim, dim) H1 Gram of the projection basis
+    stabilizer                  (ndof, ndof) added to the stiffness, or
+                                0.0 (the default: no stabilizer)
     quad_points, quad_weights   volume quadrature, local coordinates
     basis_values                (nq, dim) projection basis at quad_points
     basis_gradients             (nq, dim, 2) its gradients
@@ -19,15 +21,18 @@ Every method supplies an element class with this protocol:
                                 of g (lap_g: its Laplacian) on the
                                 translated copies; @ projection.T gives
                                 the error reference Pi_h I_h u
-    p1_dofs                     (ndof, 3) DOFs of the barycentric
-                                coordinates of the class's vertices; they
-                                span the coarse space of the CG solve
+
+ElementClass derives from these, once per class, the local stiffness
+K_loc, the load operators of the three load rules (load_matrix,
+interp_load, vem_load_matrix) and p1_dofs, the DOFs of the barycentric
+coordinates that span the coarse space of the CG solve.
 
 Local coordinates put the class's first vertex at the origin; `origins`
 are the first vertices of the class's triangles.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,7 +48,11 @@ class AssemblyError(RuntimeError):
     pass
 
 
-def group_elements(mesh, ndigits=12):
+# decimals kept of the edge vectors that key a translation class
+_KEY_DIGITS = 12
+
+
+def group_elements(mesh):
     """Group triangles into translation classes (v1-v0, v2-v0).
 
     Both mesh families consist of translated copies of a handful of
@@ -51,7 +60,7 @@ def group_elements(mesh, ndigits=12):
     """
     v = mesh.vertices[mesh.triangles]
     rel = v[:, 1:, :] - v[:, :1, :]
-    keys = np.round(rel.reshape(len(v), 4), ndigits)
+    keys = np.round(rel.reshape(len(v), 4), _KEY_DIGITS)
     # the sort is stable and treats -0.0 and 0.0 as equal, so each class
     # lists its triangles ascending; classes come in the order of their
     # first triangle, keyed by that triangle's key
@@ -78,21 +87,55 @@ def build_classes(mesh, factory, cache, cache_key):
     return out
 
 
-def source_interp(k, verts, diameter, quad_points, load_matrix):
-    """P_k Lagrange interpolation of the source on the parent triangle:
-    returns the lattice nodes and the matrix taking f at them to the load
-    (I_k f, proj of unit DOF)_K, given load_matrix for f at quad_points."""
-    lat = np.array([(a * verts[0] + b * verts[1] + c * verts[2]) / k
-                    for (a, b, c) in _lattice_multi_indices(k)])
-    basis = ScaledMonomialBasis(verts.mean(axis=0), diameter, k)
-    lag_quad = basis.values(quad_points) @ np.linalg.inv(basis.values(lat))
-    return lat, lag_quad.T @ load_matrix
+class ElementClass:
+    """Per-shape data derived from a method's projection, stiffness Gram
+    and DOF functional (see the module docstring)."""
 
+    stabilizer = 0.0
 
-def barycentric_coeffs(verts):
-    """(3, 3): row i holds (c0, cx, cy) with lambda_i = c0 + cx x + cy y,
-    the barycentric coordinate of vertex i of the triangle verts."""
-    return np.linalg.inv(np.vstack([np.ones(3), np.asarray(verts).T]))
+    @cached_property
+    def K_loc(self):
+        """(ndof, ndof) a(Pi phi_i, Pi phi_j) plus the stabilizer."""
+        K = self.projection.T @ self.stiffness @ self.projection
+        return 0.5 * (K + K.T) + self.stabilizer
+
+    @cached_property
+    def load_matrix(self):
+        """(nq, ndof): f at quad_points -> (f, Pi phi_j)_K."""
+        return (self.quad_weights[:, None] * self.basis_values) \
+            @ self.projection
+
+    @cached_property
+    def interp_load(self):
+        """(nodes, matrix): the P_k lattice of the triangle and the matrix
+        taking f at it to (I_k f, Pi phi_j)_K, I_k f being the P_k Lagrange
+        interpolant of f.  For sf-hct it coincides with the "vem" load at
+        k = 1; against the reference L2 errors that "vem" reproduces it is
+        1 % off at k = 2, 4 and 6, 4 % at k = 5 and 1.5x at k = 3."""
+        k, v = self.k, self.verts
+        lat = np.array([(a * v[0] + b * v[1] + c * v[2]) / k
+                        for (a, b, c) in _lattice_multi_indices(k)])
+        basis = ScaledMonomialBasis(v.mean(axis=0), self.diameter, k)
+        lag_quad = basis.values(self.quad_points) \
+            @ np.linalg.inv(basis.values(lat))
+        return lat, lag_quad.T @ self.load_matrix
+
+    @cached_property
+    def vem_load_matrix(self):
+        """(ndof, ndof): DOFs of the virtual interpolant I_h f ->
+        (Pi I_h f, Pi phi_j)_K."""
+        return self.projection.T @ (self.basis_values.T @ self.load_matrix)
+
+    @cached_property
+    def p1_dofs(self):
+        """(ndof, 3) DOFs of the barycentric coordinates of verts."""
+        # row i: (c0, cx, cy) with lambda_i = c0 + cx x + cy y
+        coeffs = np.linalg.inv(np.vstack([np.ones(3), self.verts.T]))
+        origin = np.zeros((1, 2))
+        no_laplacian = lambda x, y: np.zeros_like(x)
+        return np.column_stack(
+            [self.dof_values(lambda x, y, c=c: c[0] + c[1] * x + c[2] * y,
+                             no_laplacian, origin)[0] for c in coeffs])
 
 
 def free_index(dm):
@@ -129,15 +172,11 @@ def assemble(dm, classes, f, load_rule="interp", lap_f=None):
     rules: "interp" (f interpolated in P_k on the parent triangle),
     "exact" (f at the quadrature points) and "vem" (f interpolated in the
     virtual element space like the error reference; it needs lap_f, the
-    Laplacian of f, and an element class with vem_load_matrix, which takes
-    the DOFs of that interpolant to the load)."""
+    Laplacian of f)."""
     if load_rule not in LOAD_RULES:
         raise AssemblyError(f"unknown load rule {load_rule!r}")
     if load_rule == "vem" and lap_f is None:
         raise AssemblyError('load rule "vem" needs the Laplacian of f')
-    if load_rule == "vem" and not all(hasattr(ec, "vem_load_matrix")
-                                      for ec, _ in classes):
-        raise AssemblyError('load rule "vem" is for the sf-hct method')
     rows, cols, vals = [], [], []
     b = np.zeros(dm.total)
     v0 = dm.mesh.vertices[dm.mesh.triangles[:, 0]]
@@ -152,9 +191,10 @@ def assemble(dm, classes, f, load_rule="interp", lap_f=None):
         if f is None:
             continue
         if load_rule == "interp":
-            pts = v0[idx][:, None, :] + ec.source_nodes[None, :, :]
+            nodes, interp_load = ec.interp_load
+            pts = v0[idx][:, None, :] + nodes[None, :, :]
             fv = np.asarray(f(pts[..., 0], pts[..., 1]))
-            loads = fv @ ec.interp_load_matrix
+            loads = fv @ interp_load
         elif load_rule == "exact":
             qp = v0[idx][:, None, :] + ec.quad_points[None, :, :]
             fv = np.asarray(f(qp[..., 0], qp[..., 1]))

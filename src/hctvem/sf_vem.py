@@ -8,65 +8,44 @@ from scipy.linalg import cho_solve
 
 from .dofmap import DofMap
 from .hct import HctLocalSpace
-from .pipeline import (Field, Solution, assemble, barycentric_coeffs,
-                       build_classes, solve_reduced, source_interp)
+from .pipeline import (ElementClass, Field, Solution, assemble,
+                       build_classes, solve_reduced)
 from .polynomials import AffineMonomialBasis
 
 
-class SfElementClass:
-    """Cached per-shape data: HCT space, DOF-to-HCT projection, stiffness."""
+class SfElementClass(ElementClass):
+    """Cached per-shape data: HCT space and DOF-to-HCT projection; the
+    stiffness Gram is the HCT space's, and there is no stabilizer."""
 
     def __init__(self, k, local_verts):
         self.k = k
-        self.local_verts = np.asarray(local_verts, dtype=float)
-        self.space = HctLocalSpace(k, self.local_verts)
+        self.verts = np.asarray(local_verts, dtype=float)
+        self.space = HctLocalSpace(k, self.verts)
         sp_ = self.space
         self.diameter = sp_.diameter
-        v = self.local_verts
+        v = self.verts
         self.interior_basis = AffineMonomialBasis(
             sp_.split.barycenter,
             np.column_stack([v[1] - v[0], v[2] - v[0]]), k - 2)
         self.n_boundary = sp_.num_boundary           # 3k
         self.n_interior = self.interior_basis.dim if k >= 2 else 0
         self.ndof = self.n_boundary + self.n_interior
+        self.stiffness = sp_.stiffness
+        self.quad_points = sp_.quad_points
+        self.quad_weights = sp_.quad_weights
+        self.basis_values = sp_.quad_values
+        self.basis_gradients = sp_.quad_gradients
         self.projection = self._projection_matrix()
-        S = sp_.stiffness
         if self.n_interior:
             # normalize interior DOFs to unit local energy so the global
             # spectrum is governed by the mesh, not by per-element modes
             nb = self.n_boundary
             Pi = self.projection[:, nb:]
-            e = np.sqrt(np.einsum("ia,ij,ja->a", Pi, S, Pi))
+            e = np.sqrt(np.einsum("ia,ij,ja->a", Pi, self.stiffness, Pi))
             self.interior_scale = e
             self.projection[:, nb:] = Pi / e
         else:
             self.interior_scale = np.zeros(0)
-        K = self.projection.T @ S @ self.projection
-        self.K_loc = 0.5 * (K + K.T)
-        # load: (f, proj of unit DOF)_K = f-values @ load_matrix
-        self.quad_points = sp_.quad_points
-        self.quad_weights = sp_.quad_weights
-        self.load_matrix = (sp_.quad_weights[:, None] * sp_.quad_values) \
-            @ self.projection
-        # load rule "vem": (proj of the virtual interpolant of f, proj of
-        # unit DOF)_K = DOFs of that interpolant @ this matrix
-        self.vem_load_matrix = self.projection.T \
-            @ (sp_.quad_values.T @ self.load_matrix)
-        self.basis_values = sp_.quad_values
-        self.basis_gradients = sp_.quad_gradients
-        # load rule "interp": the P_k interpolant of f on the parent
-        # triangle.  It coincides with "vem" at k = 1; against the
-        # reference L2 errors that "vem" reproduces it is 1 % off at k = 2,
-        # 4 and 6, 4 % at k = 5 and 1.5x at k = 3.
-        self.source_nodes, self.interp_load_matrix = source_interp(
-            k, self.local_verts, self.diameter, self.quad_points,
-            self.load_matrix)
-        # barycentric coordinates: values at the boundary nodes, and
-        # -Delta = 0 gives zero interior DOFs
-        nodes = sp_.nodes[:self.n_boundary]
-        self.p1_dofs = np.zeros((self.ndof, 3))
-        self.p1_dofs[:self.n_boundary] = np.column_stack(
-            [np.ones(len(nodes)), nodes]) @ barycentric_coeffs(v).T
 
     def _projection_matrix(self):
         sp_ = self.space

@@ -44,6 +44,18 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config_file(p)
 
+    @pytest.mark.parametrize("raw,want", [
+        ("1", True), ("TRUE", True), ("yes", True), (" On ", True),
+        (True, True), ("0", False), ("False", False), ("NO", False),
+        ("off", False), (False, False)])
+    def test_kappa_values(self, raw, want):
+        assert config_from_mapping({"kappa": raw}).kappa is want
+
+    @pytest.mark.parametrize("raw", ["ture", "", "2", "y"])
+    def test_kappa_typo_rejected(self, raw):
+        with pytest.raises(ConfigError):
+            config_from_mapping({"kappa": raw})
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             config_from_mapping({"metod": "sf-hct"})
@@ -72,6 +84,14 @@ class TestValidation:
         {"load_rule": "foo"},
         {"solver": "foo"},
         {"solution": "foo"},
+        {"harmonic_degrees": (3,)},                      # enriched only
+        {"method": "classic", "harmonic_degrees": (5,)},
+        {"alpha": -1.0},                                 # classic only
+        {"method": "enriched", "k": 2, "harmonic_degrees": (3,),
+         "alpha": -1.0},
+        {"dof_mode": "l2_normalized"},                   # classic only
+        {"method": "enriched", "k": 2, "harmonic_degrees": (3,),
+         "dof_mode": "l2_normalized_x10"},
     ])
     def test_invalid_configs_rejected(self, patch):
         cfg = ExperimentConfig()
