@@ -12,8 +12,7 @@ Three element families are provided:
 from .mesh import TriangleMesh, generate_mesh, export_mesh
 from .problems import ManufacturedSolution, get_solution
 from .sf_vem import SfElementClass, solve_sf_vem
-from .classic_vem import (DOF_MODES, project_h1_classic, stabilizer_matrix,
-                          solve_classic_vem, solve_enriched_vem)
+from .classic_vem import DOF_MODES, solve_classic_vem, solve_enriched_vem
 from .solvers import (solve_dense_cholesky, solve_spd, solve_cg,
                       estimate_condition_2, export_matrix_market, NotSpdError)
 from .experiments import (ExperimentConfig, ErrorReport, run_experiment,
@@ -23,8 +22,7 @@ __all__ = [
     "TriangleMesh", "generate_mesh", "export_mesh",
     "ManufacturedSolution", "get_solution",
     "SfElementClass", "solve_sf_vem",
-    "DOF_MODES", "project_h1_classic", "stabilizer_matrix",
-    "solve_classic_vem", "solve_enriched_vem",
+    "DOF_MODES", "solve_classic_vem", "solve_enriched_vem",
     "solve_dense_cholesky", "solve_spd", "solve_cg",
     "estimate_condition_2", "export_matrix_market", "NotSpdError",
     "ExperimentConfig", "ErrorReport", "run_experiment",

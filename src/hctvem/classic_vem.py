@@ -9,8 +9,8 @@ import numpy as np
 from .dofmap import DofMap
 from .pipeline import (AssemblyError, ElementClass, Field, Solution,
                        assemble, build_classes, solve_reduced)
-from .polynomials import ScaledMonomialBasis, harmonic_basis, \
-    monomial_exponents
+from .polynomials import (AffineMonomialBasis, harmonic_basis,
+                          monomial_exponents)
 from .quadrature import quad_rule_triangle, quad_rule_edge
 
 DOF_MODES = ("standard", "l2_normalized", "l2_normalized_x10")
@@ -128,7 +128,8 @@ class EnrichedElementClass(ElementClass):
         self.verts = d.verts
         self.diameter = d.diameter
         self.ndof = d.ndof
-        self.poly = ScaledMonomialBasis(d.barycenter, d.diameter, k)
+        self.poly = AffineMonomialBasis(d.barycenter,
+                                        d.diameter * np.eye(2), k)
         self.harm = harmonic_basis(k, self.harmonic_degrees, d.barycenter,
                                    d.diameter) \
             if self.harmonic_degrees else None
@@ -158,10 +159,9 @@ class EnrichedElementClass(ElementClass):
         k, nb = self.k, d.n_boundary
         B = np.zeros((self.dim, d.ndof))
         if k >= 2:
-            mu = ScaledMonomialBasis(d.barycenter, d.diameter, k - 2)
             # (v, mu_b)_K from moment DOFs: physical monomial / d^(j+l)
             scale = np.array([d.diameter ** (j + l)
-                              for (j, l) in mu.exponents])
+                              for (j, l) in d.moment_exps])
             mom_to_mu = np.diag(d.normalizer / scale)
             lap = self.poly.laplacian_map()     # Delta m_a in mu basis
             B[:self.poly.dim, nb:] -= lap @ mom_to_mu
@@ -207,24 +207,7 @@ class ClassicElementClass(EnrichedElementClass):
             D[d.n_boundary:] = (d.moment_values.T * d.quad_weights) \
                 @ self.basis_values / d.normalizer[:, None]
         R = np.eye(d.ndof) - D @ self.projection
-        self.stab_factor = R.T @ R
-        self.stabilizer = self.diameter ** alpha * self.stab_factor
-
-
-# single-element spec surface ---------------------------------------------
-
-def project_h1_classic(coords, k, dof_values, mode="standard"):
-    """P_k coefficients (scaled monomials at the barycenter) of the energy
-    projection of the virtual function with the given DOF values."""
-    coords = np.asarray(coords, dtype=float)
-    ec = ClassicElementClass(k, coords, mode)
-    return ec.projection @ np.asarray(dof_values, dtype=float), ec.poly
-
-
-def stabilizer_matrix(coords, k, mode="standard", alpha=0.0):
-    coords = np.asarray(coords, dtype=float)
-    ec = ClassicElementClass(k, coords, mode)
-    return ec.diameter ** alpha * ec.stab_factor
+        self.stabilizer = self.diameter ** alpha * (R.T @ R)
 
 
 # global solves -----------------------------------------------------------

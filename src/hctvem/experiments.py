@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import solvers
-from .mesh import generate_mesh
+from .mesh import MAX_LEVEL, generate_mesh
 from .pipeline import LOAD_RULES
 from .problems import SOLUTIONS, get_solution
 from .quadrature import MAX_DEGREE
@@ -59,8 +59,9 @@ class ExperimentConfig:
             raise ConfigError("classic baseline supports k in 1..4")
         lo, hi = self.levels
         if not (isinstance(lo, int) and isinstance(hi, int) and
-                1 <= lo <= hi):
-            raise ConfigError(f"bad level range {self.levels!r}")
+                1 <= lo <= hi <= MAX_LEVEL):
+            raise ConfigError(f"bad level range {self.levels!r}; levels "
+                              f"are 1..{MAX_LEVEL}")
         if self.method == "enriched":
             if not self.harmonic_degrees:
                 raise ConfigError("enriched method needs harmonic degrees")
@@ -80,8 +81,12 @@ class ExperimentConfig:
             raise ConfigError("alpha and dof mode are for the classic method")
         if self.load_rule == "vem" and self.method != "sf-hct":
             raise ConfigError('load rule "vem" is for the sf-hct method')
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive")
+        # nan compares false: a plain tol <= 0 test would let it through
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError("tol must be positive and finite, "
+                              f"got {self.tol!r}")
+        if not np.isfinite(self.alpha):
+            raise ConfigError(f"alpha must be finite, got {self.alpha!r}")
         return self
 
 

@@ -7,7 +7,8 @@ import numpy as np
 from scipy.linalg import cho_factor
 
 from .mesh import macro_split
-from .polynomials import AffineMonomialBasis, monomial_dim
+from .polynomials import (AffineMonomialBasis, lattice_multi_indices,
+                          monomial_dim)
 from .quadrature import quad_rule_triangle
 
 
@@ -17,15 +18,6 @@ class HctError(ValueError):
 
 def hct_dimension(k):
     return 4 + 6 * (k - 1) + 3 * (k - 1) * (k - 2) // 2
-
-
-def _lattice_multi_indices(k):
-    """All (a, b, c) with a + b + c = k, a, b, c >= 0."""
-    out = []
-    for a in range(k, -1, -1):
-        for b in range(k - a, -1, -1):
-            out.append((a, b, k - a - b))
-    return out
 
 
 class HctLocalSpace:
@@ -68,7 +60,7 @@ class HctLocalSpace:
             for l in range(1, k):
                 nodes.append(v[a] + (l / k) * (bc - v[a]))
         for sub in self.split.sub_triangles:
-            for (a, b, c) in _lattice_multi_indices(k):
+            for (a, b, c) in lattice_multi_indices(k):
                 if a > 0 and b > 0 and c > 0:
                     nodes.append((a * sub[0] + b * sub[1] + c * sub[2]) / k)
         self.nodes = np.array(nodes)
@@ -78,7 +70,7 @@ class HctLocalSpace:
         self.bubble_index = np.arange(self.num_boundary, self.dim)
 
     def _build_basis(self):
-        """Per sub-triangle: local Lagrange basis in scaled monomials plus
+        """Per sub-triangle: local Lagrange basis in its affine monomials plus
         the local-to-global node map (matched by position)."""
         k = self.k
         nloc = monomial_dim(k)
@@ -90,7 +82,7 @@ class HctLocalSpace:
                 sub[0], np.column_stack([sub[1] - sub[0], sub[2] - sub[0]]),
                 k)
             pts = np.array([(a * sub[0] + b * sub[1] + c * sub[2]) / k
-                            for (a, b, c) in _lattice_multi_indices(k)])
+                            for (a, b, c) in lattice_multi_indices(k)])
             d2 = ((pts[:, None, :] - self.nodes[None, :, :]) ** 2).sum(-1)
             l2g = d2.argmin(axis=1)
             if not np.all(np.sqrt(d2[np.arange(len(pts)), l2g])
@@ -134,5 +126,6 @@ class HctLocalSpace:
         self.stiffness = 0.5 * (self.stiffness + self.stiffness.T)
         bub = self.bubble_index
         bnd = self.boundary_index
-        self._s_bub_bnd = self.stiffness[np.ix_(bub, bnd)]
-        self._bubble_chol = cho_factor(self.stiffness[np.ix_(bub, bub)])
+        # the blocks the energy projections solve with
+        self.s_bub_bnd = self.stiffness[np.ix_(bub, bnd)]
+        self.bubble_chol = cho_factor(self.stiffness[np.ix_(bub, bub)])

@@ -1,7 +1,7 @@
 """Triangular meshes of the unit square: the uniform family and the
 slightly irregular 8-triangle family, plus the barycentric macro split."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,7 +73,6 @@ class TriangleMesh:
 class MacroSplit:
     """Barycentric split of one triangle into three CCW sub-triangles."""
 
-    parent: int
     barycenter: np.ndarray
     sub_triangles: np.ndarray     # (3, 3, 2) coordinates
 
@@ -171,13 +170,8 @@ def gen_irregular8_mesh(level):
     return _build_topology(vertices, triangles, level, "irregular8")
 
 
-def split_hct(mesh, triangle_index):
-    """Split triangle `triangle_index` at its barycenter into 3 CCW parts."""
-    coords = mesh.triangle_coords(triangle_index)
-    return macro_split(coords, parent=triangle_index)
-
-
-def macro_split(coords, parent=-1):
+def macro_split(coords):
+    """Split a triangle at its barycenter into 3 CCW sub-triangles."""
     coords = np.asarray(coords, dtype=float)
     bc = coords.mean(axis=0)
     subs = np.array([
@@ -185,7 +179,7 @@ def macro_split(coords, parent=-1):
         [coords[1], coords[2], bc],
         [coords[2], coords[0], bc],
     ])
-    return MacroSplit(parent=parent, barycenter=bc, sub_triangles=subs)
+    return MacroSplit(barycenter=bc, sub_triangles=subs)
 
 
 def generate_mesh(family, level):

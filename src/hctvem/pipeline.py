@@ -38,8 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import solvers
-from .hct import _lattice_multi_indices
-from .polynomials import ScaledMonomialBasis
+from .polynomials import AffineMonomialBasis, lattice_multi_indices
 
 LOAD_RULES = ("interp", "exact", "vem")
 
@@ -114,8 +113,9 @@ class ElementClass:
         1 % off at k = 2, 4 and 6, 4 % at k = 5 and 1.5x at k = 3."""
         k, v = self.k, self.verts
         lat = np.array([(a * v[0] + b * v[1] + c * v[2]) / k
-                        for (a, b, c) in _lattice_multi_indices(k)])
-        basis = ScaledMonomialBasis(v.mean(axis=0), self.diameter, k)
+                        for (a, b, c) in lattice_multi_indices(k)])
+        basis = AffineMonomialBasis(v.mean(axis=0),
+                                    self.diameter * np.eye(2), k)
         lag_quad = basis.values(self.quad_points) \
             @ np.linalg.inv(basis.values(lat))
         return lat, lag_quad.T @ self.load_matrix

@@ -1,4 +1,5 @@
-"""Scaled monomial and harmonic polynomial bases on a triangle."""
+"""Monomial bases in affine coordinates, harmonic polynomial bases and the
+P_k lattice of a triangle."""
 
 from dataclasses import dataclass
 
@@ -18,67 +19,14 @@ def monomial_dim(degree):
     return (degree + 1) * (degree + 2) // 2 if degree >= 0 else 0
 
 
-@dataclass(frozen=True)
-class ScaledMonomialBasis:
-    """Monomials ((x-x0)/h)^j ((y-y0)/h)^l with j+l <= degree."""
-
-    origin: np.ndarray
-    scale: float
-    degree: int
-
-    @property
-    def exponents(self):
-        return monomial_exponents(self.degree)
-
-    @property
-    def dim(self):
-        return monomial_dim(self.degree)
-
-    def _local(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return (points - self.origin) / self.scale
-
-    def values(self, points):
-        q = self._local(points)
-        e = self.exponents
-        return q[:, 0:1] ** e[:, 0] * q[:, 1:2] ** e[:, 1]
-
-    def gradients(self, points):
-        """Returns (npts, dim, 2)."""
-        q = self._local(points)
-        e = self.exponents
-        n, m = len(q), len(e)
-        grads = np.zeros((n, m, 2))
-        j, l = e[:, 0], e[:, 1]
-        with np.errstate(invalid="ignore"):
-            gx = np.where(j > 0,
-                          j * q[:, 0:1] ** np.maximum(j - 1, 0)
-                          * q[:, 1:2] ** l, 0.0)
-            gy = np.where(l > 0,
-                          l * q[:, 0:1] ** j
-                          * q[:, 1:2] ** np.maximum(l - 1, 0), 0.0)
-        grads[:, :, 0] = gx / self.scale
-        grads[:, :, 1] = gy / self.scale
-        return grads
-
-    def lowered(self, drop=2):
-        return ScaledMonomialBasis(self.origin, self.scale,
-                                   self.degree - drop)
-
-    def laplacian_map(self):
-        """Matrix L with Delta m_a = sum_b L[a, b] mu_b, where mu is the
-        same-origin basis of degree self.degree - 2."""
-        e = self.exponents
-        sub = {tuple(p): i for i, p in enumerate(monomial_exponents(
-            self.degree - 2))} if self.degree >= 2 else {}
-        L = np.zeros((self.dim, monomial_dim(self.degree - 2)))
-        inv_h2 = 1.0 / self.scale ** 2
-        for a, (j, l) in enumerate(e):
-            if j >= 2:
-                L[a, sub[(j - 2, l)]] += j * (j - 1) * inv_h2
-            if l >= 2:
-                L[a, sub[(j, l - 2)]] += l * (l - 1) * inv_h2
-        return L
+def lattice_multi_indices(k):
+    """All (a, b, c) with a + b + c = k, a, b, c >= 0: the barycentric
+    weights (times k) of the P_k lattice of a triangle."""
+    out = []
+    for a in range(k, -1, -1):
+        for b in range(k - a, -1, -1):
+            out.append((a, b, k - a - b))
+    return out
 
 
 @dataclass(frozen=True)
@@ -87,7 +35,8 @@ class AffineMonomialBasis:
 
     With J the edge matrix of a triangle, the lattice Vandermonde matrix is
     that of the reference triangle, so its conditioning does not degrade on
-    thin elements (unlike isotropically scaled monomials).
+    thin elements (unlike isotropically scaled monomials).  With J = h I
+    they are the scaled monomials ((x - x0)/h)^j ((y - y0)/h)^l.
     """
 
     origin: np.ndarray

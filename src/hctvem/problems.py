@@ -1,7 +1,7 @@
 """Manufactured solutions with homogeneous Dirichlet data on the unit
 square."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -10,7 +10,6 @@ import numpy as np
 class ManufacturedSolution:
     name: str
     u: callable
-    grad_u: callable
     lap_u: callable
     lap_f: callable = None       # Laplacian of f = -lap_u (load rule "vem")
 
@@ -24,17 +23,13 @@ def _sin_sin():
     def u(x, y):
         return np.sin(pi * x) * np.sin(pi * y)
 
-    def grad_u(x, y):
-        return np.stack([pi * np.cos(pi * x) * np.sin(pi * y),
-                         pi * np.sin(pi * x) * np.cos(pi * y)], axis=-1)
-
     def lap_u(x, y):
         return -2.0 * pi ** 2 * np.sin(pi * x) * np.sin(pi * y)
 
     def lap_f(x, y):
         return -4.0 * pi ** 4 * np.sin(pi * x) * np.sin(pi * y)
 
-    return ManufacturedSolution("sinsin", u, grad_u, lap_u, lap_f)
+    return ManufacturedSolution("sinsin", u, lap_u, lap_f)
 
 
 def _bubble_poly():
@@ -42,17 +37,13 @@ def _bubble_poly():
     def u(x, y):
         return x * (1 - x) * y * (1 - y)
 
-    def grad_u(x, y):
-        return np.stack([(1 - 2 * x) * y * (1 - y),
-                         x * (1 - x) * (1 - 2 * y)], axis=-1)
-
     def lap_u(x, y):
         return -2.0 * y * (1 - y) - 2.0 * x * (1 - x)
 
     def lap_f(x, y):
         return np.full(np.broadcast(x, y).shape, -8.0)
 
-    return ManufacturedSolution("bubble4", u, grad_u, lap_u, lap_f)
+    return ManufacturedSolution("bubble4", u, lap_u, lap_f)
 
 
 _REGISTRY = {s.name: s for s in (_sin_sin(), _bubble_poly())}

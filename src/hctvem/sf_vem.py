@@ -1,7 +1,7 @@
 """Stabilizer-free virtual element method: DOFs are edge nodal values plus
-coefficients of -Delta(v) in the element's scaled monomial basis (scaled by
-the squared diameter).  The local stiffness is the energy product of the
-HCT projections of the DOF basis."""
+coefficients of -Delta(v) in the element's affine monomial basis about the
+barycenter (scaled by the squared diameter).  The local stiffness is the
+energy product of the HCT projections of the DOF basis."""
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -53,13 +53,13 @@ class SfElementClass(ElementClass):
         P = np.zeros((sp_.dim, self.ndof))
         P[:nb, :nb] = np.eye(nb)
         # boundary DOF columns: bubble part solves the homogeneous system
-        bub_bnd = cho_solve(sp_._bubble_chol, sp_._s_bub_bnd)
+        bub_bnd = cho_solve(sp_.bubble_chol, sp_.s_bub_bnd)
         P[nb:, :nb] = -bub_bnd
         if self.n_interior:
             vals = self.interior_basis.values(sp_.quad_points)
             M = sp_.quad_values[:, sp_.bubble_index].T \
                 @ (sp_.quad_weights[:, None] * vals) / self.diameter ** 2
-            P[nb:, nb:] = cho_solve(sp_._bubble_chol, M)
+            P[nb:, nb:] = cho_solve(sp_.bubble_chol, M)
         return P
 
     def dof_values(self, g, lap_g, origins):

@@ -17,7 +17,7 @@ from hctvem.classic_vem import (ClassicElementClass, EnrichedElementClass,
 from hctvem.dofmap import DofMap
 from hctvem.experiments import convergence_order
 from hctvem.mesh import generate_mesh
-from hctvem.polynomials import ScaledMonomialBasis
+from hctvem.polynomials import AffineMonomialBasis
 from hctvem.problems import get_solution
 from hctvem.sf_vem import SfElementClass, solve_sf_vem
 
@@ -114,22 +114,19 @@ def project_hct(space, boundary_values, laplacian_coeffs=None,
                 laplacian_basis=None):
     """HCT coefficients of the energy projection of the virtual function
     with the given boundary node values and interior -Delta expansion (a
-    P_{k-2} scaled-monomial field, by default about the barycenter and
-    scaled by the diameter): the bubble part solves the bubble block of the
-    stiffness against the boundary part and the -Delta moments."""
+    P_{k-2} field, its coefficients in laplacian_basis): the bubble part
+    solves the bubble block of the stiffness against the boundary part and
+    the -Delta moments."""
     boundary_values = np.asarray(boundary_values, dtype=float)
-    rhs = -space._s_bub_bnd @ boundary_values
+    rhs = -space.s_bub_bnd @ boundary_values
     if laplacian_coeffs is not None and len(laplacian_coeffs):
-        basis = laplacian_basis
-        if basis is None:
-            basis = ScaledMonomialBasis(
-                space.split.barycenter, space.diameter, space.k - 2)
-        vals = basis.values(space.quad_points) @ np.asarray(laplacian_coeffs)
+        vals = laplacian_basis.values(space.quad_points) \
+            @ np.asarray(laplacian_coeffs)
         rhs = rhs + space.quad_values[:, space.bubble_index].T \
             @ (space.quad_weights * vals)
     c = np.zeros(space.dim)
     c[:space.num_boundary] = boundary_values
-    c[space.num_boundary:] = cho_solve(space._bubble_chol, rhs)
+    c[space.num_boundary:] = cho_solve(space.bubble_chol, rhs)
     return c
 
 
@@ -152,8 +149,8 @@ def _sf_oracle_elements(family, k, level):
         X = mesh.triangle_coords(t)
         space = HctLocalSpace(k, X, quad_degree=qdeg)
         nb = space.num_boundary
-        lap_basis = ScaledMonomialBasis(space.split.barycenter,
-                                        space.diameter, k - 2)
+        lap_basis = AffineMonomialBasis(space.split.barycenter,
+                                        space.diameter * np.eye(2), k - 2)
         P = np.column_stack(
             [project_hct(space, e) for e in np.eye(nb)]
             + [project_hct(space, np.zeros(nb), e, lap_basis)
@@ -177,8 +174,8 @@ def sf_oracle_errors(family, k, level, load_rule="interp"):
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    from hctvem.hct import _lattice_multi_indices
-    from hctvem.polynomials import monomial_dim, monomial_exponents
+    from hctvem.polynomials import (lattice_multi_indices, monomial_dim,
+                                    monomial_exponents)
     from hctvem.quadrature import quad_rule_triangle
 
     prob = get_solution("sinsin")
@@ -190,7 +187,7 @@ def sf_oracle_errors(family, k, level, load_rule="interp"):
              for t, (_, _, _, bnd) in enumerate(elements)]
     # P_k Lagrange basis on the parent triangle in barycentric monomials
     exps = monomial_exponents(k)
-    lattice = np.array(_lattice_multi_indices(k), dtype=float) / k
+    lattice = np.array(lattice_multi_indices(k), dtype=float) / k
     vandermonde = (lattice[:, 1:2] ** exps[:, 0]
                    * lattice[:, 2:3] ** exps[:, 1])
     rule = quad_rule_triangle(2 * k + 10)

@@ -6,9 +6,8 @@ from hctvem.mesh import generate_mesh
 from hctvem.pipeline import AssemblyError
 from hctvem.problems import get_solution
 from hctvem.classic_vem import (DOF_MODES, ClassicDofs, ClassicElementClass,
-                                EnrichedElementClass, project_h1_classic,
-                                solve_classic_vem, solve_enriched_vem,
-                                stabilizer_matrix)
+                                EnrichedElementClass, solve_classic_vem,
+                                solve_enriched_vem)
 from hctvem.quadrature import quad_rule_triangle
 from hctvem.sf_vem import solve_sf_vem
 
@@ -52,7 +51,7 @@ class TestProjection:
         poly = lambda x, y: ec.poly.values(np.column_stack(
             [np.atleast_1d(x), np.atleast_1d(y)])) @ c
         dofs = ec.dofs.dof_values(poly)
-        proj, basis = project_h1_classic(TRI, k, dofs, mode)
+        proj = ec.projection @ dofs
         assert np.allclose(proj, c, atol=1e-10 * max(1, np.abs(c).max()))
 
     def test_consistency_stiffness_kernel_is_constants(self):
@@ -71,16 +70,16 @@ class TestStabilizer:
         poly = lambda x, y: ec.poly.values(np.column_stack(
             [np.atleast_1d(x), np.atleast_1d(y)])) @ c
         dofs = ec.dofs.dof_values(poly)
-        S = stabilizer_matrix(TRI, k)
+        S = ec.stabilizer
         scale = np.abs(S).max() * float(dofs @ dofs)
         assert float(dofs @ S @ dofs) < 1e-13 * max(1.0, scale)
 
     def test_psd_and_alpha_scaling(self):
-        S0 = stabilizer_matrix(TRI, 3, alpha=0.0)
-        S1 = stabilizer_matrix(TRI, 3, alpha=-1.0)
+        ec = ClassicElementClass(3, TRI, alpha=0.0)
+        S0 = ec.stabilizer
+        S1 = ClassicElementClass(3, TRI, alpha=-1.0).stabilizer
         ev = np.linalg.eigvalsh(S0)
         assert ev[0] > -1e-12
-        ec = ClassicElementClass(3, TRI)
         assert np.allclose(S1, S0 / ec.diameter)
 
 

@@ -12,6 +12,7 @@ from hctvem.experiments import (CSV_HEADER, ConfigError, ExperimentConfig,
                                 config_from_mapping, convergence_order,
                                 parse_config_file, parse_degree_list,
                                 parse_level_range, run_experiment)
+from hctvem.mesh import MAX_LEVEL
 
 
 class TestParsing:
@@ -92,6 +93,11 @@ class TestValidation:
         {"dof_mode": "l2_normalized"},                   # classic only
         {"method": "enriched", "k": 2, "harmonic_degrees": (3,),
          "dof_mode": "l2_normalized_x10"},
+        {"tol": float("inf")},                           # CG stops at once
+        {"tol": float("nan")},
+        {"method": "classic", "alpha": float("nan")},
+        {"method": "classic", "alpha": float("inf")},
+        {"levels": (1, MAX_LEVEL + 1)},                  # above the cap
     ])
     def test_invalid_configs_rejected(self, patch):
         cfg = ExperimentConfig()

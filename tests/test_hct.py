@@ -4,7 +4,7 @@ import pytest
 from conftest import eval_basis, polynomial
 
 from hctvem.hct import HctError, HctLocalSpace, hct_dimension
-from hctvem.polynomials import ScaledMonomialBasis
+from hctvem.polynomials import AffineMonomialBasis
 from hctvem.sf_vem import SfElementClass
 
 TRI = np.array([[0.0, 0.0], [1.0, 0.1], [0.3, 0.9]])
@@ -112,7 +112,7 @@ class TestProjection:
         # the live interpolant, SfElementClass.dof_values composed with
         # projection, evaluated off the nodes
         rng = np.random.default_rng(k)
-        poly = ScaledMonomialBasis(TRI.mean(axis=0), 1.0, k)
+        poly = AffineMonomialBasis(TRI.mean(axis=0), np.eye(2), k)
         u, lap_u = polynomial(poly, rng.normal(size=poly.dim))
         ec = SfElementClass(k, TRI)
         coeffs = ec.dof_values(u, lap_u, np.zeros((1, 2)))[0] \

@@ -6,7 +6,7 @@ from conftest import (irregular8_mesh_oracle, topology_oracle,
 
 from hctvem.mesh import (MAX_LEVEL, MeshError, _build_topology, export_mesh,
                          gen_irregular8_mesh, gen_uniform_mesh,
-                         generate_mesh, macro_split, split_hct)
+                         generate_mesh, macro_split)
 
 
 def assert_mesh_matches_oracle(mesh, expected):
@@ -127,12 +127,6 @@ class TestMacroSplit:
         assert np.all(areas > 0)
         d1, d2 = coords[1] - coords[0], coords[2] - coords[0]
         assert np.isclose(areas.sum(), 0.5 * (d1[0] * d2[1] - d1[1] * d2[0]))
-
-    def test_split_hct_uses_mesh_triangle(self):
-        m = gen_uniform_mesh(1)
-        ms = split_hct(m, 0)
-        assert ms.parent == 0
-        assert np.allclose(ms.barycenter, m.triangle_coords(0).mean(axis=0))
 
 
 class TestValidationAndExport:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hctvem.polynomials import (AffineMonomialBasis, HarmonicBasis,
-                                ScaledMonomialBasis, harmonic_basis,
+                                harmonic_basis, lattice_multi_indices,
                                 monomial_dim, monomial_exponents)
 
 
@@ -36,37 +36,6 @@ class TestExponents:
         assert monomial_dim(-1) == 0
 
 
-class TestScaledMonomialBasis:
-    def setup_method(self):
-        self.basis = ScaledMonomialBasis(np.array([0.3, -0.2]), 0.7, 4)
-        self.rng = np.random.default_rng(0)
-        self.pts = self.rng.uniform(-1, 1, (40, 2))
-
-    def test_values_match_direct_formula(self):
-        q = (self.pts - self.basis.origin) / self.basis.scale
-        for a, (j, l) in enumerate(self.basis.exponents):
-            assert np.allclose(self.basis.values(self.pts)[:, a],
-                               q[:, 0] ** j * q[:, 1] ** l)
-
-    def test_gradients_match_finite_differences(self):
-        c = self.rng.normal(size=self.basis.dim)
-        grads = np.einsum("qad,a->qd", self.basis.gradients(self.pts), c)
-        fd = fd_gradient(lambda p: self.basis.values(p) @ c, self.pts)
-        assert np.allclose(grads, fd, atol=1e-7)
-
-    def test_laplacian_map_matches_finite_differences(self):
-        c = self.rng.normal(size=self.basis.dim)
-        lap_c = self.basis.laplacian_map().T @ c
-        lap = self.basis.lowered().values(self.pts) @ lap_c
-        fd = fd_laplacian(lambda p: self.basis.values(p) @ c, self.pts)
-        assert np.allclose(lap, fd, atol=1e-5)
-
-    def test_lowered_drops_degree(self):
-        low = self.basis.lowered()
-        assert low.degree == 2
-        assert low.origin is self.basis.origin
-
-
 class TestAffineMonomialBasis:
     def setup_method(self):
         self.rng = np.random.default_rng(1)
@@ -74,15 +43,18 @@ class TestAffineMonomialBasis:
         J = np.column_stack([tri[1] - tri[0], tri[2] - tri[0]])
         self.basis = AffineMonomialBasis(tri[0], J, 5)
         self.pts = self.rng.uniform(0, 1, (40, 2)) @ J.T + tri[0]
+        # J = h I: the scaled monomials ((x - x0)/h)^j ((y - y0)/h)^l
+        self.h = 0.7
+        self.scaled = AffineMonomialBasis(np.array([0.3, -0.2]),
+                                          self.h * np.eye(2), 4)
+        self.scaled_rng = np.random.default_rng(0)
+        self.scaled_pts = self.scaled_rng.uniform(-1, 1, (40, 2))
 
     def test_lattice_vandermonde_matches_reference_triangle(self):
         """The conditioning motivation: the Vandermonde at the element's
         uniform lattice equals the reference-triangle Vandermonde."""
         k = self.basis.degree
-        lam = np.array([(b / k, c / k)
-                        for a in range(k, -1, -1)
-                        for b in range(k - a, -1, -1)
-                        for c in [k - a - b]])
+        lam = np.array(lattice_multi_indices(k), dtype=float)[:, 1:] / k
         phys = lam @ self.basis.jac.T + self.basis.origin
         V = self.basis.values(phys)
         e = self.basis.exponents
@@ -101,6 +73,33 @@ class TestAffineMonomialBasis:
         lap = self.basis.lowered().values(self.pts) @ lap_c
         fd = fd_laplacian(lambda p: self.basis.values(p) @ c, self.pts)
         assert np.allclose(lap, fd, rtol=1e-4, atol=1e-4)
+
+    def test_scaled_identity_values_match_direct_formula(self):
+        b, pts = self.scaled, self.scaled_pts
+        q = (pts - b.origin) / self.h
+        for a, (j, l) in enumerate(b.exponents):
+            assert np.allclose(b.values(pts)[:, a],
+                               q[:, 0] ** j * q[:, 1] ** l)
+
+    def test_scaled_identity_gradients_match_finite_differences(self):
+        b, pts = self.scaled, self.scaled_pts
+        c = self.scaled_rng.normal(size=b.dim)
+        grads = np.einsum("qad,a->qd", b.gradients(pts), c)
+        fd = fd_gradient(lambda p: b.values(p) @ c, pts)
+        assert np.allclose(grads, fd, atol=1e-7)
+
+    def test_scaled_identity_laplacian_map_matches_finite_differences(self):
+        b, pts = self.scaled, self.scaled_pts
+        c = self.scaled_rng.normal(size=b.dim)
+        lap = b.lowered().values(pts) @ (b.laplacian_map().T @ c)
+        fd = fd_laplacian(lambda p: b.values(p) @ c, pts)
+        assert np.allclose(lap, fd, atol=1e-5)
+
+    def test_lowered_keeps_origin_and_jacobian(self):
+        low = self.scaled.lowered()
+        assert low.degree == 2
+        assert low.origin is self.scaled.origin
+        assert low.jac is self.scaled.jac
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 6), st.integers(0, 10 ** 6))
