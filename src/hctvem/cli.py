@@ -108,7 +108,7 @@ def _cmd_verify(args):
 
     for fam, gen in (("uniform", gen_uniform_mesh),
                      ("irregular8", gen_irregular8_mesh)):
-        _, A, b = solve_sf_vem(gen(2), 2, prob, return_system=True)
+        _, A, b, _ = solve_sf_vem(gen(2), 2, prob, return_system=True)
         try:
             solvers.solve_dense_cholesky(A, b)
         except solvers.NotSpdError as exc:
@@ -116,7 +116,7 @@ def _cmd_verify(args):
 
     for gen in (gen_uniform_mesh, gen_irregular8_mesh):
         mesh = gen(3)
-        _, A, _ = solve_sf_vem(mesh, 1, prob, return_system=True)
+        A = solve_sf_vem(mesh, 1, prob, return_system=True)[1]
         F = _p1_fem_stiffness(mesh)
         diff = abs(A - F).max()
         if diff > 1e-12:

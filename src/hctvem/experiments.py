@@ -230,12 +230,14 @@ def run_experiment(cfg):
     for level in range(lo, hi + 1):
         t0 = time.perf_counter()
         mesh = generate_mesh(cfg.mesh, level)
-        sol, A, _ = _solve_level(cfg, mesh, problem)
+        sol, A, _, inverse = _solve_level(cfg, mesh, problem)
+        # a level with no free DOFs has no condition number.  kappa reuses
+        # the solve's factor, which is released before the error norms
+        kappa = solvers.estimate_condition_2(A, inverse) \
+            if cfg.kappa and A.shape[0] else None
+        del inverse
         l2, h1 = sol.solution_field().error_norms(
             sol.reference_field(problem))
-        # a level with no free DOFs has no condition number
-        kappa = solvers.estimate_condition_2(A) \
-            if cfg.kappa and A.shape[0] else None
         if cfg.dump_matrix:
             solvers.export_matrix_market(
                 A, f"{cfg.dump_matrix}.level{level}")

@@ -120,9 +120,9 @@ class HctLocalSpace:
         self.quad_gradients = np.concatenate(grad_list)
 
     def _build_stiffness(self):
-        w = self.quad_weights
-        g = self.quad_gradients
-        self.stiffness = np.einsum("q,qid,qjd->ij", w, g, g)
+        # gradients as a (dim, 2 nq) matrix: the Gram is one BLAS product
+        G = self.quad_gradients.transpose(1, 0, 2).reshape(self.dim, -1)
+        self.stiffness = (G * np.repeat(self.quad_weights, 2)) @ G.T
         self.stiffness = 0.5 * (self.stiffness + self.stiffness.T)
         bub = self.bubble_index
         bnd = self.boundary_index

@@ -4,7 +4,7 @@ the assembled systems."""
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, eigvalsh_tridiagonal
 
 
 SOLVERS = ("direct", "cg", "dense")
@@ -73,8 +73,9 @@ def solve_cg(A, b, tol=1e-12, max_iter=None, preconditioner="none"):
         f"(relative residual {np.linalg.norm(r) / bnorm:.3e})", max_iter)
 
 
-def solve_dense_cholesky(A, b):
-    """Dense Cholesky solve; factorization failure signals non-SPD."""
+def _cholesky_inverse(A):
+    """x -> A^-1 x by a dense Cholesky factor; factorization failure
+    signals non-SPD."""
     if sp.issparse(A):
         A = A.toarray()
     A = np.asarray(A, dtype=float)
@@ -84,7 +85,12 @@ def solve_dense_cholesky(A, b):
         c = cho_factor(A)
     except np.linalg.LinAlgError as exc:
         raise NotSpdError(f"Cholesky factorization failed: {exc}") from exc
-    return cho_solve(c, np.asarray(b, dtype=float))
+    return lambda x: cho_solve(c, np.asarray(x, dtype=float))
+
+
+def solve_dense_cholesky(A, b):
+    """Dense Cholesky solve; factorization failure signals non-SPD."""
+    return _cholesky_inverse(A)(b)
 
 
 # block entries gathered from the matrix per step of the smoother setup:
@@ -152,15 +158,18 @@ def two_level_preconditioner(A, coarse, element_dofs):
 
 def solve_spd(A, b, method="direct", tol=1e-12, coarse=None,
               element_dofs=None):
-    """Default solve path for assembled systems.  With the coarse space
-    and the per-element DOF index of two_level_preconditioner, "cg" is
-    preconditioned by it; otherwise by the diagonal."""
+    """Default solve path for assembled systems: (x, inverse), where
+    inverse applies A^-1 by the factor the solve built (SuperLU for
+    "direct", Cholesky for "dense") and is None for "cg".  With the
+    coarse space and the per-element DOF index of
+    two_level_preconditioner, "cg" is preconditioned by it; otherwise by
+    the diagonal."""
     if method == "direct":
         # the systems are SPD, so a minimum-degree ordering of A^T + A
         # with diagonal pivots preferred keeps the fill far below COLAMD's
         lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
                        options=dict(SymmetricMode=True))
-        return lu.solve(np.asarray(b, dtype=float))
+        return lu.solve(np.asarray(b, dtype=float)), lu.solve
     if method == "cg":
         # A is symmetric, so the transpose of its CSC form is A in CSR,
         # with no copy
@@ -170,73 +179,76 @@ def solve_spd(A, b, method="direct", tol=1e-12, coarse=None,
         else:
             pre = two_level_preconditioner(A, coarse, element_dofs)
         x, _ = solve_cg(A, b, tol=tol, preconditioner=pre)
-        return x
+        return x, None
     if method == "dense":
-        return solve_dense_cholesky(A, b)
+        inverse = _cholesky_inverse(A)
+        return inverse(b), inverse
     raise ValueError(f"unknown solver {method!r}")
 
 
-def _lanczos_lambda_max(A, max_iter=200, tol=1e-10):
-    """Largest eigenvalue by plain Lanczos with the deterministic
-    all-ones start vector."""
-    n = A.shape[0]
+def _lanczos_extreme(apply, n, max_iter=None, tol=1e-10):
+    """Ritz value of largest magnitude of the symmetric operator `apply`
+    on R^n (the top one when the operator is positive definite), by plain
+    Lanczos from the all-ones start vector.  From the 11th step on, it has
+    settled once it moved by at most tol relative over the last quarter of
+    the steps: near a cluster of eigenvalues it can stall for a few steps
+    and then climb again.  max_iter defaults to 10 sqrt(n), at least 200,
+    as the steps needed at the top of a stiffness spectrum grow like
+    1/h.  Raises ConvergenceError when the value has not settled within
+    max_iter < n steps."""
+    if max_iter is None:
+        max_iter = max(200, int(10 * np.sqrt(n)))
     q = np.ones(n) / np.sqrt(n)
-    alphas, betas = [], []
+    alphas, betas, ests = [], [], []
     q_prev = np.zeros(n)
     beta = 0.0
-    est_prev = -np.inf
-    for it in range(min(max_iter, n)):
-        w = A @ q - beta * q_prev
+    steps = min(max_iter, n)
+    for m in range(1, steps + 1):
+        w = apply(q) - beta * q_prev
         alpha = float(q @ w)
         w -= alpha * q
         alphas.append(alpha)
         beta = float(np.linalg.norm(w))
-        Tm = np.diag(alphas)
-        if len(betas):
-            off = np.array(betas)
-            Tm += np.diag(off, 1) + np.diag(off, -1)
-        est = float(np.linalg.eigvalsh(Tm)[-1])
-        if it >= 10 and abs(est - est_prev) <= tol * abs(est):
-            return est
-        est_prev = est
-        if beta == 0.0:
+        d, e = np.array(alphas), np.array(betas)
+        lo, hi = (eigvalsh_tridiagonal(d, e, select="i",
+                                       select_range=(i, i))[0]
+                  for i in (0, m - 1))
+        est = float(hi if hi >= -lo else lo)
+        ests.append(est)
+        settled = m > 10 and abs(est - ests[-1 - m // 4]) <= tol * abs(est)
+        if settled or beta == 0.0:
             return est
         betas.append(beta)
         q_prev, q = q, w / beta
-    return est
+    if steps == n:
+        # n steps span the whole space: the Ritz values are the spectrum
+        return est
+    raise ConvergenceError(
+        f"Lanczos Ritz value not settled to {tol:g} in {max_iter} steps",
+        max_iter)
 
 
-def _lambda_min_inverse_iteration(A, max_iter=200, tol=1e-8):
-    """Smallest eigenvalue by inverse iteration with direct inner solves.
-    Raises NotSpdError when A is singular."""
-    n = A.shape[0]
-    try:
-        solve = spla.factorized(sp.csc_matrix(A, dtype=float))
-    except RuntimeError as exc:
-        raise NotSpdError(f"singular matrix: {exc}") from exc
-    x = np.ones(n) / np.sqrt(n)
-    lam_prev = None
-    for _ in range(max_iter):
-        y = solve(x)
-        ny = np.linalg.norm(y)
-        x = y / ny
-        lam = float(x @ (A @ x))
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * abs(lam):
-            return lam
-        lam_prev = lam
-    return lam
-
-
-def estimate_condition_2(A):
-    """kappa_2 = lambda_max / lambda_min of an SPD matrix."""
+def estimate_condition_2(A, inverse=None):
+    """kappa_2 = lambda_max / lambda_min of an SPD matrix.  lambda_max is
+    the extreme Ritz value of Lanczos on A, 1 / lambda_min that of Lanczos
+    on A^-1.  inverse applies A^-1, as solve_spd hands it out; without it
+    A is factored here.  Raises NotSpdError when A is singular or either
+    value is not positive, ConvergenceError when Lanczos does not
+    settle."""
     n = A.shape[0]
     if n == 0:
         raise ValueError("condition number of an empty (0 x 0) matrix")
-    lam_max = _lanczos_lambda_max(A)
-    lam_min = _lambda_min_inverse_iteration(A)
-    if lam_min <= 0:
-        raise NotSpdError(f"nonpositive smallest eigenvalue {lam_min:.3e}")
-    return lam_max / lam_min
+    if inverse is None:
+        try:
+            inverse = spla.factorized(sp.csc_matrix(A, dtype=float))
+        except RuntimeError as exc:
+            raise NotSpdError(f"singular matrix: {exc}") from exc
+    lam_max = _lanczos_extreme(lambda x: A @ x, n)
+    mu = _lanczos_extreme(inverse, n)
+    if lam_max <= 0 or mu <= 0:
+        raise NotSpdError(f"nonpositive extreme eigenvalue: lambda_max "
+                          f"{lam_max:.3e}, 1 / lambda_min {mu:.3e}")
+    return lam_max * mu
 
 
 def export_matrix_market(A, path):

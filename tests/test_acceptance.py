@@ -218,7 +218,7 @@ class TestConditioning:
         kappas = []
         for level in range(2, 6):
             mesh = generate_mesh("irregular8", level)
-            _, A, _ = solve_sf_vem(mesh, 3, prob, return_system=True)
+            A = solve_sf_vem(mesh, 3, prob, return_system=True)[1]
             kappas.append(solvers.estimate_condition_2(A))
         slope = np.polyfit(np.arange(2, 6) * np.log(2.0),
                            np.log(kappas), 1)[0]
@@ -227,12 +227,11 @@ class TestConditioning:
     def test_classic_moment_scaling_reduces_kappa_10x(self):
         prob = get_solution("sinsin")
         mesh = generate_mesh("irregular8", 3)
-        _, A_std, _ = solve_classic_vem(mesh, 3, prob,
-                                        dof_mode="standard",
-                                        return_system=True)
-        _, A_scaled, _ = solve_classic_vem(mesh, 3, prob,
-                                           dof_mode="l2_normalized_x10",
-                                           return_system=True)
+        A_std = solve_classic_vem(mesh, 3, prob, dof_mode="standard",
+                                  return_system=True)[1]
+        A_scaled = solve_classic_vem(mesh, 3, prob,
+                                     dof_mode="l2_normalized_x10",
+                                     return_system=True)[1]
         k_std = solvers.estimate_condition_2(A_std)
         k_scaled = solvers.estimate_condition_2(A_scaled)
         assert k_std >= 10.0 * k_scaled
@@ -246,7 +245,7 @@ class TestLowestOrderEquivalence:
         prob = get_solution("sinsin")
         for level in (1, 2, 3, 4):
             mesh = generate_mesh(family, level)
-            _, A, _ = solve_sf_vem(mesh, 1, prob, return_system=True)
+            A = solve_sf_vem(mesh, 1, prob, return_system=True)[1]
             F = p1_fem_stiffness(mesh)
             assert A.shape == F.shape
             if A.shape[0]:        # coarsest meshes have no free vertices

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import hctvem
+from hctvem import solvers
 from hctvem.cli import main
 from hctvem.experiments import (CSV_HEADER, ConfigError, ExperimentConfig,
                                 config_from_mapping, convergence_order,
@@ -159,6 +160,31 @@ class TestRunExperiment:
         assert rep.rows[0].dofs == 0 and rep.rows[0].kappa is None
         assert rep.rows[1].kappa == 1.0
         assert rep.csv_lines()[1].split(",")[6] == ""
+
+    @pytest.mark.parametrize("solver", ["direct", "cg"])
+    def test_factorizations_per_level_with_kappa(self, solver, monkeypatch):
+        # the benchmark traces spla.splu and expects it on direct solves
+        # only (FIRES_ON in bench/test_bench.py): on the direct path kappa
+        # reuses the solve's SuperLU factor, on the CG path it factors
+        # with spla.factorized, whose own SuperLU call is not traced
+        sizes = {"splu": [], "factorized": []}
+        for name, seen in sizes.items():
+            def spy(A, *args, _original=getattr(solvers.spla, name),
+                    _seen=seen, **kwargs):
+                _seen.append(A.shape[0])
+                return _original(A, *args, **kwargs)
+            monkeypatch.setattr(solvers.spla, name, spy)
+        rep = self.run(k=2, mesh="irregular8", levels=(2, 3), solver=solver,
+                       kappa=True)
+        dofs = [r.dofs for r in rep.rows]
+        if solver == "direct":
+            assert sizes == {"splu": dofs, "factorized": []}
+        else:
+            assert sizes["splu"] == []
+            # per level: the preconditioner's coarse matrix, then kappa's
+            coarse, full = sizes["factorized"][::2], sizes["factorized"][1::2]
+            assert full == dofs
+            assert all(nc < n for nc, n in zip(coarse, dofs))
 
     def test_cg_errors_match_direct_within_benchmark_gate(self):
         # the benchmark's correctness gate, 1e-6 rel + 1e-12 abs, on the

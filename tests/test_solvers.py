@@ -89,11 +89,16 @@ class TestSolveSpd:
         A, _ = random_spd(25, seed=6)
         As = sp.csc_matrix(A)
         b = np.linspace(0, 1, 25)
-        xd = solve_spd(As, b, method="direct")
-        xc = solve_spd(As, b, method="cg", tol=1e-13)
-        xe = solve_spd(As, b, method="dense")
+        xd, inv_d = solve_spd(As, b, method="direct")
+        xc, inv_c = solve_spd(As, b, method="cg", tol=1e-13)
+        xe, inv_e = solve_spd(As, b, method="dense")
         assert np.allclose(xd, xc, atol=1e-8)
         assert np.allclose(xd, xe, atol=1e-10)
+        # each solve hands out the factor it built; CG builds none
+        assert inv_c is None
+        c = b[::-1]
+        assert np.allclose(A @ inv_d(c), c, atol=1e-10)
+        assert np.allclose(A @ inv_e(c), c, atol=1e-10)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
@@ -101,10 +106,10 @@ class TestSolveSpd:
 
     def test_direct_matches_dense_cholesky_on_sf_hct_system(self):
         # irregular8 k=3 L4: 3,233 free DOFs, under the dense cap
-        _, A, b = solve_sf_vem(generate_mesh("irregular8", 4), 3,
-                               get_solution("sinsin"), return_system=True)
+        _, A, b, _ = solve_sf_vem(generate_mesh("irregular8", 4), 3,
+                                  get_solution("sinsin"), return_system=True)
         assert A.shape[0] == 3233
-        x = solve_spd(A, b, method="direct")
+        x, _ = solve_spd(A, b, method="direct")
         ref = solve_dense_cholesky(A, b)
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -150,6 +155,44 @@ class TestConditionEstimate:
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             estimate_condition_2(sp.csc_matrix((0, 0)))
+
+    @pytest.mark.parametrize("form", [np.array, sp.csc_matrix])
+    def test_negative_smallest_magnitude_eigenvalue_rejected(self, form):
+        # lambda_min comes from the Ritz value of A^-1 largest in
+        # magnitude, -1 here; its top one, 1/2, would give kappa = 1.5
+        with pytest.raises(NotSpdError):
+            estimate_condition_2(form(np.diag([-1.0, 2.0, 3.0])))
+
+    def test_unsettled_lanczos_raises(self):
+        A = sp.diags(np.arange(1.0, 51.0)).tocsr()
+        with pytest.raises(ConvergenceError):
+            solvers._lanczos_extreme(lambda x: A @ x, 50, max_iter=5)
+        # n steps span the space: the extreme Ritz value is exact
+        top = solvers._lanczos_extreme(lambda x: A @ x, 50, max_iter=50)
+        assert top == pytest.approx(50.0, rel=1e-12)
+
+
+# assembled systems whose kappa is checked against dense eigenvalues
+ORACLE_SYSTEMS = {
+    "sf-hct k=2 irregular8 L3": lambda prob: solve_sf_vem(
+        generate_mesh("irregular8", 3), 2, prob, return_system=True),
+    "sf-hct k=6 irregular8 L2": lambda prob: solve_sf_vem(
+        generate_mesh("irregular8", 2), 6, prob, return_system=True),
+    "classic k=3 l2x10 alpha=-1 irregular8 L3": lambda prob:
+        solve_classic_vem(generate_mesh("irregular8", 3), 3, prob,
+                          dof_mode="l2_normalized_x10", alpha=-1.0,
+                          return_system=True),
+}
+
+
+@pytest.mark.parametrize("system", sorted(ORACLE_SYSTEMS))
+def test_kappa_matches_dense_eigenvalues(system):
+    _, A, _, inverse = ORACLE_SYSTEMS[system](get_solution("sinsin"))
+    eig = np.linalg.eigvalsh(A.toarray())
+    want = eig[-1] / eig[0]
+    # with the direct solve's factor, and with a factor of its own
+    assert estimate_condition_2(A, inverse) == pytest.approx(want, rel=1e-8)
+    assert estimate_condition_2(A) == pytest.approx(want, rel=1e-8)
 
 
 def two_level_system(method, family, k, level):
