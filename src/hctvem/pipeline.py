@@ -19,13 +19,15 @@ differs between methods:
     dof_values(g, lap_g, origins)
                                 (nE, ndof) DOFs of the virtual interpolant
                                 of g (lap_g: its Laplacian) on the
-                                translated copies; @ projection.T gives
-                                the error reference Pi_h I_h u
+                                translated copies: the DOFs of I_h u
+                                whose projection is the error reference
 
 ElementClass derives from these, once per class, the local stiffness
 K_loc, the load operators of the three load rules (load_matrix,
-interp_load, vem_load_matrix) and p1_dofs, the DOFs of the barycentric
-coordinates that span the coarse space of the CG solve.
+interp_load, vem_load_matrix), p1_dofs, the DOFs of the barycentric
+coordinates that span the coarse space of the CG solve, and
+error_factors, the triangular factors R_M and R_S that take a DOF
+difference straight to the L2 norm and H1 seminorm of its projection.
 
 Local coordinates put the class's first vertex at the origin; `origins`
 are the first vertices of the class's triangles.
@@ -125,6 +127,22 @@ class ElementClass:
         """(ndof, ndof): DOFs of the virtual interpolant I_h f ->
         (Pi I_h f, Pi phi_j)_K."""
         return self.projection.T @ (self.basis_values.T @ self.load_matrix)
+
+    @cached_property
+    def error_factors(self):
+        """(R_M, R_S), each (ndof, ndof) upper triangular: for the DOFs d
+        of v, |R_M d|^2 = ||Pi v||^2_L2 and |R_S d|^2 = |Pi v|^2_H1 on the
+        element, by the volume quadrature.  They are the R of the QR of
+        the sqrt(w)-weighted values and stacked x- and y-gradients of the
+        projected DOF basis.  Not the Grams R^T R: d^T G d loses digits to
+        cancellation when d is close to a constant, the kernel of the H1
+        Gram."""
+        sw = np.sqrt(self.quad_weights)[:, None]
+        grads = self.basis_gradients
+        values = sw * self.basis_values
+        gradients = np.vstack([sw * grads[:, :, 0], sw * grads[:, :, 1]])
+        return (np.linalg.qr(values @ self.projection, mode="r"),
+                np.linalg.qr(gradients @ self.projection, mode="r"))
 
     @cached_property
     def p1_dofs(self):
@@ -239,28 +257,33 @@ def solve_reduced(solution_class, dm, A, b, classes, solver, tol,
 
 @dataclass
 class Field:
-    """Piecewise field stored as per-class coefficient batches in each
-    class's projection basis."""
+    """Piecewise field stored as per-class batches of local DOF vectors;
+    its projection Pi_h is what the error norms measure."""
 
     mesh: object
     k: int
-    parts: list                      # [(class, element idx, coeffs)]
+    parts: list                      # [(class, element idx, dofs)]
 
     def error_norms(self, other):
+        """(L2 norm, H1 seminorm) of Pi_h (self - other), summed over the
+        classes from each class's error_factors."""
         if other.mesh is not self.mesh or other.k != self.k:
             raise ValueError("fields live on different meshes or degrees")
         l2 = 0.0
         h1 = 0.0
-        for (ec, idx, ca), (_, idx2, cb) in zip(self.parts, other.parts):
+        for (ec, idx, da), (ec2, idx2, db) in zip(self.parts, other.parts,
+                                                  strict=True):
+            if ec is not ec2:
+                raise ValueError("fields built by different element classes")
             if not np.array_equal(idx, idx2):
                 raise ValueError("field partitions disagree")
-            d = ca - cb
-            vals = d @ ec.basis_values.T
-            l2 += float(np.einsum("q,eq->", ec.quad_weights, vals ** 2))
-            gx = d @ ec.basis_gradients[:, :, 0].T
-            gy = d @ ec.basis_gradients[:, :, 1].T
-            h1 += float(np.einsum("q,eq->", ec.quad_weights,
-                                  gx ** 2 + gy ** 2))
+            R_M, R_S = ec.error_factors
+            # subtract the DOFs first: the fields agree to the
+            # discretisation error, so projecting each and then
+            # subtracting would lose digits to cancellation
+            d = da - db
+            l2 += float(np.sum((d @ R_M.T) ** 2))
+            h1 += float(np.sum((d @ R_S.T) ** 2))
         return np.sqrt(l2), np.sqrt(h1)
 
 
@@ -277,19 +300,15 @@ class Solution:
     field_class = Field
 
     def solution_field(self):
-        """Per-class projection coefficients of u_h."""
-        out = []
-        for ec, idx in self.classes:
-            d = self.dofs[self.dofmap.element_dofs[idx]]
-            out.append((ec, idx, d @ ec.projection.T))
-        return self.field_class(self.mesh, self.k, out)
+        """Per-class local DOFs of u_h."""
+        return self.field_class(self.mesh, self.k, [
+            (ec, idx, self.dofs[self.dofmap.element_dofs[idx]])
+            for ec, idx in self.classes])
 
     def reference_field(self, problem):
-        """Per-class projection coefficients of Pi_h I_h u, the projected
-        virtual interpolant of the exact solution."""
+        """Per-class DOFs of I_h u, the virtual interpolant of the exact
+        solution; its projection Pi_h I_h u is the error reference."""
         v0 = self.mesh.vertices[self.mesh.triangles[:, 0]]
-        out = []
-        for ec, idx in self.classes:
-            d = ec.dof_values(problem.u, problem.lap_u, v0[idx])
-            out.append((ec, idx, d @ ec.projection.T))
-        return self.field_class(self.mesh, self.k, out)
+        return self.field_class(self.mesh, self.k, [
+            (ec, idx, ec.dof_values(problem.u, problem.lap_u, v0[idx]))
+            for ec, idx in self.classes])

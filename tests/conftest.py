@@ -1,7 +1,8 @@
 """Shared helpers: cached convergence runs, reduced systems built through
 the pipeline, random triangle sampling, the per-element oracle of the
-stabilizer-free method with its HCT evaluation and energy projection, and
-loop-based oracles for the mesh and class-grouping code."""
+stabilizer-free method with its HCT evaluation and energy projection, the
+quadrature-point oracle of the error norms, and loop-based oracles for the
+mesh and class-grouping code."""
 
 import functools
 from fractions import Fraction
@@ -245,6 +246,24 @@ def sf_oracle_errors(family, k, level, load_rule="interp"):
         h1 += w @ (np.einsum("qid,i->qd", space.quad_gradients, d) ** 2
                    ).sum(axis=1)
     return np.sqrt(l2), np.sqrt(h1)
+
+
+def quadrature_error_norms(field, other):
+    """(l2, h1) of Pi_h (field - other) summed at the quadrature points,
+    in np.longdouble: each element's DOF difference is mapped to its
+    projection coefficients, evaluated with its gradient at every volume
+    quadrature point of its class, squared and weighted there."""
+    ld = np.longdouble
+    l2 = h1 = ld(0)
+    for (ec, _, da), (_, _, db) in zip(field.parts, other.parts,
+                                       strict=True):
+        coeffs = (da.astype(ld) - db.astype(ld)) @ ec.projection.T.astype(ld)
+        w = ec.quad_weights.astype(ld)
+        l2 += np.sum(w * (coeffs @ ec.basis_values.T.astype(ld)) ** 2)
+        for axis in range(2):
+            grad = coeffs @ ec.basis_gradients[:, :, axis].T.astype(ld)
+            h1 += np.sum(w * grad ** 2)
+    return float(np.sqrt(l2)), float(np.sqrt(h1))
 
 
 def orders(errs):

@@ -216,7 +216,23 @@ class TestRunExperiment:
         assert len(rep.rows) == 2
 
 
+# The default study (sf-hct, k = 1, uniform levels 1..4) as the CSV has
+# always read; a change that keeps the behaviour keeps these bytes.
+DEFAULT_CSV = b"""\
+level,dofs,l2,l2_order,h1,h1_order,kappa,seconds
+1,0,4.329434e-33,0.00,1.499760e-32,0.00,,
+2,1,1.354639e-01,0.00,7.662994e-01,0.00,,
+3,9,6.210331e-02,1.13,3.021311e-01,1.34,,
+4,49,1.833156e-02,1.76,8.498993e-02,1.83,,
+"""
+
+
 class TestCli:
+    def test_default_run_writes_golden_csv(self, tmp_path):
+        out = tmp_path / "default.csv"
+        assert main(["run", "--out", str(out)]) == 0
+        assert out.read_bytes() == DEFAULT_CSV
+
     def test_run_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         rc = main(["run", "--method", "sf-hct", "--k", "1",
