@@ -234,27 +234,28 @@ def _build_classes(mesh, factory, cache, cache_key):
 
 
 def _assemble_and_solve(mesh, k, classes, problem, solver, tol, load_rule,
-                        return_system):
+                        return_system, kappa):
     dm = DofMap(mesh, k)
     A, b = assemble(dm, classes, problem.f, load_rule)
     return solve_reduced(ClassicSolution, dm, A, b, classes, solver, tol,
-                         return_system)
+                         return_system, kappa)
 
 
 def solve_classic_vem(mesh, k, problem, dof_mode="standard", alpha=0.0,
                       solver="direct", tol=1e-12, load_rule="interp",
-                      return_system=False):
+                      return_system=False, kappa=False):
     if not 1 <= k <= 4:
         raise ValueError(f"classical baseline supports k in 1..4, got {k}")
     classes = _build_classes(
         mesh, lambda lv: ClassicElementClass(k, lv, dof_mode, alpha),
         _CLASSIC_CACHE, (k, dof_mode, alpha))
     return _assemble_and_solve(mesh, k, classes, problem, solver, tol,
-                               load_rule, return_system)
+                               load_rule, return_system, kappa)
 
 
 def solve_enriched_vem(mesh, k, problem, harmonic_degrees, solver="direct",
-                       tol=1e-12, load_rule="interp", return_system=False):
+                       tol=1e-12, load_rule="interp", return_system=False,
+                       kappa=False):
     degrees = tuple(sorted(harmonic_degrees))
     if not degrees:
         raise ValueError("enriched variant needs at least one degree")
@@ -265,4 +266,4 @@ def solve_enriched_vem(mesh, k, problem, harmonic_degrees, solver="direct",
         mesh, lambda lv: EnrichedElementClass(k, lv, degrees),
         _ENRICHED_CACHE, (k, degrees))
     return _assemble_and_solve(mesh, k, classes, problem, solver, tol,
-                               load_rule, return_system)
+                               load_rule, return_system, kappa)

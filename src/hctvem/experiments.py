@@ -210,7 +210,7 @@ class ErrorReport:
 
 def _solve_level(cfg, mesh, problem):
     common = dict(solver=cfg.solver, tol=cfg.tol, load_rule=cfg.load_rule,
-                  return_system=True)
+                  return_system=True, kappa=cfg.kappa)
     if cfg.method == "sf-hct":
         return solve_sf_vem(mesh, cfg.k, problem, **common)
     if cfg.method == "classic":
@@ -230,12 +230,7 @@ def run_experiment(cfg):
     for level in range(lo, hi + 1):
         t0 = time.perf_counter()
         mesh = generate_mesh(cfg.mesh, level)
-        sol, A, _, inverse = _solve_level(cfg, mesh, problem)
-        # a level with no free DOFs has no condition number.  kappa reuses
-        # the solve's factor, which is released before the error norms
-        kappa = solvers.estimate_condition_2(A, inverse) \
-            if cfg.kappa and A.shape[0] else None
-        del inverse
+        sol, A, _, kappa = _solve_level(cfg, mesh, problem)
         l2, h1 = sol.solution_field().error_norms(
             sol.reference_field(problem))
         if cfg.dump_matrix:

@@ -233,25 +233,25 @@ def reduce_dirichlet(dm, A, b):
 
 
 def solve_reduced(solution_class, dm, A, b, classes, solver, tol,
-                  return_system):
+                  return_system, kappa=False):
     """Eliminate the Dirichlet DOFs, solve, and wrap the full DOF vector
     (Dirichlet zeros) in solution_class; with return_system also the
-    reduced matrix and load, and the inverse of the reduced matrix that
-    solvers.solve_spd built (None for CG).  CG gets the P1 coarse space
-    and the per-element free-DOF index for its two-level
-    preconditioner."""
+    reduced matrix and load, and with kappa its kappa_2 (else None, as on
+    a level without free DOFs), which solvers.solve_spd computes beside
+    the solve.  CG gets the P1 coarse space and the per-element free-DOF
+    index for its two-level preconditioner."""
     A_red, b_red = reduce_dirichlet(dm, A, b)
     two_level = {}
     if solver == "cg":
         two_level = dict(coarse=coarse_space(dm, classes),
                          element_dofs=free_index(dm)[dm.element_dofs])
-    x, inverse = solvers.solve_spd(A_red, b_red, method=solver, tol=tol,
-                                   **two_level)
+    x, kappa = solvers.solve_spd(A_red, b_red, method=solver, tol=tol,
+                                 kappa=kappa, **two_level)
     dofs = np.zeros(dm.total)
     dofs[dm.free] = x
     sol = solution_class(dm.mesh, dm.k, dm, dofs, classes)
     if return_system:
-        return sol, A_red, b_red, inverse
+        return sol, A_red, b_red, kappa
     return sol
 
 

@@ -107,9 +107,9 @@ class SfSolution(Solution):
 
 
 def solve_sf_vem(mesh, k, problem, solver="direct", tol=1e-12,
-                 load_rule="interp", return_system=False):
+                 load_rule="interp", return_system=False, kappa=False):
     classes = _class_cache_build(mesh, k, _GLOBAL_CACHE)
     dm, A, b = _assemble(mesh, k, classes, problem.f, load_rule,
                          problem.lap_f)
     return solve_reduced(SfSolution, dm, A, b, classes, solver, tol,
-                         return_system)
+                         return_system, kappa)

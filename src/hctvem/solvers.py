@@ -1,6 +1,8 @@
 """SPD solvers, condition-number estimation and Matrix Market export for
 the assembled systems."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -156,69 +158,112 @@ def two_level_preconditioner(A, coarse, element_dofs):
     return apply
 
 
+def _csr(A):
+    """The symmetric matrix A in a form whose products are row by row:
+    the transpose of its CSC form is A in CSR, with no copy."""
+    if not sp.issparse(A):
+        return np.asarray(A, dtype=float)
+    return A.T if A.format == "csc" else A.tocsr()
+
+
+def _superlu_inverse(A):
+    """x -> A^-1 x by a SuperLU factor of the SPD matrix A."""
+    # a minimum-degree ordering of A^T + A with diagonal pivots preferred
+    # keeps the fill far below COLAMD's
+    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                     options=dict(SymmetricMode=True)).solve
+
+
+def _lambda_max(A):
+    """Top eigenvalue of the symmetric matrix A by Lanczos on its
+    products alone."""
+    A = _csr(A)
+    return _lanczos_extreme(lambda x: A @ x, A.shape[0])
+
+
 def solve_spd(A, b, method="direct", tol=1e-12, coarse=None,
-              element_dofs=None):
-    """Default solve path for assembled systems: (x, inverse), where
-    inverse applies A^-1 by the factor the solve built (SuperLU for
-    "direct", Cholesky for "dense") and is None for "cg".  With the
-    coarse space and the per-element DOF index of
-    two_level_preconditioner, "cg" is preconditioned by it; otherwise by
-    the diagonal."""
-    if method == "direct":
-        # the systems are SPD, so a minimum-degree ordering of A^T + A
-        # with diagonal pivots preferred keeps the fill far below COLAMD's
-        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                       options=dict(SymmetricMode=True))
-        return lu.solve(np.asarray(b, dtype=float)), lu.solve
-    if method == "cg":
-        # A is symmetric, so the transpose of its CSC form is A in CSR,
-        # with no copy
-        A = A.T if A.format == "csc" else A.tocsr()
-        if coarse is None:
-            pre = "jacobi"
+              element_dofs=None, kappa=False):
+    """Default solve path for assembled systems: (x, kappa_2(A)) with
+    kappa, else (x, None); an empty A has no kappa either.  "direct"
+    factors A by SuperLU, "dense" by Cholesky.  With the coarse space and
+    the per-element DOF index of two_level_preconditioner, "cg" is
+    preconditioned by it; otherwise by the diagonal.
+
+    kappa is estimate_condition_2's, on the solve's own factor.  Its
+    lambda_max needs only products with A, which release the GIL, so it
+    runs on a second thread beside the factorization (mostly GIL-free as
+    well) and the solve; lambda_min's Lanczos, whose SuperLU solves hold
+    the GIL, stays on this thread.  The thread is joined before this
+    returns or raises."""
+    if method not in SOLVERS:
+        raise ValueError(f"unknown solver {method!r}")
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        lam_max = pool.submit(_lambda_max, A).result \
+            if kappa and A.shape[0] else None
+        inverse = None
+        if method == "direct":
+            inverse = _superlu_inverse(A)
+            x = inverse(np.asarray(b, dtype=float))
+        elif method == "dense":
+            inverse = _cholesky_inverse(A)
+            x = inverse(b)
         else:
-            pre = two_level_preconditioner(A, coarse, element_dofs)
-        x, _ = solve_cg(A, b, tol=tol, preconditioner=pre)
-        return x, None
-    if method == "dense":
-        inverse = _cholesky_inverse(A)
-        return inverse(b), inverse
-    raise ValueError(f"unknown solver {method!r}")
+            A_rows = _csr(A)
+            if coarse is None:
+                pre = "jacobi"
+            else:
+                pre = two_level_preconditioner(A_rows, coarse, element_dofs)
+            x, _ = solve_cg(A_rows, b, tol=tol, preconditioner=pre)
+        if lam_max is None:
+            return x, None
+        return x, estimate_condition_2(A, inverse, lam_max)
 
 
 def _lanczos_extreme(apply, n, max_iter=None, tol=1e-10):
     """Ritz value of largest magnitude of the symmetric operator `apply`
     on R^n (the top one when the operator is positive definite), by plain
-    Lanczos from the all-ones start vector.  From the 11th step on, it has
-    settled once it moved by at most tol relative over the last quarter of
-    the steps: near a cluster of eigenvalues it can stall for a few steps
-    and then climb again.  max_iter defaults to 10 sqrt(n), at least 200,
-    as the steps needed at the top of a stiffness spectrum grow like
-    1/h.  Raises ConvergenceError when the value has not settled within
-    max_iter < n steps."""
+    Lanczos from the all-ones start vector.
+
+    The Ritz values are checked at steps m = 1, 2, ..., each check
+    max(1, m // 16) steps after the last: every step up to 32, then
+    about 16 checks per doubling of m, as a check costs two tridiagonal
+    eigenvalue solves.  From the 11th step on, the value has settled once
+    it moved by at most tol relative since the last check at or before
+    step m - m // 4: near a cluster of eigenvalues it can stall for a few
+    steps and then climb again.  max_iter defaults to 10 sqrt(n), at
+    least 200, as the steps needed at the top of a stiffness spectrum
+    grow like 1/h.  Raises ConvergenceError when the value has not
+    settled within max_iter < n steps."""
     if max_iter is None:
         max_iter = max(200, int(10 * np.sqrt(n)))
+    steps = min(max_iter, n)
+    alphas, betas = np.empty(steps), np.empty(steps)
+    checks = {}                    # step -> Ritz value of that check
     q = np.ones(n) / np.sqrt(n)
-    alphas, betas, ests = [], [], []
     q_prev = np.zeros(n)
     beta = 0.0
-    steps = min(max_iter, n)
+    check = 1
     for m in range(1, steps + 1):
         w = apply(q) - beta * q_prev
         alpha = float(q @ w)
         w -= alpha * q
-        alphas.append(alpha)
+        alphas[m - 1] = alpha
         beta = float(np.linalg.norm(w))
-        d, e = np.array(alphas), np.array(betas)
-        lo, hi = (eigvalsh_tridiagonal(d, e, select="i",
-                                       select_range=(i, i))[0]
-                  for i in (0, m - 1))
-        est = float(hi if hi >= -lo else lo)
-        ests.append(est)
-        settled = m > 10 and abs(est - ests[-1 - m // 4]) <= tol * abs(est)
-        if settled or beta == 0.0:
-            return est
-        betas.append(beta)
+        if m == check or m == steps or beta == 0.0:
+            lo, hi = (eigvalsh_tridiagonal(alphas[:m], betas[:m - 1],
+                                           select="i",
+                                           select_range=(i, i))[0]
+                      for i in (0, m - 1))
+            est = float(hi if hi >= -lo else lo)
+            if m > 10:
+                back = max(c for c in checks if c <= m - m // 4)
+                if abs(est - checks[back]) <= tol * abs(est):
+                    return est
+            if beta == 0.0:
+                return est
+            checks[m] = est
+            check = m + max(1, m // 16)
+        betas[m - 1] = beta
         q_prev, q = q, w / beta
     if steps == n:
         # n steps span the whole space: the Ritz values are the spectrum
@@ -228,12 +273,14 @@ def _lanczos_extreme(apply, n, max_iter=None, tol=1e-10):
         max_iter)
 
 
-def estimate_condition_2(A, inverse=None):
+def estimate_condition_2(A, inverse=None, lam_max=None):
     """kappa_2 = lambda_max / lambda_min of an SPD matrix.  lambda_max is
     the extreme Ritz value of Lanczos on A, 1 / lambda_min that of Lanczos
-    on A^-1.  inverse applies A^-1, as solve_spd hands it out; without it
-    A is factored here.  Raises NotSpdError when A is singular or either
-    value is not positive, ConvergenceError when Lanczos does not
+    on A^-1.  inverse applies A^-1; without it A is factored here.
+    lam_max, when given, returns lambda_max (solve_spd hands in its
+    thread's result, which is awaited after lambda_min); without it the
+    Lanczos on A runs here.  Raises NotSpdError when A is singular or
+    either value is not positive, ConvergenceError when Lanczos does not
     settle."""
     n = A.shape[0]
     if n == 0:
@@ -243,8 +290,8 @@ def estimate_condition_2(A, inverse=None):
             inverse = spla.factorized(sp.csc_matrix(A, dtype=float))
         except RuntimeError as exc:
             raise NotSpdError(f"singular matrix: {exc}") from exc
-    lam_max = _lanczos_extreme(lambda x: A @ x, n)
     mu = _lanczos_extreme(inverse, n)
+    lam_max = _lambda_max(A) if lam_max is None else lam_max()
     if lam_max <= 0 or mu <= 0:
         raise NotSpdError(f"nonpositive extreme eigenvalue: lambda_max "
                           f"{lam_max:.3e}, 1 / lambda_min {mu:.3e}")

@@ -1,14 +1,14 @@
 """Shared helpers: cached convergence runs, reduced systems built through
 the pipeline, random triangle sampling, the per-element oracle of the
 stabilizer-free method with its HCT evaluation and energy projection, the
-quadrature-point oracle of the error norms, and loop-based oracles for the
-mesh and class-grouping code."""
+quadrature-point oracle of the error norms, the every-step Lanczos rule,
+and loop-based oracles for the mesh and class-grouping code."""
 
 import functools
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, eigvalsh_tridiagonal
 
 from hctvem import pipeline
 from hctvem.cli import _p1_fem_stiffness as p1_fem_stiffness  # noqa: F401
@@ -21,6 +21,7 @@ from hctvem.mesh import generate_mesh
 from hctvem.polynomials import AffineMonomialBasis
 from hctvem.problems import get_solution
 from hctvem.sf_vem import SfElementClass, solve_sf_vem
+from hctvem.solvers import ConvergenceError
 
 
 @functools.lru_cache(maxsize=None)
@@ -264,6 +265,40 @@ def quadrature_error_norms(field, other):
             grad = coeffs @ ec.basis_gradients[:, :, axis].T.astype(ld)
             h1 += np.sum(w * grad ** 2)
     return float(np.sqrt(l2)), float(np.sqrt(h1))
+
+
+def lanczos_every_step(apply, n, max_iter=None, tol=1e-10):
+    """solvers._lanczos_extreme as it was before its Ritz values were
+    checked on a schedule: they are computed at every step, and the value
+    has settled from the 11th step on once it moved by at most tol
+    relative since step m - m // 4.  Returns (value, steps)."""
+    if max_iter is None:
+        max_iter = max(200, int(10 * np.sqrt(n)))
+    q = np.ones(n) / np.sqrt(n)
+    alphas, betas, ests = [], [], []
+    q_prev = np.zeros(n)
+    beta = 0.0
+    steps = min(max_iter, n)
+    for m in range(1, steps + 1):
+        w = apply(q) - beta * q_prev
+        alpha = float(q @ w)
+        w -= alpha * q
+        alphas.append(alpha)
+        beta = float(np.linalg.norm(w))
+        d, e = np.array(alphas), np.array(betas)
+        lo, hi = (eigvalsh_tridiagonal(d, e, select="i",
+                                       select_range=(i, i))[0]
+                  for i in (0, m - 1))
+        est = float(hi if hi >= -lo else lo)
+        ests.append(est)
+        settled = m > 10 and abs(est - ests[-1 - m // 4]) <= tol * abs(est)
+        if settled or beta == 0.0:
+            return est, m
+        betas.append(beta)
+        q_prev, q = q, w / beta
+    if steps == n:
+        return est, n
+    raise ConvergenceError("not settled", max_iter)
 
 
 def orders(errs):

@@ -3,6 +3,7 @@ bench/tracer.py).  These checks catch a rename, a merge or an alias of a
 traced name in tier-1 time, without running a workload."""
 
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 from tracer import ENTRY_POINTS, _resolve  # noqa: E402
 
-from hctvem import classic_vem, sf_vem  # noqa: E402
+from hctvem import classic_vem, sf_vem, solvers  # noqa: E402
+from hctvem.experiments import (ExperimentConfig,  # noqa: E402
+                                run_experiment)
 
 
 @pytest.mark.parametrize("path", sorted(ENTRY_POINTS))
@@ -35,3 +38,36 @@ def test_cache_names_read_by_the_worker_exist():
     for cache in (sf_vem._GLOBAL_CACHE, classic_vem._CLASSIC_CACHE,
                   classic_vem._ENRICHED_CACHE):
         assert isinstance(cache, dict)
+
+
+@pytest.mark.parametrize("study", [
+    dict(method="sf-hct", k=3, levels=(1, 3), solver="cg"),
+    dict(method="classic", k=3, levels=(2, 3), dof_mode="l2_normalized_x10",
+         alpha=-1.0),
+], ids=["sf-hct-cg", "classic-direct"])
+def test_kappa_run_calls_entry_points_on_the_main_thread(study, monkeypatch):
+    # the tracer keeps one span stack for the process: a wrapped name
+    # called from kappa's lambda_max thread would corrupt it
+    threads = {}
+
+    def record(path, original):
+        def wrapper(*args, **kwargs):
+            threads.setdefault(path, []).append(threading.current_thread())
+            return original(*args, **kwargs)
+        return wrapper
+
+    for path in list(ENTRY_POINTS) + ["solvers._lanczos_extreme"]:
+        owner, attr = _resolve(path)
+        monkeypatch.setattr(owner, attr, record(path, getattr(owner, attr)))
+    report = run_experiment(ExperimentConfig(mesh="irregular8", kappa=True,
+                                             **study))
+    assert all(r.kappa > 1 for r in report.rows)
+    main = threading.main_thread()
+    assert len(threads["solvers.estimate_condition_2"]) == len(report.rows)
+    for path, seen in threads.items():
+        if path != "solvers._lanczos_extreme":
+            assert all(t is main for t in seen), path
+    # lambda_max on the second thread, lambda_min on this one, per level
+    lanczos = threads["solvers._lanczos_extreme"]
+    assert sum(t is not main for t in lanczos) == len(report.rows)
+    assert sum(t is main for t in lanczos) == len(report.rows)

@@ -1,8 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import p1_fem_stiffness, reduced_system
+from conftest import lanczos_every_step, p1_fem_stiffness, reduced_system
 from hctvem import pipeline, solvers
 from hctvem.classic_vem import solve_classic_vem
 from hctvem.mesh import generate_mesh
@@ -86,19 +88,17 @@ class TestDenseCholesky:
 
 class TestSolveSpd:
     def test_all_methods_agree(self):
-        A, _ = random_spd(25, seed=6)
+        A, d = random_spd(25, seed=6)
         As = sp.csc_matrix(A)
         b = np.linspace(0, 1, 25)
-        xd, inv_d = solve_spd(As, b, method="direct")
-        xc, inv_c = solve_spd(As, b, method="cg", tol=1e-13)
-        xe, inv_e = solve_spd(As, b, method="dense")
+        xd, kd = solve_spd(As, b, method="direct", kappa=True)
+        xc, kc = solve_spd(As, b, method="cg", tol=1e-13, kappa=True)
+        xe, ke = solve_spd(As, b, method="dense", kappa=True)
         assert np.allclose(xd, xc, atol=1e-8)
         assert np.allclose(xd, xe, atol=1e-10)
-        # each solve hands out the factor it built; CG builds none
-        assert inv_c is None
-        c = b[::-1]
-        assert np.allclose(A @ inv_d(c), c, atol=1e-10)
-        assert np.allclose(A @ inv_e(c), c, atol=1e-10)
+        for kappa in (kd, kc, ke):
+            assert kappa == pytest.approx(d[-1] / d[0], rel=1e-10)
+        assert solve_spd(As, b)[1] is None
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
@@ -163,6 +163,10 @@ class TestConditionEstimate:
         with pytest.raises(NotSpdError):
             estimate_condition_2(form(np.diag([-1.0, 2.0, 3.0])))
 
+    def test_empty_matrix_has_no_kappa(self):
+        x, kappa = solve_spd(sp.csc_matrix((0, 0)), np.zeros(0), kappa=True)
+        assert x.shape == (0,) and kappa is None
+
     def test_unsettled_lanczos_raises(self):
         A = sp.diags(np.arange(1.0, 51.0)).tocsr()
         with pytest.raises(ConvergenceError):
@@ -187,12 +191,122 @@ ORACLE_SYSTEMS = {
 
 @pytest.mark.parametrize("system", sorted(ORACLE_SYSTEMS))
 def test_kappa_matches_dense_eigenvalues(system):
-    _, A, _, inverse = ORACLE_SYSTEMS[system](get_solution("sinsin"))
+    _, A, b, _ = ORACLE_SYSTEMS[system](get_solution("sinsin"))
     eig = np.linalg.eigvalsh(A.toarray())
     want = eig[-1] / eig[0]
-    # with the direct solve's factor, and with a factor of its own
-    assert estimate_condition_2(A, inverse) == pytest.approx(want, rel=1e-8)
-    assert estimate_condition_2(A) == pytest.approx(want, rel=1e-8)
+    # the same factor as each solve's, lambda_max and lambda_min in
+    # sequence on this thread; CG builds no factor, so kappa factors A
+    factors = {"direct": solvers._superlu_inverse(A),
+               "dense": solvers._cholesky_inverse(A), "cg": None}
+    for method, inverse in factors.items():
+        _, kappa = solve_spd(A, b, method=method, kappa=True)
+        assert kappa == estimate_condition_2(A, inverse), method
+        assert kappa == pytest.approx(want, rel=1e-8), method
+
+
+def counted(A):
+    """x -> A x on the CSR view of A, and the list of its calls."""
+    A = solvers._csr(A)
+    calls = []
+
+    def apply(x):
+        calls.append(1)
+        return A @ x
+
+    return apply, calls
+
+
+def clustered_diagonal(n=2000):
+    # the top 20 eigenvalues lie within 1e-4 of 1
+    d = np.concatenate([np.linspace(1e-3, 0.5, n - 20),
+                        1.0 - 1e-4 * np.linspace(0.0, 1.0, 20)])
+    return sp.diags(np.random.default_rng(12).permutation(d)).tocsc()
+
+
+class TestLanczosSchedule:
+    """_lanczos_extreme checks its Ritz values only on a geometric
+    schedule; conftest.lanczos_every_step keeps the every-step rule."""
+
+    @pytest.mark.parametrize("system", sorted(ORACLE_SYSTEMS))
+    def test_lambda_max_matches_every_step_rule(self, system):
+        A = ORACLE_SYSTEMS[system](get_solution("sinsin"))[1]
+        apply, calls = counted(A)
+        got = solvers._lanczos_extreme(apply, A.shape[0])
+        assert len(calls) >= 11
+        want, _ = lanczos_every_step(apply, A.shape[0])
+        assert abs(got - want) <= 1e-13 * want
+
+    def test_clustered_top_matches_every_step_rule(self):
+        A = clustered_diagonal()
+        apply, _ = counted(A)
+        got = solvers._lanczos_extreme(apply, A.shape[0])
+        want, _ = lanczos_every_step(apply, A.shape[0])
+        assert abs(got - want) <= 1e-13 * want
+        assert got == pytest.approx(1.0, rel=1e-12)
+
+    def test_never_settles_before_step_11(self):
+        # an isolated top eigenvalue: its Ritz value is exact long before
+        # step 11, and the rule still waits for it
+        d = np.r_[np.linspace(1.0, 2.0, 99), 1e3]
+        apply, calls = counted(sp.diags(d).tocsc())
+        assert solvers._lanczos_extreme(apply, 100) == pytest.approx(1e3)
+        assert len(calls) == 11
+
+
+class TestKappaThread:
+    """solve_spd runs lambda_max's Lanczos on a second thread and joins
+    it whatever happens on its own."""
+
+    @pytest.fixture(autouse=True)
+    def no_thread_left(self):
+        before = threading.active_count()
+        yield
+        assert threading.active_count() == before
+
+    def test_lambda_max_error_comes_out(self, monkeypatch):
+        lanczos = solvers._lanczos_extreme
+
+        def fail_off_main(apply, n, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise ConvergenceError("lambda_max not settled", 0)
+            return lanczos(apply, n, **kwargs)
+
+        monkeypatch.setattr(solvers, "_lanczos_extreme", fail_off_main)
+        A = clustered_diagonal()
+        for method in ("direct", "cg"):
+            with pytest.raises(ConvergenceError, match="lambda_max"):
+                solve_spd(A, np.ones(A.shape[0]), method=method, kappa=True)
+
+    def test_cg_failure_joins_thread(self):
+        A, b, _, _ = two_level_system("sf-hct", "irregular8", 3, 3)
+        lam = np.linalg.eigvalsh(A.toarray())
+        B = (A - 2.0 * lam[0] * sp.eye(A.shape[0])).tocsc()
+        with pytest.raises(NotSpdError):
+            solve_spd(B, b, method="cg", kappa=True)
+
+    def test_singular_direct_failure_joins_thread(self):
+        A = sp.diags(np.r_[np.linspace(1.0, 2.0, 2999), 0.0]).tocsc()
+        with pytest.raises(RuntimeError, match="singular"):
+            solve_spd(A, np.ones(3000), method="direct", kappa=True)
+
+    def test_thread_only_with_kappa_on_a_nonempty_matrix(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def spy(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        A = clustered_diagonal(100)
+        b = np.ones(100)
+        for method in solvers.SOLVERS:
+            solve_spd(A, b, method=method)
+        solve_spd(sp.csc_matrix((0, 0)), np.zeros(0), kappa=True)
+        assert started == []
+        for method in solvers.SOLVERS:
+            solve_spd(A, b, method=method, kappa=True)
+        assert len(started) == len(solvers.SOLVERS)
 
 
 def two_level_system(method, family, k, level):
