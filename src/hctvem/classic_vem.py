@@ -9,89 +9,19 @@ import numpy as np
 from .dofmap import DofMap
 from .pipeline import (AssemblyError, ElementClass, Field, Solution,
                        assemble, build_classes, solve_reduced)
-from .polynomials import (AffineMonomialBasis, harmonic_basis,
-                          monomial_exponents)
+from .polynomials import harmonic_basis, monomial_exponents
 from .quadrature import quad_rule_triangle, quad_rule_edge
 
 DOF_MODES = ("standard", "l2_normalized", "l2_normalized_x10")
 
 
-class ClassicDofs:
-    """Moment-DOF bookkeeping for one element shape.
-
-    Boundary DOFs are the 3 vertex values and k-1 uniform nodes per edge
-    (element-local order: edges 01, 12, 20 walked from the first vertex,
-    matching DofMap).  Interior DOFs are moments of v against the physical
-    monomials (x-x0)^j (y-y0)^l centred at the barycenter, 0 <= j+l <= k-2,
-    divided by a mode-dependent normalizer:
-        standard            area of K
-        l2_normalized       L2 norm of the monomial over K
-        l2_normalized_x10   L2 norm over K, DOF multiplied by 10
-    The volume quadrature is exact to quad_degree (default 2k+6).
-    """
-
-    def __init__(self, k, local_verts, mode="standard", quad_degree=None):
-        if mode not in DOF_MODES:
-            raise ValueError(f"unknown dof mode {mode!r}")
-        self.k = k
-        self.mode = mode
-        v = np.asarray(local_verts, dtype=float)
-        self.verts = v
-        self.barycenter = v.mean(axis=0)
-        edges = v[[1, 2, 0]] - v
-        self.diameter = float(np.linalg.norm(edges, axis=1).max())
-        d1, d2 = v[1] - v[0], v[2] - v[0]
-        self.area = 0.5 * abs(d1[0] * d2[1] - d1[1] * d2[0])
-
-        nodes = [v[0], v[1], v[2]]
-        for (a, b) in ((0, 1), (1, 2), (2, 0)):
-            for l in range(1, k):
-                nodes.append(v[a] + (l / k) * (v[b] - v[a]))
-        self.nodes = np.array(nodes)
-        self.n_boundary = len(nodes)
-        self.moment_exps = monomial_exponents(k - 2) if k >= 2 else []
-        self.n_moment = len(self.moment_exps)
-        self.ndof = self.n_boundary + self.n_moment
-
-        self.rule = quad_rule_triangle(
-            2 * k + 6 if quad_degree is None else quad_degree)
-        self.quad_points, self.quad_weights = self.rule.physical(v)
-        d = self.quad_points - self.barycenter
-        self.moment_values = np.column_stack(
-            [d[:, 0] ** j * d[:, 1] ** l for (j, l) in self.moment_exps]) \
-            if self.n_moment else np.zeros((len(self.quad_points), 0))
-        if self.n_moment:
-            l2 = np.sqrt(self.quad_weights @ self.moment_values ** 2)
-            if mode == "standard":
-                self.normalizer = np.full(self.n_moment, self.area)
-            elif mode == "l2_normalized":
-                self.normalizer = l2
-            else:
-                self.normalizer = l2 / 10.0
-        else:
-            self.normalizer = np.zeros(0)
-
-    def dof_values(self, func, origins=None):
-        """DOF vector of an explicitly known function; given (nE, 2)
-        origins, one row per copy of the element translated by each."""
-        shift = 0.0 if origins is None else origins[:, None, :]
-        nodes = shift + self.nodes
-        vals = np.asarray(func(nodes[..., 0], nodes[..., 1]), dtype=float)
-        if self.n_moment:
-            qp = shift + self.quad_points
-            fq = np.asarray(func(qp[..., 0], qp[..., 1]))
-            mom = (fq * self.quad_weights) @ self.moment_values \
-                / self.normalizer
-            vals = np.concatenate([vals, mom], axis=-1)
-        return vals
-
-
-def _edge_trace_data(dofs, degree):
-    """Per local edge: quad params, physical points, weights (with length),
-    outward normal, and the (nq, k+1) map from the edge's k+1 boundary DOFs
-    (first vertex, interior nodes, second vertex) to trace values."""
-    k = dofs.k
-    v = dofs.verts
+def _edge_trace_data(ec, degree):
+    """Per local edge of the element ec: physical points, weights (with
+    length), outward normal, the (nq, k+1) map from the edge's k+1
+    boundary DOFs (first vertex, interior nodes, second vertex) to trace
+    values, and those DOFs' local indices."""
+    k = ec.k
+    v = ec.verts
     er = quad_rule_edge(degree)
     t = er.points
     tn = np.concatenate([[0.0], np.arange(1, k) / k, [1.0]])
@@ -115,28 +45,47 @@ def _edge_trace_data(dofs, degree):
 class EnrichedElementClass(ElementClass):
     """Cached per-shape data of a moment-DOF element with the energy
     projection onto P_k plus the harmonic polynomials of the given degrees
-    (none: the classical projection onto P_k), and no stabilizer."""
+    (none: the classical projection onto P_k), and no stabilizer.
+
+    Boundary DOFs are the values at the boundary nodes.  Interior DOFs are
+    moments of v against the physical monomials (x-x0)^j (y-y0)^l centred
+    at the barycenter, 0 <= j+l <= k-2, divided by a mode-dependent
+    normalizer:
+        standard            area of K
+        l2_normalized       L2 norm of the monomial over K
+        l2_normalized_x10   L2 norm over K, DOF multiplied by 10
+    """
 
     def __init__(self, k, local_verts, harmonic_degrees, mode="standard"):
-        self.k = k
+        if mode not in DOF_MODES:
+            raise ValueError(f"unknown dof mode {mode!r}")
+        super().__init__(k, local_verts)
         self.harmonic_degrees = tuple(harmonic_degrees)
         top = max(self.harmonic_degrees, default=k)
+        self.moment_exps = monomial_exponents(k - 2)
+        self.n_moment = len(self.moment_exps)
+        self.ndof = self.n_boundary + self.n_moment
+
         # the L2 terms of a degree-m harmonic have degree 2m
-        self.dofs = ClassicDofs(k, local_verts, mode,
-                                max(2 * k + 6, 2 * top))
-        d = self.dofs
-        self.verts = d.verts
-        self.diameter = d.diameter
-        self.ndof = d.ndof
-        self.poly = AffineMonomialBasis(d.barycenter,
-                                        d.diameter * np.eye(2), k)
-        self.harm = harmonic_basis(k, self.harmonic_degrees, d.barycenter,
-                                   d.diameter) \
+        rule = quad_rule_triangle(max(2 * k + 6, 2 * top))
+        self.quad_points, self.quad_weights = rule.physical(self.verts)
+        d = self.quad_points - self.barycenter
+        self.moment_values = np.column_stack(
+            [d[:, 0] ** j * d[:, 1] ** l for (j, l) in self.moment_exps]) \
+            if self.n_moment else np.zeros((len(self.quad_points), 0))
+        if mode == "standard":
+            d1, d2 = self.verts[1:] - self.verts[0]
+            area = 0.5 * abs(d1[0] * d2[1] - d1[1] * d2[0])
+            self.normalizer = np.full(self.n_moment, area)
+        else:
+            l2 = np.sqrt(self.quad_weights @ self.moment_values ** 2)
+            self.normalizer = l2 if mode == "l2_normalized" else l2 / 10.0
+
+        self.harm = harmonic_basis(k, self.harmonic_degrees, self.barycenter,
+                                   self.diameter) \
             if self.harmonic_degrees else None
-        self.quad_points = d.quad_points
-        self.quad_weights = d.quad_weights
-        self.basis_values = self._values(d.quad_points)
-        self.basis_gradients = self._gradients(d.quad_points)
+        self.basis_values = self._values(self.quad_points)
+        self.basis_gradients = self._gradients(self.quad_points)
         self.dim = self.basis_values.shape[1]
         self._build_projection(2 * top + 6)
 
@@ -155,26 +104,25 @@ class EnrichedElementClass(ElementClass):
     def _build_projection(self, edge_degree):
         """Energy projection from the DOFs: gradient moments by
         integration by parts, constant fixed by the boundary mean."""
-        d = self.dofs
-        k, nb = self.k, d.n_boundary
-        B = np.zeros((self.dim, d.ndof))
+        k, nb = self.k, self.n_boundary
+        B = np.zeros((self.dim, self.ndof))
         if k >= 2:
             # (v, mu_b)_K from moment DOFs: physical monomial / d^(j+l)
-            scale = np.array([d.diameter ** (j + l)
-                              for (j, l) in d.moment_exps])
-            mom_to_mu = np.diag(d.normalizer / scale)
+            scale = np.array([self.diameter ** (j + l)
+                              for (j, l) in self.moment_exps])
+            mom_to_mu = np.diag(self.normalizer / scale)
             lap = self.poly.laplacian_map()     # Delta m_a in mu basis
             B[:self.poly.dim, nb:] -= lap @ mom_to_mu
             # harmonic members have vanishing Laplacian: no volume term
-        mean_row = np.zeros(d.ndof)
+        mean_row = np.zeros(self.ndof)
         mean_basis = np.zeros(self.dim)
-        for pts, w, n, lag, cols in _edge_trace_data(d, edge_degree):
+        for pts, w, n, lag, cols in _edge_trace_data(self, edge_degree):
             gn = self._gradients(pts) @ n
             B[:, cols] += gn.T @ (w[:, None] * lag)
             B[0, cols] = 0.0
             mean_row[cols] += w @ lag
             mean_basis += w @ self._values(pts)
-        G = np.einsum("q,qad,qbd->ab", d.quad_weights,
+        G = np.einsum("q,qad,qbd->ab", self.quad_weights,
                       self.basis_gradients, self.basis_gradients)
         self.stiffness = 0.5 * (G + G.T)
         G[0, :] = mean_basis
@@ -187,9 +135,17 @@ class EnrichedElementClass(ElementClass):
         self.projection = np.linalg.solve(G, B)
 
     def dof_values(self, g, lap_g, origins):
-        """(nE, ndof) DOFs of g on the translated copies; they are moments
-        of g, so lap_g is not used."""
-        return self.dofs.dof_values(g, origins)
+        """(nE, ndof) DOFs of g on the copies translated by origins; they
+        are values and moments of g, so lap_g is not used."""
+        shift = origins[:, None, :]
+        nodes = shift + self.boundary_nodes
+        vals = np.asarray(g(nodes[..., 0], nodes[..., 1]), dtype=float)
+        if not self.n_moment:
+            return vals
+        qp = shift + self.quad_points
+        gq = np.asarray(g(qp[..., 0], qp[..., 1]))
+        mom = (gq * self.quad_weights) @ self.moment_values / self.normalizer
+        return np.concatenate([vals, mom], axis=-1)
 
 
 class ClassicElementClass(EnrichedElementClass):
@@ -199,14 +155,14 @@ class ClassicElementClass(EnrichedElementClass):
 
     def __init__(self, k, local_verts, mode="standard", alpha=0.0):
         super().__init__(k, local_verts, (), mode)
-        d = self.dofs
+        nb = self.n_boundary
         # D: P_k coefficients -> DOF values
-        D = np.zeros((d.ndof, self.poly.dim))
-        D[:d.n_boundary] = self.poly.values(d.nodes)
-        if d.n_moment:
-            D[d.n_boundary:] = (d.moment_values.T * d.quad_weights) \
-                @ self.basis_values / d.normalizer[:, None]
-        R = np.eye(d.ndof) - D @ self.projection
+        D = np.zeros((self.ndof, self.poly.dim))
+        D[:nb] = self.poly.values(self.boundary_nodes)
+        if self.n_moment:
+            D[nb:] = (self.moment_values.T * self.quad_weights) \
+                @ self.basis_values / self.normalizer[:, None]
+        R = np.eye(self.ndof) - D @ self.projection
         self.stabilizer = self.diameter ** alpha * (R.T @ R)
 
 
@@ -234,28 +190,27 @@ def _build_classes(mesh, factory, cache, cache_key):
 
 
 def _assemble_and_solve(mesh, k, classes, problem, solver, tol, load_rule,
-                        return_system, kappa):
+                        kappa):
     dm = DofMap(mesh, k)
     A, b = assemble(dm, classes, problem.f, load_rule)
     return solve_reduced(ClassicSolution, dm, A, b, classes, solver, tol,
-                         return_system, kappa)
+                         kappa)
 
 
 def solve_classic_vem(mesh, k, problem, dof_mode="standard", alpha=0.0,
                       solver="direct", tol=1e-12, load_rule="interp",
-                      return_system=False, kappa=False):
+                      kappa=False):
     if not 1 <= k <= 4:
         raise ValueError(f"classical baseline supports k in 1..4, got {k}")
     classes = _build_classes(
         mesh, lambda lv: ClassicElementClass(k, lv, dof_mode, alpha),
         _CLASSIC_CACHE, (k, dof_mode, alpha))
     return _assemble_and_solve(mesh, k, classes, problem, solver, tol,
-                               load_rule, return_system, kappa)
+                               load_rule, kappa)
 
 
 def solve_enriched_vem(mesh, k, problem, harmonic_degrees, solver="direct",
-                       tol=1e-12, load_rule="interp", return_system=False,
-                       kappa=False):
+                       tol=1e-12, load_rule="interp", kappa=False):
     degrees = tuple(sorted(harmonic_degrees))
     if not degrees:
         raise ValueError("enriched variant needs at least one degree")
@@ -266,4 +221,4 @@ def solve_enriched_vem(mesh, k, problem, harmonic_degrees, solver="direct",
         mesh, lambda lv: EnrichedElementClass(k, lv, degrees),
         _ENRICHED_CACHE, (k, degrees))
     return _assemble_and_solve(mesh, k, classes, problem, solver, tol,
-                               load_rule, return_system, kappa)
+                               load_rule, kappa)

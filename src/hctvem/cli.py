@@ -108,15 +108,15 @@ def _cmd_verify(args):
 
     for fam, gen in (("uniform", gen_uniform_mesh),
                      ("irregular8", gen_irregular8_mesh)):
-        _, A, b, _ = solve_sf_vem(gen(2), 2, prob, return_system=True)
+        sol = solve_sf_vem(gen(2), 2, prob)
         try:
-            solvers.solve_dense_cholesky(A, b)
+            solvers.solve_dense_cholesky(sol.matrix, sol.load)
         except solvers.NotSpdError as exc:
             failures.append(f"{fam} level-2 system not SPD: {exc}")
 
     for gen in (gen_uniform_mesh, gen_irregular8_mesh):
         mesh = gen(3)
-        A = solve_sf_vem(mesh, 1, prob, return_system=True)[1]
+        A = solve_sf_vem(mesh, 1, prob).matrix
         F = _p1_fem_stiffness(mesh)
         diff = abs(A - F).max()
         if diff > 1e-12:

@@ -1,8 +1,19 @@
 """Global DOF numbering shared by all three methods: vertex values, k-1
 uniform nodes per edge (walked from the lower vertex index), and
-dim P_{k-2} interior DOFs per element."""
+dim P_{k-2} interior DOFs per element; and the local order of the
+boundary nodes that the numbering follows."""
 
 import numpy as np
+
+
+def boundary_nodes(verts, k):
+    """(3k, 2) boundary nodes of the triangle verts in local DOF order:
+    the three vertices, then k-1 uniform nodes per edge 01, 12, 20, walked
+    from the edge's first vertex."""
+    v = np.asarray(verts, dtype=float)
+    t = np.arange(1, k)[:, None] / k
+    edges = (v[a] + t * (v[b] - v[a]) for a, b in ((0, 1), (1, 2), (2, 0)))
+    return np.concatenate([v, *edges])
 
 
 class DofMap:

@@ -2,7 +2,6 @@
 writes one CSV row per level with errors, computed orders and, on
 request, a condition-number estimate."""
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,7 +169,6 @@ class LevelResult:
     l2: float
     h1: float
     kappa: float = None
-    seconds: float = 0.0
 
 
 def _row_orders(prev, row):
@@ -194,9 +192,8 @@ class ErrorReport:
         for r in self.rows:
             lo, ho = _row_orders(prev, r)
             kap = "" if r.kappa is None else f"{r.kappa:.4e}"
-            # the seconds field stays empty: wall time varies run to run
-            # (it is kept in LevelResult.seconds), and the same
-            # configuration must always write the same bytes
+            # the seconds field stays empty: wall time varies run to run,
+            # and the same configuration must always write the same bytes
             lines.append(
                 f"{r.level},{r.dofs},{r.l2:.6e},{lo:.2f},"
                 f"{r.h1:.6e},{ho:.2f},{kap},")
@@ -210,7 +207,7 @@ class ErrorReport:
 
 def _solve_level(cfg, mesh, problem):
     common = dict(solver=cfg.solver, tol=cfg.tol, load_rule=cfg.load_rule,
-                  return_system=True, kappa=cfg.kappa)
+                  kappa=cfg.kappa)
     if cfg.method == "sf-hct":
         return solve_sf_vem(mesh, cfg.k, problem, **common)
     if cfg.method == "classic":
@@ -228,17 +225,16 @@ def run_experiment(cfg):
     report = ErrorReport(cfg)
     lo, hi = cfg.levels
     for level in range(lo, hi + 1):
-        t0 = time.perf_counter()
         mesh = generate_mesh(cfg.mesh, level)
-        sol, A, _, kappa = _solve_level(cfg, mesh, problem)
+        sol = _solve_level(cfg, mesh, problem)
         l2, h1 = sol.solution_field().error_norms(
             sol.reference_field(problem))
         if cfg.dump_matrix:
             solvers.export_matrix_market(
-                A, f"{cfg.dump_matrix}.level{level}")
+                sol.matrix, f"{cfg.dump_matrix}.level{level}")
         report.rows.append(LevelResult(
-            level=level, dofs=A.shape[0], l2=l2, h1=h1, kappa=kappa,
-            seconds=time.perf_counter() - t0))
+            level=level, dofs=sol.matrix.shape[0], l2=l2, h1=h1,
+            kappa=sol.kappa))
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write("\n".join(report.csv_lines()) + "\n")

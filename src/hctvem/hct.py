@@ -6,6 +6,7 @@ solves with."""
 import numpy as np
 from scipy.linalg import cho_factor
 
+from .dofmap import boundary_nodes
 from .mesh import macro_split
 from .polynomials import (AffineMonomialBasis, lattice_multi_indices,
                           monomial_dim)
@@ -23,10 +24,9 @@ def hct_dimension(k):
 class HctLocalSpace:
     """Nodal Lagrange basis of C0 piecewise P_k over the 3-way split.
 
-    Node ordering: the 3 parent vertices, then k-1 uniform interior nodes
-    per parent edge (edges 01, 12, 20, walked from the first vertex), then
-    the barycenter, internal-edge nodes, and sub-triangle interior nodes.
-    The first 3k nodes are exactly the boundary nodes.
+    Node ordering: the 3k boundary nodes of the parent triangle in
+    dofmap.boundary_nodes order, then the barycenter, internal-edge nodes,
+    and sub-triangle interior nodes.
     """
 
     def __init__(self, k, coords, quad_degree=None):
@@ -36,8 +36,6 @@ class HctLocalSpace:
         self.k = k
         self.coords = coords
         self.split = macro_split(coords)
-        edges = coords[[1, 2, 0]] - coords
-        self.diameter = float(np.linalg.norm(edges, axis=1).max())
 
         self._build_nodes()
         self._build_basis()
@@ -50,10 +48,7 @@ class HctLocalSpace:
         k = self.k
         v = self.coords
         bc = self.split.barycenter
-        nodes = [v[0], v[1], v[2]]
-        for (a, b) in ((0, 1), (1, 2), (2, 0)):
-            for l in range(1, k):
-                nodes.append(v[a] + (l / k) * (v[b] - v[a]))
+        nodes = list(boundary_nodes(v, k))
         self.num_boundary = len(nodes)  # == 3k
         nodes.append(bc)
         for a in range(3):
@@ -86,7 +81,7 @@ class HctLocalSpace:
             d2 = ((pts[:, None, :] - self.nodes[None, :, :]) ** 2).sum(-1)
             l2g = d2.argmin(axis=1)
             if not np.all(np.sqrt(d2[np.arange(len(pts)), l2g])
-                          < 1e-9 * self.diameter):
+                          < 1e-9 * np.ptp(self.coords, axis=0).max()):
                 raise HctError("sub-triangle lattice node mismatch")
             V = basis.values(pts)
             coeffs = np.linalg.inv(V)       # column p: coeffs of Lagrange_p

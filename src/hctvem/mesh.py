@@ -59,9 +59,6 @@ class TriangleMesh:
     def num_edges(self):
         return len(self.edges)
 
-    def triangle_coords(self, t):
-        return self.vertices[self.triangles[t]]
-
     def signed_areas(self):
         v = self.vertices[self.triangles]
         d1 = v[:, 1] - v[:, 0]

@@ -2,12 +2,19 @@
 classes per translation class, global assembly, Dirichlet reduction and
 solve, and the discrete and reference fields with their error norms.
 
-Every method's element class derives from ElementClass and sets what
-differs between methods:
+ElementClass(k, verts) sets the geometry every method shares:
 
     k                           polynomial degree
     verts                       (3, 2) vertices, local coordinates
-    diameter                    diameter of the triangle
+    diameter, barycenter        of the triangle
+    boundary_nodes, n_boundary  the 3k boundary nodes in local DOF order
+                                (dofmap.boundary_nodes)
+    poly                        the P_k basis AffineMonomialBasis about the
+                                barycenter with J = diameter * I
+
+Every method's element class derives from it and sets what differs
+between methods:
+
     ndof                        local DOF count
     projection                  (dim, ndof) DOFs -> projection coefficients
     stiffness                   (dim, dim) H1 Gram of the projection basis
@@ -40,6 +47,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import solvers
+from .dofmap import boundary_nodes
 from .polynomials import AffineMonomialBasis, lattice_multi_indices
 
 LOAD_RULES = ("interp", "exact", "vem")
@@ -89,10 +97,26 @@ def build_classes(mesh, factory, cache, cache_key):
 
 
 class ElementClass:
-    """Per-shape data derived from a method's projection, stiffness Gram
-    and DOF functional (see the module docstring)."""
+    """Per-shape geometry, and the data derived from a method's
+    projection, stiffness Gram and DOF functional (see the module
+    docstring)."""
 
     stabilizer = 0.0
+
+    def __init__(self, k, verts):
+        self.k = k
+        self.verts = np.asarray(verts, dtype=float)
+        edges = self.verts[[1, 2, 0]] - self.verts
+        self.diameter = float(np.linalg.norm(edges, axis=1).max())
+        self.barycenter = self.verts.mean(axis=0)
+        self.boundary_nodes = boundary_nodes(self.verts, k)
+        self.n_boundary = len(self.boundary_nodes)
+
+    @cached_property
+    def poly(self):
+        """The h-scaled monomials of degree <= k about the barycenter."""
+        return AffineMonomialBasis(self.barycenter,
+                                   self.diameter * np.eye(2), self.k)
 
     @cached_property
     def K_loc(self):
@@ -116,10 +140,8 @@ class ElementClass:
         k, v = self.k, self.verts
         lat = np.array([(a * v[0] + b * v[1] + c * v[2]) / k
                         for (a, b, c) in lattice_multi_indices(k)])
-        basis = AffineMonomialBasis(v.mean(axis=0),
-                                    self.diameter * np.eye(2), k)
-        lag_quad = basis.values(self.quad_points) \
-            @ np.linalg.inv(basis.values(lat))
+        lag_quad = self.poly.values(self.quad_points) \
+            @ np.linalg.inv(self.poly.values(lat))
         return lat, lag_quad.T @ self.load_matrix
 
     @cached_property
@@ -233,13 +255,13 @@ def reduce_dirichlet(dm, A, b):
 
 
 def solve_reduced(solution_class, dm, A, b, classes, solver, tol,
-                  return_system, kappa=False):
+                  kappa=False):
     """Eliminate the Dirichlet DOFs, solve, and wrap the full DOF vector
-    (Dirichlet zeros) in solution_class; with return_system also the
-    reduced matrix and load, and with kappa its kappa_2 (else None, as on
-    a level without free DOFs), which solvers.solve_spd computes beside
-    the solve.  CG gets the P1 coarse space and the per-element free-DOF
-    index for its two-level preconditioner."""
+    (Dirichlet zeros), the reduced matrix and load and, with kappa, their
+    kappa_2 (else None, as on a level without free DOFs), which
+    solvers.solve_spd computes beside the solve, in solution_class.  CG
+    gets the P1 coarse space and the per-element free-DOF index for its
+    two-level preconditioner."""
     A_red, b_red = reduce_dirichlet(dm, A, b)
     two_level = {}
     if solver == "cg":
@@ -249,10 +271,8 @@ def solve_reduced(solution_class, dm, A, b, classes, solver, tol,
                                  kappa=kappa, **two_level)
     dofs = np.zeros(dm.total)
     dofs[dm.free] = x
-    sol = solution_class(dm.mesh, dm.k, dm, dofs, classes)
-    if return_system:
-        return sol, A_red, b_red, kappa
-    return sol
+    return solution_class(dm.mesh, dm.k, dm, dofs, classes, A_red, b_red,
+                          kappa)
 
 
 @dataclass
@@ -296,6 +316,9 @@ class Solution:
     dofmap: object
     dofs: np.ndarray                 # full DOF vector (Dirichlet zeros)
     classes: list                    # [(element class, element indices)]
+    matrix: object                   # reduced system matrix (CSC)
+    load: np.ndarray                 # reduced load vector
+    kappa: float = None              # kappa_2 of matrix, if asked for
 
     field_class = Field
 

@@ -18,16 +18,13 @@ class SfElementClass(ElementClass):
     stiffness Gram is the HCT space's, and there is no stabilizer."""
 
     def __init__(self, k, local_verts):
-        self.k = k
-        self.verts = np.asarray(local_verts, dtype=float)
+        super().__init__(k, local_verts)
         self.space = HctLocalSpace(k, self.verts)
         sp_ = self.space
-        self.diameter = sp_.diameter
         v = self.verts
         self.interior_basis = AffineMonomialBasis(
-            sp_.split.barycenter,
+            self.barycenter,
             np.column_stack([v[1] - v[0], v[2] - v[0]]), k - 2)
-        self.n_boundary = sp_.num_boundary           # 3k
         self.n_interior = self.interior_basis.dim if k >= 2 else 0
         self.ndof = self.n_boundary + self.n_interior
         self.stiffness = sp_.stiffness
@@ -49,7 +46,7 @@ class SfElementClass(ElementClass):
 
     def _projection_matrix(self):
         sp_ = self.space
-        nb = sp_.num_boundary
+        nb = self.n_boundary
         P = np.zeros((sp_.dim, self.ndof))
         P[:nb, :nb] = np.eye(nb)
         # boundary DOF columns: bubble part solves the homogeneous system
@@ -67,7 +64,7 @@ class SfElementClass(ElementClass):
         translated by origins: g at the boundary nodes, and -Delta of the
         interpolant taken as the L2 projection of -Delta(g) onto P_{k-2},
         scaled like the interior columns of projection."""
-        nodes = origins[:, None, :] + self.space.nodes[None, :self.n_boundary]
+        nodes = origins[:, None, :] + self.boundary_nodes
         bvals = np.asarray(g(nodes[..., 0], nodes[..., 1]), dtype=float)
         if not self.n_interior:
             return bvals
@@ -107,9 +104,8 @@ class SfSolution(Solution):
 
 
 def solve_sf_vem(mesh, k, problem, solver="direct", tol=1e-12,
-                 load_rule="interp", return_system=False, kappa=False):
+                 load_rule="interp", kappa=False):
     classes = _class_cache_build(mesh, k, _GLOBAL_CACHE)
     dm, A, b = _assemble(mesh, k, classes, problem.f, load_rule,
                          problem.lap_f)
-    return solve_reduced(SfSolution, dm, A, b, classes, solver, tol,
-                         return_system, kappa)
+    return solve_reduced(SfSolution, dm, A, b, classes, solver, tol, kappa)

@@ -148,11 +148,12 @@ def _sf_oracle_elements(family, k, level):
     elements = []
     n_interior = monomial_dim(k - 2)
     for t in range(mesh.num_triangles):
-        X = mesh.triangle_coords(t)
+        X = mesh.vertices[mesh.triangles[t]]
         space = HctLocalSpace(k, X, quad_degree=qdeg)
         nb = space.num_boundary
+        diameter = np.linalg.norm(X[[1, 2, 0]] - X, axis=1).max()
         lap_basis = AffineMonomialBasis(space.split.barycenter,
-                                        space.diameter * np.eye(2), k - 2)
+                                        diameter * np.eye(2), k - 2)
         P = np.column_stack(
             [project_hct(space, e) for e in np.eye(nb)]
             + [project_hct(space, np.zeros(nb), e, lap_basis)

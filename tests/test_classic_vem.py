@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import polynomial
+
 from hctvem import classic_vem
 from hctvem.mesh import generate_mesh
 from hctvem.pipeline import AssemblyError
 from hctvem.problems import get_solution
-from hctvem.classic_vem import (DOF_MODES, ClassicDofs, ClassicElementClass,
+from hctvem.classic_vem import (DOF_MODES, ClassicElementClass,
                                 EnrichedElementClass, solve_classic_vem,
                                 solve_enriched_vem)
 from hctvem.quadrature import quad_rule_triangle
@@ -14,29 +16,35 @@ from hctvem.sf_vem import solve_sf_vem
 TRI = np.array([[0.0, 0.0], [1.0, 0.1], [0.3, 0.9]])
 
 
+def dofs_of(ec, g):
+    """The DOFs of g on ec itself (one copy, not translated)."""
+    return ec.dof_values(g, None, np.zeros((1, 2)))[0]
+
+
 class TestDofs:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            ClassicDofs(2, TRI, "weird")
+            EnrichedElementClass(2, TRI, (), "weird")
 
     @pytest.mark.parametrize("mode", DOF_MODES)
     def test_dof_count(self, mode):
         for k in (1, 2, 3, 4):
-            d = ClassicDofs(k, TRI, mode)
-            assert d.ndof == 3 * k + k * (k - 1) // 2
+            ec = EnrichedElementClass(k, TRI, (), mode)
+            assert ec.ndof == 3 * k + k * (k - 1) // 2
 
     def test_constant_function_dofs(self):
-        d = ClassicDofs(3, TRI, "standard")
-        vals = d.dof_values(lambda x, y: np.ones_like(x))
+        ec = EnrichedElementClass(3, TRI, (), "standard")
+        vals = dofs_of(ec, lambda x, y: np.ones_like(x))
         # nodal values are 1; the constant moment is area/area = 1,
         # higher moments are centred-monomial averages
-        assert np.allclose(vals[:d.n_boundary], 1.0)
-        assert vals[d.n_boundary] == pytest.approx(1.0, rel=1e-12)
+        assert np.allclose(vals[:ec.n_boundary], 1.0)
+        assert vals[ec.n_boundary] == pytest.approx(1.0, rel=1e-12)
 
     def test_x10_mode_scales_moments_up(self):
         f = lambda x, y: x * y
-        a = ClassicDofs(3, TRI, "l2_normalized").dof_values(f)
-        b = ClassicDofs(3, TRI, "l2_normalized_x10").dof_values(f)
+        a = dofs_of(EnrichedElementClass(3, TRI, (), "l2_normalized"), f)
+        b = dofs_of(EnrichedElementClass(3, TRI, (), "l2_normalized_x10"),
+                    f)
         nb = 9
         assert np.allclose(b[nb:], 10.0 * a[nb:])
 
@@ -48,15 +56,13 @@ class TestProjection:
         rng = np.random.default_rng(k)
         ec = ClassicElementClass(k, TRI, mode)
         c = rng.normal(size=ec.poly.dim)
-        poly = lambda x, y: ec.poly.values(np.column_stack(
-            [np.atleast_1d(x), np.atleast_1d(y)])) @ c
-        dofs = ec.dofs.dof_values(poly)
+        dofs = dofs_of(ec, polynomial(ec.poly, c)[0])
         proj = ec.projection @ dofs
         assert np.allclose(proj, c, atol=1e-10 * max(1, np.abs(c).max()))
 
     def test_consistency_stiffness_kernel_is_constants(self):
         ec = ClassicElementClass(3, TRI)
-        const = ec.dofs.dof_values(lambda x, y: np.ones_like(x))
+        const = dofs_of(ec, lambda x, y: np.ones_like(x))
         assert np.allclose((ec.K_loc - ec.stabilizer) @ const, 0.0,
                            atol=1e-12)
 
@@ -67,9 +73,7 @@ class TestStabilizer:
         rng = np.random.default_rng(k)
         ec = ClassicElementClass(k, TRI)
         c = rng.normal(size=ec.poly.dim)
-        poly = lambda x, y: ec.poly.values(np.column_stack(
-            [np.atleast_1d(x), np.atleast_1d(y)])) @ c
-        dofs = ec.dofs.dof_values(poly)
+        dofs = dofs_of(ec, polynomial(ec.poly, c)[0])
         S = ec.stabilizer
         scale = np.abs(S).max() * float(dofs @ dofs)
         assert float(dofs @ S @ dofs) < 1e-13 * max(1.0, scale)
@@ -89,23 +93,21 @@ class TestGlobalSolves:
         # vanishes, and both methods reduce to the same matrix
         prob = get_solution("sinsin")
         m = generate_mesh("irregular8", 3)
-        _, A1, b1, _ = solve_sf_vem(m, 1, prob, return_system=True)
-        _, A2, b2, _ = solve_classic_vem(m, 1, prob, return_system=True)
-        assert abs(A1 - A2).max() < 1e-12
-        assert np.allclose(b1, b2, atol=1e-13)
+        s1 = solve_sf_vem(m, 1, prob)
+        s2 = solve_classic_vem(m, 1, prob)
+        assert abs(s1.matrix - s2.matrix).max() < 1e-12
+        assert np.allclose(s1.load, s2.load, atol=1e-13)
 
     def test_alpha_is_part_of_the_class_cache_key(self, monkeypatch):
         # one process, two alphas: each reduced matrix must equal a build
         # from an empty cache, so a stale K_loc cannot be reused
         prob = get_solution("sinsin")
         m = generate_mesh("irregular8", 3)
-        got = {a: solve_classic_vem(m, 3, prob, alpha=a,
-                                    return_system=True)[1]
+        got = {a: solve_classic_vem(m, 3, prob, alpha=a).matrix
                for a in (0.0, -1.0)}
         for a, A in got.items():
             monkeypatch.setattr(classic_vem, "_CLASSIC_CACHE", {})
-            fresh = solve_classic_vem(m, 3, prob, alpha=a,
-                                      return_system=True)[1]
+            fresh = solve_classic_vem(m, 3, prob, alpha=a).matrix
             assert (A != fresh).nnz == 0
         assert abs(got[0.0] - got[-1.0]).max() > 1e-3 * abs(got[0.0]).max()
 
@@ -152,9 +154,7 @@ class TestEnriched:
         rng = np.random.default_rng(3)
         ec = EnrichedElementClass(2, TRI, (3,))
         c = rng.normal(size=ec.poly.dim)
-        poly = lambda x, y: ec.poly.values(np.column_stack(
-            [np.atleast_1d(x), np.atleast_1d(y)])) @ c
-        dofs = ec.dofs.dof_values(poly)
+        dofs = dofs_of(ec, polynomial(ec.poly, c)[0])
         proj = ec.projection @ dofs
         # enriched coefficients: polynomial part equals c, harmonic part 0
         assert np.allclose(proj[:ec.poly.dim], c, atol=1e-10)

@@ -8,7 +8,7 @@ from conftest import (dirichlet_oracle, group_elements_oracle, orders,
                       sf_errors)
 
 from hctvem.classic_vem import ClassicElementClass, EnrichedElementClass
-from hctvem.dofmap import DofMap
+from hctvem.dofmap import DofMap, boundary_nodes
 from hctvem.mesh import generate_mesh
 from hctvem.pipeline import AssemblyError, group_elements
 from hctvem.problems import get_solution
@@ -161,9 +161,9 @@ class TestAssembly:
     def test_dirichlet_elimination_counts(self):
         A, b, dm, _ = reduced_system("sf-hct", "uniform", 2, 2, f=None)
         m = dm.mesh
-        boundary_nodes = int(m.boundary_vertex.sum()
-                             + m.boundary_edge.sum())
-        assert dm.total - A.shape[0] == boundary_nodes
+        n_boundary = int(m.boundary_vertex.sum()
+                         + m.boundary_edge.sum())
+        assert dm.total - A.shape[0] == n_boundary
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_dirichlet_flags(self, k):
@@ -172,6 +172,32 @@ class TestAssembly:
         assert dm.dirichlet.sum() == (m.boundary_vertex.sum()
                                       + (k - 1) * m.boundary_edge.sum())
         assert np.array_equal(dm.dirichlet, dirichlet_oracle(m, k))
+
+    @pytest.mark.parametrize("family", ["uniform", "irregular8"])
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_boundary_nodes_follow_the_global_numbering(self, family, k):
+        # each element's local boundary nodes, put at its boundary slots of
+        # element_dofs, must give every shared DOF one position; the
+        # triangles are CCW, so the two elements at an interior edge walk
+        # it in opposite directions
+        m = generate_mesh(family, 3)
+        dm = DofMap(m, k)
+        slots = dm.element_dofs[:, :3 * k].ravel()
+        nodes = np.concatenate([boundary_nodes(m.vertices[tri], k)
+                                for tri in m.triangles])
+        coords = np.full((dm.total, 2), np.nan)
+        coords[slots] = nodes
+        assert np.abs(coords[slots] - nodes).max() <= 1e-14
+        held = np.bincount(slots, minlength=dm.total)
+        assert np.count_nonzero(held[m.num_vertices:] == 2) \
+            == (k - 1) * np.count_nonzero(~m.boundary_edge)
+        # and the global numbering walks each edge from its lower vertex
+        lo, hi = m.vertices[m.edges[:, 0]], m.vertices[m.edges[:, 1]]
+        t = np.arange(1, k)[None, :, None] / k
+        walk = (lo[:, None] + t * (hi - lo)[:, None]).reshape(-1, 2)
+        assert np.array_equal(coords[:m.num_vertices], m.vertices)
+        assert np.abs(coords[m.num_vertices:dm.interior_offset]
+                      - walk).max(initial=0.0) <= 1e-14
 
     def test_unknown_load_rule_rejected(self):
         m = generate_mesh("uniform", 1)

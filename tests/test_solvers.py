@@ -106,8 +106,9 @@ class TestSolveSpd:
 
     def test_direct_matches_dense_cholesky_on_sf_hct_system(self):
         # irregular8 k=3 L4: 3,233 free DOFs, under the dense cap
-        _, A, b, _ = solve_sf_vem(generate_mesh("irregular8", 4), 3,
-                                  get_solution("sinsin"), return_system=True)
+        sol = solve_sf_vem(generate_mesh("irregular8", 4), 3,
+                           get_solution("sinsin"))
+        A, b = sol.matrix, sol.load
         assert A.shape[0] == 3233
         x, _ = solve_spd(A, b, method="direct")
         ref = solve_dense_cholesky(A, b)
@@ -179,19 +180,19 @@ class TestConditionEstimate:
 # assembled systems whose kappa is checked against dense eigenvalues
 ORACLE_SYSTEMS = {
     "sf-hct k=2 irregular8 L3": lambda prob: solve_sf_vem(
-        generate_mesh("irregular8", 3), 2, prob, return_system=True),
+        generate_mesh("irregular8", 3), 2, prob),
     "sf-hct k=6 irregular8 L2": lambda prob: solve_sf_vem(
-        generate_mesh("irregular8", 2), 6, prob, return_system=True),
+        generate_mesh("irregular8", 2), 6, prob),
     "classic k=3 l2x10 alpha=-1 irregular8 L3": lambda prob:
         solve_classic_vem(generate_mesh("irregular8", 3), 3, prob,
-                          dof_mode="l2_normalized_x10", alpha=-1.0,
-                          return_system=True),
+                          dof_mode="l2_normalized_x10", alpha=-1.0),
 }
 
 
 @pytest.mark.parametrize("system", sorted(ORACLE_SYSTEMS))
 def test_kappa_matches_dense_eigenvalues(system):
-    _, A, b, _ = ORACLE_SYSTEMS[system](get_solution("sinsin"))
+    sol = ORACLE_SYSTEMS[system](get_solution("sinsin"))
+    A, b = sol.matrix, sol.load
     eig = np.linalg.eigvalsh(A.toarray())
     want = eig[-1] / eig[0]
     # the same factor as each solve's, lambda_max and lambda_min in
@@ -229,7 +230,7 @@ class TestLanczosSchedule:
 
     @pytest.mark.parametrize("system", sorted(ORACLE_SYSTEMS))
     def test_lambda_max_matches_every_step_rule(self, system):
-        A = ORACLE_SYSTEMS[system](get_solution("sinsin"))[1]
+        A = ORACLE_SYSTEMS[system](get_solution("sinsin")).matrix
         apply, calls = counted(A)
         got = solvers._lanczos_extreme(apply, A.shape[0])
         assert len(calls) >= 11
