@@ -6,7 +6,7 @@ no stabilizer)."""
 
 import numpy as np
 
-from .dofmap import DofMap
+from .dofmap import DofMap, edge_slots
 from .pipeline import (AssemblyError, ElementClass, Field, Solution,
                        assemble, build_classes, solve_reduced)
 from .polynomials import harmonic_basis, monomial_exponents
@@ -19,26 +19,24 @@ def _edge_trace_data(ec, degree):
     """Per local edge of the element ec: physical points, weights (with
     length), outward normal, the (nq, k+1) map from the edge's k+1
     boundary DOFs (first vertex, interior nodes, second vertex) to trace
-    values, and those DOFs' local indices."""
+    values, and those DOFs' local slots (dofmap.edge_slots)."""
     k = ec.k
     v = ec.verts
     er = quad_rule_edge(degree)
     t = er.points
-    tn = np.concatenate([[0.0], np.arange(1, k) / k, [1.0]])
+    tn = np.arange(k + 1) / k
     lag = np.ones((len(t), k + 1))
     for p in range(k + 1):
         for q in range(k + 1):
             if q != p:
                 lag[:, p] *= (t - tn[q]) / (tn[p] - tn[q])
     out = []
-    for ei, (a, b) in enumerate(((0, 1), (1, 2), (2, 0))):
-        tang = v[b] - v[a]
+    for cols in edge_slots(k):
+        tang = v[cols[-1]] - v[cols[0]]
         length = float(np.linalg.norm(tang))
         normal = np.array([tang[1], -tang[0]]) / length
-        pts = v[a][None, :] + t[:, None] * tang[None, :]
-        cols = [a, *(3 + ei * (k - 1) + np.arange(k - 1)), b] if k > 1 \
-            else [a, b]
-        out.append((pts, er.weights * length, normal, lag, np.array(cols)))
+        pts = v[cols[0]][None, :] + t[:, None] * tang[None, :]
+        out.append((pts, er.weights * length, normal, lag, cols))
     return out
 
 
@@ -63,8 +61,6 @@ class EnrichedElementClass(ElementClass):
         self.harmonic_degrees = tuple(harmonic_degrees)
         top = max(self.harmonic_degrees, default=k)
         self.moment_exps = monomial_exponents(k - 2)
-        self.n_moment = len(self.moment_exps)
-        self.ndof = self.n_boundary + self.n_moment
 
         # the L2 terms of a degree-m harmonic have degree 2m
         rule = quad_rule_triangle(max(2 * k + 6, 2 * top))
@@ -72,11 +68,11 @@ class EnrichedElementClass(ElementClass):
         d = self.quad_points - self.barycenter
         self.moment_values = np.column_stack(
             [d[:, 0] ** j * d[:, 1] ** l for (j, l) in self.moment_exps]) \
-            if self.n_moment else np.zeros((len(self.quad_points), 0))
+            if self.n_interior else np.zeros((len(self.quad_points), 0))
         if mode == "standard":
             d1, d2 = self.verts[1:] - self.verts[0]
             area = 0.5 * abs(d1[0] * d2[1] - d1[1] * d2[0])
-            self.normalizer = np.full(self.n_moment, area)
+            self.normalizer = np.full(self.n_interior, area)
         else:
             l2 = np.sqrt(self.quad_weights @ self.moment_values ** 2)
             self.normalizer = l2 if mode == "l2_normalized" else l2 / 10.0
@@ -140,7 +136,7 @@ class EnrichedElementClass(ElementClass):
         shift = origins[:, None, :]
         nodes = shift + self.boundary_nodes
         vals = np.asarray(g(nodes[..., 0], nodes[..., 1]), dtype=float)
-        if not self.n_moment:
+        if not self.n_interior:
             return vals
         qp = shift + self.quad_points
         gq = np.asarray(g(qp[..., 0], qp[..., 1]))
@@ -159,7 +155,7 @@ class ClassicElementClass(EnrichedElementClass):
         # D: P_k coefficients -> DOF values
         D = np.zeros((self.ndof, self.poly.dim))
         D[:nb] = self.poly.values(self.boundary_nodes)
-        if self.n_moment:
+        if self.n_interior:
             D[nb:] = (self.moment_values.T * self.quad_weights) \
                 @ self.basis_values / self.normalizer[:, None]
         R = np.eye(self.ndof) - D @ self.projection

@@ -6,14 +6,24 @@ boundary nodes that the numbering follows."""
 import numpy as np
 
 
+def edge_slots(k):
+    """(3, k+1) local DOF slots of the edges 01, 12, 20, each walked from
+    its first vertex.  The local order is the three vertices, the k-1
+    nodes of each edge in turn, then the interior DOFs."""
+    nodes = 3 + np.arange(3 * (k - 1)).reshape(3, k - 1)
+    return np.column_stack([np.arange(3), nodes, [1, 2, 0]])
+
+
 def boundary_nodes(verts, k):
-    """(3k, 2) boundary nodes of the triangle verts in local DOF order:
-    the three vertices, then k-1 uniform nodes per edge 01, 12, 20, walked
-    from the edge's first vertex."""
+    """(3k, 2) boundary nodes of the triangle verts in local DOF order,
+    uniform on each edge."""
     v = np.asarray(verts, dtype=float)
-    t = np.arange(1, k)[:, None] / k
-    edges = (v[a] + t * (v[b] - v[a]) for a, b in ((0, 1), (1, 2), (2, 0)))
-    return np.concatenate([v, *edges])
+    slots = edge_slots(k)
+    a, b = v[slots[:, :1]], v[slots[:, -1:]]
+    nodes = np.empty((3 * k, 2))
+    nodes[:3] = v
+    nodes[slots[:, 1:-1]] = a + np.arange(1, k)[:, None] / k * (b - a)
+    return nodes
 
 
 class DofMap:
@@ -38,24 +48,16 @@ class DofMap:
     def _element_dofs(self):
         mesh, k = self.mesh, self.k
         T = mesh.num_triangles
-        nloc = 3 + 3 * self.n_edge + self.n_interior
-        out = np.empty((T, nloc), dtype=np.int64)
+        out = np.empty((T, 3 * k + self.n_interior), dtype=np.int64)
         out[:, :3] = mesh.triangles
-        if self.n_edge:
-            for j in range(3):  # local edges 01, 12, 20
-                a = mesh.triangles[:, j]
-                b = mesh.triangles[:, (j + 1) % 3]
-                e = mesh.tri_edges[:, j]
-                base = self.edge_offset + e[:, None] * self.n_edge
-                idx = np.arange(self.n_edge)
-                # global edge nodes run lo -> hi; flip when the element
-                # walks the edge hi -> lo
-                fwd = base + idx
-                rev = base + idx[::-1]
-                cols = np.where((a < b)[:, None], fwd, rev)
-                out[:, 3 + j * self.n_edge: 3 + (j + 1) * self.n_edge] = cols
-        if self.n_interior:
-            base = self.interior_offset \
-                + np.arange(T)[:, None] * self.n_interior
-            out[:, 3 + 3 * self.n_edge:] = base + np.arange(self.n_interior)
+        idx = np.arange(self.n_edge)
+        for j, edge in enumerate(edge_slots(k)):  # local edges 01, 12, 20
+            a, b = mesh.triangles[:, edge[[0, -1]]].T
+            base = self.edge_offset + mesh.tri_edges[:, j, None] * self.n_edge
+            # global edge nodes run lo -> hi; flip when the element
+            # walks the edge hi -> lo
+            out[:, edge[1:-1]] = np.where((a < b)[:, None], base + idx,
+                                          base + idx[::-1])
+        base = self.interior_offset + np.arange(T)[:, None] * self.n_interior
+        out[:, 3 * k:] = base + np.arange(self.n_interior)
         return out

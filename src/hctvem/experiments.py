@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import solvers
-from .mesh import MAX_LEVEL, generate_mesh
+from .mesh import MAX_LEVEL, generate_mesh, is_integer
 from .pipeline import LOAD_RULES
 from .problems import SOLUTIONS, get_solution
 from .quadrature import MAX_DEGREE
@@ -52,13 +52,16 @@ class ExperimentConfig:
             if value not in choices:
                 raise ConfigError(f"unknown {what} {value!r}; "
                                   f"choose from {choices}")
+        lo, hi = self.levels
+        for value in (self.k, lo, hi, *self.harmonic_degrees):
+            if not is_integer(value):
+                raise ConfigError("k, the levels and the harmonic degrees "
+                                  f"are integers, got {value!r}")
         if not 1 <= self.k <= 6:
             raise ConfigError(f"k must be in 1..6, got {self.k}")
         if self.method == "classic" and self.k > 4:
             raise ConfigError("classic baseline supports k in 1..4")
-        lo, hi = self.levels
-        if not (isinstance(lo, int) and isinstance(hi, int) and
-                1 <= lo <= hi <= MAX_LEVEL):
+        if not 1 <= lo <= hi <= MAX_LEVEL:
             raise ConfigError(f"bad level range {self.levels!r}; levels "
                               f"are 1..{MAX_LEVEL}")
         if self.method == "enriched":

@@ -1,13 +1,12 @@
-"""Continuous piecewise-P_k space on the barycentric macro split of a
-triangle: nodes, nodal basis at a volume quadrature, stiffness, and the
-factored bubble block that the stabilizer-free element's projection
-solves with."""
+"""Continuous piecewise-P_k space on the barycentric (Hsieh-Clough-Tocher)
+macro split of a triangle: the split itself, nodes, nodal basis at a
+volume quadrature, stiffness, and the factored bubble block that the
+stabilizer-free element's projection solves with."""
 
 import numpy as np
 from scipy.linalg import cho_factor
 
 from .dofmap import boundary_nodes
-from .mesh import macro_split
 from .polynomials import (AffineMonomialBasis, lattice_multi_indices,
                           monomial_dim)
 from .quadrature import quad_rule_triangle
@@ -35,7 +34,10 @@ class HctLocalSpace:
         coords = np.asarray(coords, dtype=float)
         self.k = k
         self.coords = coords
-        self.split = macro_split(coords)
+        # the split at the barycenter: sub-triangle s is (v_s, v_s+1, bc)
+        bc = self.barycenter = coords.mean(axis=0)
+        self.sub_triangles = np.array(
+            [[coords[s], coords[(s + 1) % 3], bc] for s in range(3)])
 
         self._build_nodes()
         self._build_basis()
@@ -47,14 +49,13 @@ class HctLocalSpace:
     def _build_nodes(self):
         k = self.k
         v = self.coords
-        bc = self.split.barycenter
         nodes = list(boundary_nodes(v, k))
         self.num_boundary = len(nodes)  # == 3k
-        nodes.append(bc)
+        nodes.append(self.barycenter)
         for a in range(3):
             for l in range(1, k):
-                nodes.append(v[a] + (l / k) * (bc - v[a]))
-        for sub in self.split.sub_triangles:
+                nodes.append(v[a] + (l / k) * (self.barycenter - v[a]))
+        for sub in self.sub_triangles:
             for (a, b, c) in lattice_multi_indices(k):
                 if a > 0 and b > 0 and c > 0:
                     nodes.append((a * sub[0] + b * sub[1] + c * sub[2]) / k)
@@ -72,7 +73,7 @@ class HctLocalSpace:
         self.sub_bases = []
         self.sub_l2g = []
         self.sub_coeffs = []
-        for sub in self.split.sub_triangles:
+        for sub in self.sub_triangles:
             basis = AffineMonomialBasis(
                 sub[0], np.column_stack([sub[1] - sub[0], sub[2] - sub[0]]),
                 k)
@@ -95,7 +96,7 @@ class HctLocalSpace:
         degree = quad_degree if quad_degree is not None else 2 * k + 6
         rule = quad_rule_triangle(degree)
         pts_list, w_list, phi_list, grad_list = [], [], [], []
-        for s, sub in enumerate(self.split.sub_triangles):
+        for s, sub in enumerate(self.sub_triangles):
             pts, w = rule.physical(sub)
             vals = self.sub_bases[s].values(pts) @ self.sub_coeffs[s]
             grads = np.einsum("qad,ap->qpd",

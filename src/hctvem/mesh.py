@@ -1,5 +1,6 @@
-"""Triangular meshes of the unit square: the uniform family and the
-slightly irregular 8-triangle family, plus the barycentric macro split."""
+"""Triangular meshes of the unit square, the uniform and the slightly
+irregular 8-triangle families, with the edge topology the DOF numbering
+reads.  The barycentric macro split of a triangle is in hct."""
 
 from dataclasses import dataclass
 
@@ -39,13 +40,9 @@ class TriangleMesh:
     vertices: np.ndarray          # (V, 2)
     triangles: np.ndarray         # (T, 3) CCW vertex indices
     edges: np.ndarray             # (E, 2) with lo < hi
-    edge_tris: np.ndarray         # (E, 2) adjacent triangles, -1 if none
     tri_edges: np.ndarray         # (T, 3) edge index of local edges 01,12,20
     boundary_vertex: np.ndarray   # (V,) bool
     boundary_edge: np.ndarray     # (E,) bool
-    level: int
-    h_max: float
-    family: str = "custom"
 
     @property
     def num_vertices(self):
@@ -59,19 +56,13 @@ class TriangleMesh:
     def num_edges(self):
         return len(self.edges)
 
-    def signed_areas(self):
-        v = self.vertices[self.triangles]
-        d1 = v[:, 1] - v[:, 0]
-        d2 = v[:, 2] - v[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
-
-@dataclass(frozen=True)
-class MacroSplit:
-    """Barycentric split of one triangle into three CCW sub-triangles."""
-
-    barycenter: np.ndarray
-    sub_triangles: np.ndarray     # (3, 3, 2) coordinates
+def signed_areas(vertices, triangles):
+    """(T,) signed areas of the triangles, positive when CCW."""
+    v = vertices[triangles]
+    d1 = v[:, 1] - v[:, 0]
+    d2 = v[:, 2] - v[:, 0]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
 def _unique_first_seen(keys):
@@ -85,15 +76,10 @@ def _unique_first_seen(keys):
     return first[order], rank[inverse], counts[order]
 
 
-def _build_topology(vertices, triangles, level, family):
+def _build_topology(vertices, triangles):
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
-
-    v = vertices[triangles]
-    d1 = v[:, 1] - v[:, 0]
-    d2 = v[:, 2] - v[:, 0]
-    areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-    if np.any(areas <= 0):
+    if np.any(signed_areas(vertices, triangles) <= 0):
         raise MeshError("mesh contains a non-CCW or degenerate triangle")
 
     # half-edges in (triangle, local edge 01, 12, 20) order; edges are
@@ -104,31 +90,24 @@ def _build_topology(vertices, triangles, level, family):
     first, inverse, counts = _unique_first_seen(lo * len(vertices) + hi)
     if np.any(counts > 2):
         raise MeshError("edge shared by more than two triangles")
-    tri_edges = inverse.reshape(triangles.shape)
     edges = np.column_stack([lo[first], hi[first]])
-    edge_tris = np.full((len(first), 2), -1, dtype=np.int64)
-    edge_tris[:, 0] = first // 3
-    second = np.ones(len(lo), dtype=bool)
-    second[first] = False
-    edge_tris[inverse[second], 1] = np.flatnonzero(second) // 3
-    boundary_edge = edge_tris[:, 1] == -1
+    boundary_edge = counts == 1
     boundary_vertex = np.zeros(len(vertices), dtype=bool)
     boundary_vertex[edges[boundary_edge].ravel()] = True
 
-    lengths = np.linalg.norm(
-        vertices[edges[:, 0]] - vertices[edges[:, 1]], axis=1)
-    h_max = float(lengths.max())
-
     return TriangleMesh(
         vertices=vertices, triangles=triangles, edges=edges,
-        edge_tris=edge_tris, tri_edges=tri_edges,
-        boundary_vertex=boundary_vertex, boundary_edge=boundary_edge,
-        level=level, h_max=h_max, family=family)
+        tri_edges=inverse.reshape(triangles.shape),
+        boundary_vertex=boundary_vertex, boundary_edge=boundary_edge)
+
+
+def is_integer(value):
+    """An int or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_level(level):
-    if (isinstance(level, bool) or not isinstance(level, (int, np.integer))
-            or level < 1):
+    if not is_integer(level) or level < 1:
         raise MeshError(f"level must be a positive integer, got {level!r}")
     if level > MAX_LEVEL:
         raise MeshError(f"level {level} exceeds cap {MAX_LEVEL}")
@@ -147,7 +126,7 @@ def gen_uniform_mesh(level):
     se, nw = sw + 1, sw + n + 1
     # diagonal from (i, j+1) down to (i+1, j)
     triangles = np.column_stack([sw, se, nw, se, nw + 1, nw]).reshape(-1, 3)
-    return _build_topology(vertices, triangles, level, "uniform")
+    return _build_topology(vertices, triangles)
 
 
 def gen_irregular8_mesh(level):
@@ -164,19 +143,7 @@ def gen_irregular8_mesh(level):
     # exact integers divided once: the correctly rounded float of x/(4n)
     vertices = points[first] / (4 * n)
     triangles = inverse.reshape(n * n, 9)[:, _IRR8_TRIANGLES].reshape(-1, 3)
-    return _build_topology(vertices, triangles, level, "irregular8")
-
-
-def macro_split(coords):
-    """Split a triangle at its barycenter into 3 CCW sub-triangles."""
-    coords = np.asarray(coords, dtype=float)
-    bc = coords.mean(axis=0)
-    subs = np.array([
-        [coords[0], coords[1], bc],
-        [coords[1], coords[2], bc],
-        [coords[2], coords[0], bc],
-    ])
-    return MacroSplit(barycenter=bc, sub_triangles=subs)
+    return _build_topology(vertices, triangles)
 
 
 def generate_mesh(family, level):

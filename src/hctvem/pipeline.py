@@ -9,13 +9,13 @@ ElementClass(k, verts) sets the geometry every method shares:
     diameter, barycenter        of the triangle
     boundary_nodes, n_boundary  the 3k boundary nodes in local DOF order
                                 (dofmap.boundary_nodes)
+    n_interior, ndof            dim P_{k-2}, and 3k + n_interior
     poly                        the P_k basis AffineMonomialBasis about the
                                 barycenter with J = diameter * I
 
 Every method's element class derives from it and sets what differs
 between methods:
 
-    ndof                        local DOF count
     projection                  (dim, ndof) DOFs -> projection coefficients
     stiffness                   (dim, dim) H1 Gram of the projection basis
     stabilizer                  (ndof, ndof) added to the stiffness, or
@@ -48,7 +48,8 @@ import scipy.sparse as sp
 
 from . import solvers
 from .dofmap import boundary_nodes
-from .polynomials import AffineMonomialBasis, lattice_multi_indices
+from .polynomials import (AffineMonomialBasis, lattice_multi_indices,
+                          monomial_dim)
 
 LOAD_RULES = ("interp", "exact", "vem")
 
@@ -111,6 +112,8 @@ class ElementClass:
         self.barycenter = self.verts.mean(axis=0)
         self.boundary_nodes = boundary_nodes(self.verts, k)
         self.n_boundary = len(self.boundary_nodes)
+        self.n_interior = monomial_dim(k - 2)
+        self.ndof = self.n_boundary + self.n_interior
 
     @cached_property
     def poly(self):

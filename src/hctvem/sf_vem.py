@@ -25,8 +25,6 @@ class SfElementClass(ElementClass):
         self.interior_basis = AffineMonomialBasis(
             self.barycenter,
             np.column_stack([v[1] - v[0], v[2] - v[0]]), k - 2)
-        self.n_interior = self.interior_basis.dim if k >= 2 else 0
-        self.ndof = self.n_boundary + self.n_interior
         self.stiffness = sp_.stiffness
         self.quad_points = sp_.quad_points
         self.quad_weights = sp_.quad_weights

@@ -94,7 +94,7 @@ def eval_basis(space, points):
     points = np.atleast_2d(np.asarray(points, dtype=float))
     where = np.full(len(points), -1)
     best_min = np.full(len(points), -np.inf)
-    for s, sub in enumerate(space.split.sub_triangles):
+    for s, sub in enumerate(space.sub_triangles):
         T = np.column_stack([sub[1] - sub[0], sub[2] - sub[0]])
         lam = np.linalg.solve(T, (points - sub[0]).T).T
         bary = np.column_stack([1 - lam.sum(axis=1), lam])
@@ -152,7 +152,7 @@ def _sf_oracle_elements(family, k, level):
         space = HctLocalSpace(k, X, quad_degree=qdeg)
         nb = space.num_boundary
         diameter = np.linalg.norm(X[[1, 2, 0]] - X, axis=1).max()
-        lap_basis = AffineMonomialBasis(space.split.barycenter,
+        lap_basis = AffineMonomialBasis(space.barycenter,
                                         diameter * np.eye(2), k - 2)
         P = np.column_stack(
             [project_hct(space, e) for e in np.eye(nb)]
@@ -319,14 +319,13 @@ def random_ccw_triangle(rng, min_area=0.05):
 
 
 def topology_oracle(vertices, triangles):
-    """The array fields and h_max of a TriangleMesh by a per-triangle dict
-    walk: edges are numbered in order of first appearance over (triangle,
-    local edge 01, 12, 20), edge_tris holds the first and the second
-    triangle seen."""
+    """The array fields of a TriangleMesh by a per-triangle dict walk:
+    edges are numbered in order of first appearance over (triangle, local
+    edge 01, 12, 20), and an edge seen once is a boundary edge."""
     edge_index = {}
     tri_edges = np.empty((len(triangles), 3), dtype=np.int64)
     edge_list = []
-    edge_tris = []
+    seen = []
     for t, (a, b, c) in enumerate(triangles):
         for j, (p, q) in enumerate(((a, b), (b, c), (c, a))):
             key = (p, q) if p < q else (q, p)
@@ -335,22 +334,18 @@ def topology_oracle(vertices, triangles):
                 e = len(edge_list)
                 edge_index[key] = e
                 edge_list.append(key)
-                edge_tris.append([t, -1])
+                seen.append(1)
             else:
-                assert edge_tris[e][1] == -1
-                edge_tris[e][1] = t
+                assert seen[e] == 1
+                seen[e] = 2
             tri_edges[t, j] = e
     edges = np.array(edge_list, dtype=np.int64)
-    edge_tris = np.array(edge_tris, dtype=np.int64)
-    boundary_edge = edge_tris[:, 1] == -1
+    boundary_edge = np.array(seen) == 1
     boundary_vertex = np.zeros(len(vertices), dtype=bool)
     boundary_vertex[edges[boundary_edge].ravel()] = True
-    lengths = np.linalg.norm(
-        vertices[edges[:, 0]] - vertices[edges[:, 1]], axis=1)
     return dict(vertices=vertices, triangles=triangles, edges=edges,
-                edge_tris=edge_tris, tri_edges=tri_edges,
-                boundary_vertex=boundary_vertex, boundary_edge=boundary_edge,
-                h_max=float(lengths.max()))
+                tri_edges=tri_edges, boundary_vertex=boundary_vertex,
+                boundary_edge=boundary_edge)
 
 
 def uniform_mesh_oracle(level):

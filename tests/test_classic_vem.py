@@ -8,8 +8,8 @@ from hctvem.mesh import generate_mesh
 from hctvem.pipeline import AssemblyError
 from hctvem.problems import get_solution
 from hctvem.classic_vem import (DOF_MODES, ClassicElementClass,
-                                EnrichedElementClass, solve_classic_vem,
-                                solve_enriched_vem)
+                                EnrichedElementClass, _edge_trace_data,
+                                solve_classic_vem, solve_enriched_vem)
 from hctvem.quadrature import quad_rule_triangle
 from hctvem.sf_vem import solve_sf_vem
 
@@ -31,6 +31,17 @@ class TestDofs:
         for k in (1, 2, 3, 4):
             ec = EnrichedElementClass(k, TRI, (), mode)
             assert ec.ndof == 3 * k + k * (k - 1) // 2
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_edge_traces_read_the_boundary_nodes(self, k):
+        # the trace map interpolates the coordinates, which are linear on
+        # an edge, from the edge's DOFs exactly: it must read the nodes
+        # that the DOFs of its columns sit at, in its order
+        ec = EnrichedElementClass(k, TRI, ())
+        for pts, _, _, lag, cols in _edge_trace_data(ec, 2 * k + 6):
+            assert len(cols) == k + 1
+            assert np.abs(lag @ ec.boundary_nodes[cols] - pts).max() \
+                <= 1e-15
 
     def test_constant_function_dofs(self):
         ec = EnrichedElementClass(3, TRI, (), "standard")

@@ -99,6 +99,13 @@ class TestValidation:
         {"method": "classic", "alpha": float("nan")},
         {"method": "classic", "alpha": float("inf")},
         {"levels": (1, MAX_LEVEL + 1)},                  # above the cap
+        {"k": 3.0},                                      # not an integer
+        {"k": 2.5},
+        {"k": True},
+        {"levels": (1.0, 2)},
+        {"levels": (1, True)},
+        {"method": "enriched", "k": 2, "harmonic_degrees": (3.5,)},
+        {"method": "enriched", "k": 2, "harmonic_degrees": ("3",)},
     ])
     def test_invalid_configs_rejected(self, patch):
         cfg = ExperimentConfig()

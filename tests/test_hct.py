@@ -44,6 +44,20 @@ class TestDimensionsAndNodes:
             HctLocalSpace(7, TRI)
 
 
+class TestMacroSplit:
+    def test_split_preserves_area_and_orientation(self):
+        sp = HctLocalSpace(1, TRI)
+        assert np.allclose(sp.barycenter, TRI.mean(axis=0))
+        areas = []
+        for sub in sp.sub_triangles:
+            d1, d2 = sub[1] - sub[0], sub[2] - sub[0]
+            areas.append(0.5 * (d1[0] * d2[1] - d1[1] * d2[0]))
+        areas = np.array(areas)
+        assert np.all(areas > 0)
+        d1, d2 = TRI[1] - TRI[0], TRI[2] - TRI[0]
+        assert np.isclose(areas.sum(), 0.5 * (d1[0] * d2[1] - d1[1] * d2[0]))
+
+
 class TestBasis:
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_lagrange_property_at_nodes(self, k):
@@ -61,7 +75,7 @@ class TestBasis:
 
     def test_continuity_across_internal_edges(self):
         sp = HctLocalSpace(3, TRI)
-        bc = sp.split.barycenter
+        bc = sp.barycenter
         # points on the segment vertex-to-barycenter, approached from the
         # two adjacent sub-triangles
         for v in TRI:

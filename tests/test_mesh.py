@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,15 +8,13 @@ from conftest import (irregular8_mesh_oracle, topology_oracle,
 
 from hctvem.mesh import (MAX_LEVEL, MeshError, _build_topology, export_mesh,
                          gen_irregular8_mesh, gen_uniform_mesh,
-                         generate_mesh, macro_split)
+                         generate_mesh, signed_areas)
 
 
 def assert_mesh_matches_oracle(mesh, expected):
+    assert set(expected) == {f.name for f in dataclasses.fields(mesh)}
     for name, want in expected.items():
         got = getattr(mesh, name)
-        if name == "h_max":
-            assert got == want
-            continue
         assert got.dtype == want.dtype, name
         assert got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
@@ -30,13 +30,9 @@ class TestUniformFamily:
 
     def test_all_triangles_ccw_and_cover_unit_square(self):
         m = gen_uniform_mesh(3)
-        areas = m.signed_areas()
+        areas = signed_areas(m.vertices, m.triangles)
         assert np.all(areas > 0)
         assert np.isclose(areas.sum(), 1.0)
-
-    def test_h_max_halves_per_level(self):
-        h = [gen_uniform_mesh(l).h_max for l in (1, 2, 3)]
-        assert np.allclose(h, [h[0], h[0] / 2, h[0] / 4])
 
 
 class TestIrregular8Family:
@@ -53,13 +49,13 @@ class TestIrregular8Family:
 
     def test_all_triangles_ccw_and_cover_unit_square(self):
         m = gen_irregular8_mesh(2)
-        areas = m.signed_areas()
+        areas = signed_areas(m.vertices, m.triangles)
         assert np.all(areas > 0)
         assert np.isclose(areas.sum(), 1.0)
 
     def test_contains_noncongruent_shapes(self):
         m = gen_irregular8_mesh(1)
-        areas = np.round(m.signed_areas(), 12)
+        areas = np.round(signed_areas(m.vertices, m.triangles), 12)
         assert len(set(areas)) > 1
 
 
@@ -67,10 +63,10 @@ class TestTopology:
     @pytest.mark.parametrize("family", ["uniform", "irregular8"])
     def test_edge_triangle_consistency(self, family):
         m = generate_mesh(family, 2)
-        # every interior edge is shared by exactly two triangles
-        interior = ~m.boundary_edge
-        assert np.all(m.edge_tris[interior, 1] >= 0)
-        assert np.all(m.edge_tris[m.boundary_edge, 1] == -1)
+        # every boundary edge lies in one triangle, every interior edge
+        # in exactly two
+        uses = np.bincount(m.tri_edges.ravel(), minlength=m.num_edges)
+        assert np.array_equal(uses, np.where(m.boundary_edge, 1, 2))
         # tri_edges round trip: each triangle lists its own edges
         for t in range(m.num_triangles):
             tri = set(m.triangles[t])
@@ -88,7 +84,7 @@ class TestTopology:
 
 class TestAgainstLoopOracle:
     """The array code reproduces the per-triangle loops bit for bit: vertex
-    order, edge numbering, adjacency and boundary flags."""
+    order, edge numbering, triangle-edge map and boundary flags."""
 
     @pytest.mark.parametrize("level", range(1, 9))
     def test_uniform(self, level):
@@ -109,24 +105,8 @@ class TestAgainstLoopOracle:
         vertices = np.empty_like(m.vertices)
         vertices[new_id] = m.vertices
         triangles = new_id[m.triangles][rng.permutation(m.num_triangles)]
-        assert_mesh_matches_oracle(_build_topology(vertices, triangles, 3,
-                                                   "custom"),
+        assert_mesh_matches_oracle(_build_topology(vertices, triangles),
                                    topology_oracle(vertices, triangles))
-
-
-class TestMacroSplit:
-    def test_split_preserves_area_and_orientation(self):
-        coords = np.array([[0.0, 0.0], [1.0, 0.2], [0.3, 0.8]])
-        ms = macro_split(coords)
-        assert np.allclose(ms.barycenter, coords.mean(axis=0))
-        areas = []
-        for sub in ms.sub_triangles:
-            d1, d2 = sub[1] - sub[0], sub[2] - sub[0]
-            areas.append(0.5 * (d1[0] * d2[1] - d1[1] * d2[0]))
-        areas = np.array(areas)
-        assert np.all(areas > 0)
-        d1, d2 = coords[1] - coords[0], coords[2] - coords[0]
-        assert np.isclose(areas.sum(), 0.5 * (d1[0] * d2[1] - d1[1] * d2[0]))
 
 
 class TestValidationAndExport:
@@ -139,14 +119,13 @@ class TestValidationAndExport:
     def test_clockwise_triangle_rejected(self):
         vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(MeshError, match="non-CCW"):
-            _build_topology(vertices, [(0, 2, 1)], 1, "custom")
+            _build_topology(vertices, [(0, 2, 1)])
 
     def test_edge_shared_by_three_triangles_rejected(self):
         vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0],
                              [0.5, 2.0], [0.5, 3.0]])
         with pytest.raises(MeshError, match="more than two triangles"):
-            _build_topology(vertices, [(0, 1, 2), (0, 1, 3), (0, 1, 4)], 1,
-                            "custom")
+            _build_topology(vertices, [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
 
     def test_unknown_family_rejected(self):
         with pytest.raises(MeshError):

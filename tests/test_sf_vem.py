@@ -8,7 +8,7 @@ from conftest import (dirichlet_oracle, group_elements_oracle, orders,
                       sf_errors)
 
 from hctvem.classic_vem import ClassicElementClass, EnrichedElementClass
-from hctvem.dofmap import DofMap, boundary_nodes
+from hctvem.dofmap import DofMap, boundary_nodes, edge_slots
 from hctvem.mesh import generate_mesh
 from hctvem.pipeline import AssemblyError, group_elements
 from hctvem.problems import get_solution
@@ -172,6 +172,13 @@ class TestAssembly:
         assert dm.dirichlet.sum() == (m.boundary_vertex.sum()
                                       + (k - 1) * m.boundary_edge.sum())
         assert np.array_equal(dm.dirichlet, dirichlet_oracle(m, k))
+
+    def test_edge_slots(self):
+        # vertices first, then the edge nodes edge by edge, each edge
+        # walked from its first vertex
+        assert edge_slots(1).tolist() == [[0, 1], [1, 2], [2, 0]]
+        assert edge_slots(3).tolist() == [[0, 3, 4, 1], [1, 5, 6, 2],
+                                          [2, 7, 8, 0]]
 
     @pytest.mark.parametrize("family", ["uniform", "irregular8"])
     @pytest.mark.parametrize("k", range(1, 7))
