@@ -8,7 +8,8 @@ import numpy as np
 
 from .dofmap import DofMap, edge_slots
 from .pipeline import (AssemblyError, ElementClass, Field, Solution,
-                       assemble, build_classes, solve_reduced)
+                       assemble, build_classes, solve_reduced,
+                       translation_classes)
 from .polynomials import harmonic_basis, monomial_exponents
 from .quadrature import quad_rule_triangle, quad_rule_edge
 
@@ -182,7 +183,8 @@ _ENRICHED_CACHE = {}
 # _build_classes and _assemble_and_solve are this module's entries into
 # the shared pipeline, apart from sf_vem's for the benchmark's tracer
 def _build_classes(mesh, factory, cache, cache_key):
-    return build_classes(mesh, factory, cache, cache_key)
+    return build_classes(mesh,
+                         translation_classes(factory, cache, cache_key))
 
 
 def _assemble_and_solve(mesh, k, classes, problem, solver, tol, load_rule,

@@ -82,10 +82,11 @@ def _cmd_mesh(args):
 
 
 def _cmd_verify(args):
-    """Quick structural checks: projection polynomial consistency, SPD
-    assembly, and the lowest-order finite element equivalence."""
+    """Quick structural checks: projection polynomial consistency, the
+    scale-free class cache, SPD assembly, and the lowest-order finite
+    element equivalence."""
     from .mesh import gen_uniform_mesh, gen_irregular8_mesh
-    from .sf_vem import SfElementClass, solve_sf_vem
+    from .sf_vem import SfElementClass, sf_class, solve_sf_vem
     from .problems import get_solution
     from . import solvers
 
@@ -105,6 +106,15 @@ def _cmd_verify(args):
         err = np.abs(rec - full).max() / max(np.abs(full).max(), 1e-30)
         if err > 1e-9:
             failures.append(f"P_{k} reproduction error {err:.2e}")
+        # classes are built once per shape up to a power-of-two scale: one
+        # handed out at scale 2^-3 must carry a fresh build's K_loc bits
+        cache = {}
+        sf_class(k, tri, cache)
+        small = np.ldexp(tri, -3)
+        if sf_class(k, small, cache).K_loc.tobytes() \
+                != SfElementClass(k, small).K_loc.tobytes():
+            failures.append(f"k={k} class at scale 2^-3 differs from a "
+                            "fresh build")
 
     for fam, gen in (("uniform", gen_uniform_mesh),
                      ("irregular8", gen_irregular8_mesh)):

@@ -1,6 +1,10 @@
 """The method-independent pipeline shared by all three methods: element
 classes per translation class, global assembly, Dirichlet reduction and
 solve, and the discrete and reference fields with their error norms.
+A method's element_class(local) hands out the class of each translation
+class and caches what it builds: classic and enriched once per
+translation class (translation_classes), sf-hct once per shape up to a
+power-of-two scale (sf_vem.sf_class), as that element is scale-free.
 
 ElementClass(k, verts) sets the geometry every method shares:
 
@@ -63,7 +67,9 @@ _KEY_DIGITS = 12
 
 
 def group_elements(mesh):
-    """Group triangles into translation classes (v1-v0, v2-v0).
+    """Group triangles into translation classes (v1-v0, v2-v0), keyed by
+    those edge vectors rounded to _KEY_DIGITS decimals.  The key only
+    groups: build_classes builds each class from its first triangle.
 
     Both mesh families consist of translated copies of a handful of
     shapes, so all element-level matrices are computed once per class.
@@ -81,20 +87,29 @@ def group_elements(mesh):
     return {tuple(keys[idx[0]]): idx for idx in classes}
 
 
-def build_classes(mesh, factory, cache, cache_key):
+def build_classes(mesh, element_class):
     """[(element class, triangle indices)] per translation class.
-    factory(local_verts) builds a class; it is stored in `cache` under
-    cache_key + (shape key,), which must name every parameter the class
-    depends on."""
+    element_class(local) hands out the class of the exact local vertices
+    of the class's first triangle (its vertices less its first vertex),
+    not of the rounded key, and caches what it builds."""
     out = []
-    for key, idx in group_elements(mesh).items():
-        full = cache_key + (key,)
-        if full not in cache:
-            local = np.array([[0.0, 0.0], [key[0], key[1]],
-                              [key[2], key[3]]])
-            cache[full] = factory(local)
-        out.append((cache[full], idx))
+    for idx in group_elements(mesh).values():
+        v = mesh.vertices[mesh.triangles[idx[0]]]
+        out.append((element_class(v - v[0]), idx))
     return out
+
+
+def translation_classes(factory, cache, cache_key):
+    """An element_class for build_classes that builds factory(local) once
+    per translation class, stored in `cache` under cache_key + (local
+    edge vectors,); cache_key must name every parameter the class
+    depends on."""
+    def element_class(local):
+        key = cache_key + (tuple(local[1:].ravel()),)
+        if key not in cache:
+            cache[key] = factory(local)
+        return cache[key]
+    return element_class
 
 
 class ElementClass:

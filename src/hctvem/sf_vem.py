@@ -1,7 +1,17 @@
 """Stabilizer-free virtual element method: DOFs are edge nodal values plus
 coefficients of -Delta(v) in the element's affine monomial basis about the
 barycenter (scaled by the squared diameter).  The local stiffness is the
-energy product of the HCT projections of the DOF basis."""
+energy product of the HCT projections of the DOF basis.
+
+The element is scale-free: the macro split at the barycenter, the
+h-scaled P_k basis and the interior DOFs scaled by the squared diameter
+make the projection and K_loc of a triangle those of any scaled copy.
+So one SfElementClass is built per shape up to a power-of-two scale, and
+each mesh level gets a ScaledSfClass of it, whose arrays equal a fresh
+build's bit for bit, as scaling by 2^e is exact in floating point (away
+from overflow and underflow)."""
+
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -21,10 +31,6 @@ class SfElementClass(ElementClass):
         super().__init__(k, local_verts)
         self.space = HctLocalSpace(k, self.verts)
         sp_ = self.space
-        v = self.verts
-        self.interior_basis = AffineMonomialBasis(
-            self.barycenter,
-            np.column_stack([v[1] - v[0], v[2] - v[0]]), k - 2)
         self.stiffness = sp_.stiffness
         self.quad_points = sp_.quad_points
         self.quad_weights = sp_.quad_weights
@@ -41,6 +47,14 @@ class SfElementClass(ElementClass):
             self.projection[:, nb:] = Pi / e
         else:
             self.interior_scale = np.zeros(0)
+
+    @cached_property
+    def interior_basis(self):
+        """P_{k-2} in the affine coordinates of the edges from verts[0]."""
+        v = self.verts
+        return AffineMonomialBasis(
+            self.barycenter,
+            np.column_stack([v[1] - v[0], v[2] - v[0]]), self.k - 2)
 
     def _projection_matrix(self):
         sp_ = self.space
@@ -75,9 +89,57 @@ class SfElementClass(ElementClass):
         return np.concatenate([bvals, interior], axis=1)
 
 
+class ScaledSfClass(SfElementClass):
+    """The class `base` scaled by 2^e, built from base's arrays.  The
+    projection, stiffness Gram, interior scale, basis values, K_loc,
+    p1_dofs and R_S are base's; points, weights, R_M and gradients are
+    base's times exact powers of two; the geometry, interior basis and
+    load operators are computed at the level's scale."""
+
+    def __init__(self, base, e):
+        ElementClass.__init__(self, base.k, np.ldexp(base.verts, e))
+        self.base, self.e = base, e
+        self.projection = base.projection
+        self.stiffness = base.stiffness
+        self.interior_scale = base.interior_scale
+        self.basis_values = base.basis_values
+        self.quad_points = np.ldexp(base.quad_points, e)
+        self.quad_weights = np.ldexp(base.quad_weights, 2 * e)
+
+    @cached_property
+    def basis_gradients(self):
+        return np.ldexp(self.base.basis_gradients, -self.e)
+
+    @property
+    def K_loc(self):
+        return self.base.K_loc
+
+    @property
+    def p1_dofs(self):
+        return self.base.p1_dofs
+
+    @property
+    def error_factors(self):
+        R_M, R_S = self.base.error_factors
+        return np.ldexp(R_M, self.e), R_S
+
+
+def sf_class(k, local, cache):
+    """The class of the triangle with local vertices `local`: a
+    ScaledSfClass of the SfElementClass of local * 2^-e, where 2^e bounds
+    the largest |coordinate| (np.frexp), built once and stored in `cache`
+    under (k, its edge vectors)."""
+    e = int(np.frexp(np.abs(local).max())[1])
+    shape = np.ldexp(local, -e)
+    key = (k, tuple(shape[1:].ravel()))
+    if key not in cache:
+        cache[key] = SfElementClass(k, shape)
+    return ScaledSfClass(cache[key], e)
+
+
 def _class_cache_build(mesh, k, cache=None):
-    return build_classes(mesh, lambda local: SfElementClass(k, local),
-                         {} if cache is None else cache, (k,))
+    cache = {} if cache is None else cache
+    return build_classes(mesh, lambda local: sf_class(k, local, cache))
 
 
 _GLOBAL_CACHE = {}

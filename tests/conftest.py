@@ -20,7 +20,7 @@ from hctvem.experiments import convergence_order
 from hctvem.mesh import generate_mesh
 from hctvem.polynomials import AffineMonomialBasis
 from hctvem.problems import get_solution
-from hctvem.sf_vem import SfElementClass, solve_sf_vem
+from hctvem.sf_vem import _class_cache_build, solve_sf_vem
 from hctvem.solvers import ConvergenceError
 
 
@@ -62,15 +62,24 @@ def enriched_errors(family, k, degrees, lo, hi):
     return out
 
 
-# element-class factories by method; classic and enriched as the
+# element-class factories of the translation-class methods, as the
 # benchmark runs them
 FACTORIES = {
-    "sf-hct": lambda k: lambda lv: SfElementClass(k, lv),
     "classic": lambda k: lambda lv: ClassicElementClass(
         k, lv, "l2_normalized_x10", -1.0),
     "enriched": lambda k: lambda lv: EnrichedElementClass(k, lv, (k + 1,)),
 }
+SF_CACHE = {}
 CLASS_CACHE = {}
+
+
+def element_classes(method, mesh, k):
+    """[(element class, triangle indices)] of one method on mesh, built
+    and cached as the solve_* functions build them."""
+    if method == "sf-hct":
+        return _class_cache_build(mesh, k, SF_CACHE)
+    return pipeline.build_classes(mesh, pipeline.translation_classes(
+        FACTORIES[method](k), CLASS_CACHE, (method, k)))
 
 
 def reduced_system(method, family, k, level, f=get_solution("sinsin").f):
@@ -79,8 +88,7 @@ def reduced_system(method, family, k, level, f=get_solution("sinsin").f):
     built through pipeline as the solve_* functions build them; f=None
     assembles a zero load."""
     mesh = generate_mesh(family, level)
-    classes = pipeline.build_classes(mesh, FACTORIES[method](k),
-                                     CLASS_CACHE, (method, k))
+    classes = element_classes(method, mesh, k)
     dm = DofMap(mesh, k)
     A, b = pipeline.assemble(dm, classes, f)
     return (*pipeline.reduce_dirichlet(dm, A, b), dm, classes)

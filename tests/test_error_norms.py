@@ -5,7 +5,7 @@ cancellation, and the fields they must refuse to compare."""
 import numpy as np
 import pytest
 
-from conftest import CLASS_CACHE, FACTORIES, quadrature_error_norms
+from conftest import element_classes, quadrature_error_norms
 
 from hctvem import pipeline
 from hctvem.classic_vem import solve_classic_vem, solve_enriched_vem
@@ -48,8 +48,7 @@ def test_constant_measured_without_cancellation(k):
     # at k = 6 on this mesh, and so is ||Pi c||_L2 - |c| (the unit square).
     c = -2.75
     mesh = generate_mesh("irregular8", 3)
-    classes = pipeline.build_classes(mesh, FACTORIES["sf-hct"](k),
-                                     CLASS_CACHE, ("sf-hct", k))
+    classes = element_classes("sf-hct", mesh, k)
     const, zero = [], []
     for ec, idx in classes:
         d = np.zeros((len(idx), ec.ndof))

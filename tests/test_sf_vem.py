@@ -9,7 +9,7 @@ from conftest import (dirichlet_oracle, group_elements_oracle, orders,
 
 from hctvem.classic_vem import ClassicElementClass, EnrichedElementClass
 from hctvem.dofmap import DofMap, boundary_nodes, edge_slots
-from hctvem.mesh import generate_mesh
+from hctvem.mesh import _build_topology, generate_mesh
 from hctvem.pipeline import AssemblyError, group_elements
 from hctvem.problems import get_solution
 from hctvem.sf_vem import (SfElementClass, _assemble, _class_cache_build,
@@ -70,7 +70,87 @@ class TestElementClasses:
         m = generate_mesh("uniform", 2)
         a = _class_cache_build(m, 2, cache)
         b = _class_cache_build(m, 2, cache)
-        assert all(x[0] is y[0] for x, y in zip(a, b))
+        assert len(cache) == 2
+        assert all(x[0].base is y[0].base for x, y in zip(a, b))
+        assert {id(ec.base) for ec, _ in a} \
+            == {id(ec) for ec in cache.values()}
+
+    def test_classes_built_from_exact_vertices(self):
+        # at 2^-12 the edge vectors need 13 decimals: a class built from
+        # its 12-decimal key would sit up to 5e-13 off the mesh
+        base = generate_mesh("irregular8", 2)
+        m = _build_topology(np.ldexp(base.vertices, -12), base.triangles)
+        v = m.vertices[m.triangles]
+        for ec, idx in _class_cache_build(m, 2):
+            assert same_bits(ec.verts, v[idx[0]] - v[idx[0], 0])
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+def irregular8_shapes():
+    m = generate_mesh("irregular8", 1)
+    v = m.vertices[m.triangles]
+    return [v[idx[0]] - v[idx[0], 0] for idx in group_elements(m).values()]
+
+
+class TestScaleFreeClasses:
+    """The class cache rests on the element being scale-free: a copy
+    scaled by 2^-j has the same projection and K_loc bits, and its
+    other arrays scale by exact powers of two."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_scaled_copy(self, k):
+        for verts in [TRI] + irregular8_shapes():
+            for j in (1, 5):
+                a = SfElementClass(k, verts)
+                b = SfElementClass(k, np.ldexp(verts, -j))
+                for name in ("K_loc", "projection", "p1_dofs"):
+                    assert same_bits(getattr(b, name), getattr(a, name))
+                assert same_bits(b.error_factors[1], a.error_factors[1])
+                assert same_bits(b.error_factors[0],
+                                 np.ldexp(a.error_factors[0], -j))
+                for x, y in [(b.quad_weights, a.quad_weights),
+                             (b.load_matrix, a.load_matrix),
+                             (b.interp_load[1], a.interp_load[1]),
+                             (b.vem_load_matrix, a.vem_load_matrix)]:
+                    assert same_bits(x, np.ldexp(y, -2 * j))
+
+    # every array the pipeline reads from a class
+    READ = ("verts", "diameter", "barycenter", "boundary_nodes",
+            "n_boundary", "ndof", "quad_points", "quad_weights",
+            "interior_scale", "projection", "basis_values",
+            "basis_gradients", "K_loc", "load_matrix", "vem_load_matrix",
+            "p1_dofs")
+
+    @pytest.mark.parametrize("family,levels,shapes",
+                             [("irregular8", range(1, 5), 8),
+                              ("uniform", range(2, 6), 2)])
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_level_classes_equal_fresh_builds(self, family, levels,
+                                              shapes, k):
+        prob = get_solution("sinsin")
+        cache = {}
+        for level in levels:
+            m = generate_mesh(family, level)
+            v = m.vertices[m.triangles]
+            for ec, idx in _class_cache_build(m, k, cache):
+                fresh = SfElementClass(k, v[idx[0]] - v[idx[0], 0])
+                for name in self.READ:
+                    assert same_bits(getattr(ec, name),
+                                     getattr(fresh, name)), name
+                for got, want in zip(
+                        ec.interp_load + ec.error_factors,
+                        fresh.interp_load + fresh.error_factors):
+                    assert same_bits(got, want)
+                origins = v[idx, 0]
+                assert same_bits(
+                    ec.dof_values(prob.u, prob.lap_u, origins),
+                    fresh.dof_values(prob.u, prob.lap_u, origins))
+        assert len(cache) == shapes
 
 
 class TestLocalProjection:
