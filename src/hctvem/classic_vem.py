@@ -8,8 +8,8 @@ import numpy as np
 
 from .dofmap import DofMap, edge_slots
 from .pipeline import (AssemblyError, ElementClass, Field, Solution,
-                       assemble, build_classes, solve_reduced,
-                       translation_classes)
+                       assemble_load, assemble_matrix, build_classes,
+                       solve_reduced, translation_classes)
 from .polynomials import harmonic_basis, monomial_exponents
 from .quadrature import quad_rule_triangle, quad_rule_edge
 
@@ -190,8 +190,9 @@ def _build_classes(mesh, factory, cache, cache_key):
 def _assemble_and_solve(mesh, k, classes, problem, solver, tol, load_rule,
                         kappa):
     dm = DofMap(mesh, k)
-    A, b = assemble(dm, classes, problem.f, load_rule)
-    return solve_reduced(ClassicSolution, dm, A, b, classes, solver, tol,
+    b = assemble_load(dm, classes, problem.f, load_rule)
+    S = assemble_matrix(dm, classes, skeleton=True)
+    return solve_reduced(ClassicSolution, dm, S, b, classes, solver, tol,
                          kappa)
 
 

@@ -83,8 +83,8 @@ def _cmd_mesh(args):
 
 def _cmd_verify(args):
     """Quick structural checks: projection polynomial consistency, the
-    scale-free class cache, SPD assembly, and the lowest-order finite
-    element equivalence."""
+    scale-free class cache, SPD assembly, the condensed solve against the
+    full system, and the lowest-order finite element equivalence."""
     from .mesh import gen_uniform_mesh, gen_irregular8_mesh
     from .sf_vem import SfElementClass, sf_class, solve_sf_vem
     from .problems import get_solution
@@ -107,22 +107,33 @@ def _cmd_verify(args):
         if err > 1e-9:
             failures.append(f"P_{k} reproduction error {err:.2e}")
         # classes are built once per shape up to a power-of-two scale: one
-        # handed out at scale 2^-3 must carry a fresh build's K_loc bits
+        # handed out at scale 2^-3 must carry a fresh build's K_loc and
+        # condensed S_loc bits
         cache = {}
         sf_class(k, tri, cache)
         small = np.ldexp(tri, -3)
-        if sf_class(k, small, cache).K_loc.tobytes() \
-                != SfElementClass(k, small).K_loc.tobytes():
-            failures.append(f"k={k} class at scale 2^-3 differs from a "
-                            "fresh build")
+        scaled, fresh = sf_class(k, small, cache), SfElementClass(k, small)
+        for name, a, b in (("K_loc", scaled.K_loc, fresh.K_loc),
+                           ("S_loc", scaled.condensed[2],
+                            fresh.condensed[2])):
+            if a.tobytes() != b.tobytes():
+                failures.append(f"k={k} {name} at scale 2^-3 differs from "
+                                "a fresh build")
 
     for fam, gen in (("uniform", gen_uniform_mesh),
                      ("irregular8", gen_irregular8_mesh)):
+        # the solve runs on the condensed skeleton; its DOFs must solve
+        # the full reduced system
         sol = solve_sf_vem(gen(2), 2, prob)
         try:
-            solvers.solve_dense_cholesky(sol.matrix, sol.load)
+            x = solvers.solve_dense_cholesky(sol.matrix, sol.load)
         except solvers.NotSpdError as exc:
             failures.append(f"{fam} level-2 system not SPD: {exc}")
+            continue
+        err = np.abs(sol.dofs[sol.dofmap.free] - x).max() / np.abs(x).max()
+        if err > 1e-10:
+            failures.append(f"{fam} level-2 condensed solve off the full "
+                            f"system's by {err:.2e}")
 
     for gen in (gen_uniform_mesh, gen_irregular8_mesh):
         mesh = gen(3)

@@ -236,7 +236,7 @@ def run_experiment(cfg):
             solvers.export_matrix_market(
                 sol.matrix, f"{cfg.dump_matrix}.level{level}")
         report.rows.append(LevelResult(
-            level=level, dofs=sol.matrix.shape[0], l2=l2, h1=h1,
+            level=level, dofs=len(sol.dofmap.free), l2=l2, h1=h1,
             kappa=sol.kappa))
     if cfg.out:
         with open(cfg.out, "w") as fh:

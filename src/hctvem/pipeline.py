@@ -1,6 +1,7 @@
 """The method-independent pipeline shared by all three methods: element
-classes per translation class, global assembly, Dirichlet reduction and
-solve, and the discrete and reference fields with their error norms.
+classes per translation class, global assembly, Dirichlet reduction,
+static condensation and solve, and the discrete and reference fields with
+their error norms.
 A method's element_class(local) hands out the class of each translation
 class and caches what it builds: classic and enriched once per
 translation class (translation_classes), sf-hct once per shape up to a
@@ -34,11 +35,19 @@ between methods:
                                 whose projection is the error reference
 
 ElementClass derives from these, once per class, the local stiffness
-K_loc, the load operators of the three load rules (load_matrix,
-interp_load, vem_load_matrix), p1_dofs, the DOFs of the barycentric
-coordinates that span the coarse space of the CG solve, and
-error_factors, the triangular factors R_M and R_S that take a DOF
-difference straight to the L2 norm and H1 seminorm of its projection.
+K_loc, its static condensation `condensed` (the interior DOFs eliminated,
+which leaves the Schur complement S_loc on the 3k boundary DOFs), the
+load operators of the three load rules (load_matrix, interp_load,
+vem_load_matrix), p1_dofs, the DOFs of the barycentric coordinates that
+span the coarse space of the CG solve, and error_factors, the triangular
+factors R_M and R_S that take a DOF difference straight to the L2 norm
+and H1 seminorm of its projection.
+
+Every level is solved on its skeleton, the free vertex and edge DOFs:
+the interior DOFs of each element couple only within it, so they are
+eliminated class by class before the global factor (Condensation), and
+recovered afterwards.  The full reduced matrix is assembled only when
+read (Solution.matrix); kappa multiplies by it element by element.
 
 Local coordinates put the class's first vertex at the origin; `origins`
 are the first vertices of the class's triangles.
@@ -49,6 +58,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import cho_solve
 
 from . import solvers
 from .dofmap import boundary_nodes
@@ -143,6 +153,28 @@ class ElementClass:
         return 0.5 * (K + K.T) + self.stabilizer
 
     @cached_property
+    def condensed(self):
+        """(chol, X, S_loc), the static condensation of K_loc (Guyan, AIAA
+        J. 1965): with b the 3k boundary DOFs and i the interior ones, chol
+        is the lower Cholesky factor of K_ii, X = K_ii^-1 K_ib and S_loc =
+        K_bb - K_bi X, which the skeleton system assembles.  With no
+        interior DOFs (k = 1), chol is None and S_loc is K_loc.  Raises
+        solvers.NotSpdError when K_ii is not positive definite."""
+        nb, K = self.n_boundary, self.K_loc
+        if not self.n_interior:
+            return None, np.zeros((0, nb)), K
+        try:
+            chol = np.linalg.cholesky(K[nb:, nb:])
+        except np.linalg.LinAlgError as exc:
+            raise solvers.NotSpdError(
+                f"interior block of the degree-{self.k} element on the "
+                f"local vertices {self.verts.tolist()} is not positive "
+                "definite") from exc
+        X = cho_solve((chol, True), K[nb:, :nb])
+        S = K[:nb, :nb] - K[:nb, nb:] @ X
+        return chol, X, 0.5 * (S + S.T)
+
+    @cached_property
     def load_matrix(self):
         """(nq, ndof): f at quad_points -> (f, Pi phi_j)_K."""
         return (self.quad_weights[:, None] * self.basis_values) \
@@ -225,9 +257,30 @@ def coarse_space(dm, classes):
         shape=(len(dm.free), np.count_nonzero(~dm.mesh.boundary_vertex)))
 
 
-def assemble(dm, classes, f, load_rule="interp", lap_f=None):
-    """Global matrix (CSR) and load over the DOF numbering dm.  Load
-    rules: "interp" (f interpolated in P_k on the parent triangle),
+def assemble_matrix(dm, classes, skeleton=False):
+    """Global matrix (CSR) over the DOF numbering dm: each class's K_loc
+    over all DOFs or, with skeleton, its condensed S_loc over the vertex
+    and edge DOFs, numbered [0, dm.interior_offset)."""
+    n = dm.interior_offset if skeleton else dm.total
+    rows, cols, vals = [], [], []
+    for ec, idx in classes:
+        gd = dm.element_dofs[idx]
+        if gd.shape[1] != ec.ndof:
+            raise AssemblyError("inconsistent local DOF count")
+        K = ec.condensed[2] if skeleton else ec.K_loc
+        m = len(K)
+        gd = gd[:, :m]
+        rows.append(np.repeat(gd, m, axis=1).ravel())
+        cols.append(np.tile(gd, (1, m)).ravel())
+        vals.append(np.tile(K.ravel(), len(idx)))
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n)).tocsr()
+
+
+def assemble_load(dm, classes, f, load_rule="interp", lap_f=None):
+    """Global load over the DOF numbering dm; f=None gives a zero load.
+    Load rules: "interp" (f interpolated in P_k on the parent triangle),
     "exact" (f at the quadrature points) and "vem" (f interpolated in the
     virtual element space like the error reference; it needs lap_f, the
     Laplacian of f)."""
@@ -235,19 +288,11 @@ def assemble(dm, classes, f, load_rule="interp", lap_f=None):
         raise AssemblyError(f"unknown load rule {load_rule!r}")
     if load_rule == "vem" and lap_f is None:
         raise AssemblyError('load rule "vem" needs the Laplacian of f')
-    rows, cols, vals = [], [], []
     b = np.zeros(dm.total)
+    if f is None:
+        return b
     v0 = dm.mesh.vertices[dm.mesh.triangles[:, 0]]
     for ec, idx in classes:
-        gd = dm.element_dofs[idx]
-        if gd.shape[1] != ec.ndof:
-            raise AssemblyError("inconsistent local DOF count")
-        n = ec.ndof
-        rows.append(np.repeat(gd, n, axis=1).ravel())
-        cols.append(np.tile(gd, (1, n)).ravel())
-        vals.append(np.tile(ec.K_loc.ravel(), len(idx)))
-        if f is None:
-            continue
         if load_rule == "interp":
             nodes, interp_load = ec.interp_load
             pts = v0[idx][:, None, :] + nodes[None, :, :]
@@ -259,37 +304,121 @@ def assemble(dm, classes, f, load_rule="interp", lap_f=None):
             loads = fv @ ec.load_matrix
         else:
             loads = ec.dof_values(f, lap_f, v0[idx]) @ ec.vem_load_matrix
-        np.add.at(b, gd.ravel(), loads.ravel())
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dm.total, dm.total)).tocsr()
-    return A, b
+        np.add.at(b, dm.element_dofs[idx].ravel(), loads.ravel())
+    return b
 
 
-def reduce_dirichlet(dm, A, b):
-    """The system on the free DOFs (homogeneous Dirichlet data), CSC."""
-    free = dm.free
-    return A[free][:, free].tocsc(), b[free]
+def _restrict(A, rows):
+    """A's rows and columns `rows`, CSC."""
+    return A[rows][:, rows].tocsc()
 
 
-def solve_reduced(solution_class, dm, A, b, classes, solver, tol,
+class Condensation:
+    """Static condensation of one level's interior DOFs.  The full reduced
+    system A on the free DOFs numbers its interior DOFs last (DofMap does,
+    and none of them is a Dirichlet DOF), so its leading n_skeleton
+    unknowns are the free vertex and edge DOFs, the skeleton, and its
+    Schur complement there is the skeleton system S that
+    assemble_matrix(dm, classes, skeleton=True) assembles from S_loc.
+
+    condense and back_substitute take a load r of A to S's load and S's
+    solution back to A's; between them A^-1 r is exact block elimination
+    (inverse).  With no interior DOFs (k = 1) S is A, and both pass their
+    vector through.  matvec multiplies by A element by element, without
+    assembling it; matrix is A itself, assembled on first read; shape is
+    A's."""
+
+    def __init__(self, dm, classes):
+        self.dm, self.classes = dm, classes
+        n = len(dm.free)
+        self.shape = (n, n)
+        self.n_skeleton = int(np.searchsorted(dm.free, dm.interior_offset))
+
+    @cached_property
+    def _slots(self):
+        """Per class, the (nE, ndof) positions of its elements' DOFs in
+        A, Dirichlet DOFs at a discarded position n."""
+        pos = free_index(self.dm)
+        pos[pos < 0] = self.shape[0]
+        return [pos[self.dm.element_dofs[idx]] for _, idx in self.classes]
+
+    def matvec(self, x):
+        """A x, summed from the K_loc products of the elements."""
+        n = self.shape[0]
+        xe = np.append(x, 0.0)
+        y = np.zeros(n + 1)
+        for (ec, _), slots in zip(self.classes, self._slots):
+            y += np.bincount(slots.ravel(),
+                             weights=(xe[slots] @ ec.K_loc).ravel(),
+                             minlength=n + 1)
+        return y[:n]
+
+    @cached_property
+    def matrix(self):
+        """The full reduced matrix A (CSC)."""
+        return _restrict(assemble_matrix(self.dm, self.classes),
+                         self.dm.free)
+
+    def condense(self, r):
+        """S's load g = r_b - sum_e X_e^T r_i,e of A's load r."""
+        n, n_s = self.shape[0], self.n_skeleton
+        if n_s == n:
+            return r
+        g = np.zeros(n + 1)
+        for (ec, _), slots in zip(self.classes, self._slots):
+            nb, (_, X, _) = ec.n_boundary, ec.condensed
+            g -= np.bincount(slots[:, :nb].ravel(),
+                             weights=(r[slots[:, nb:]] @ X).ravel(),
+                             minlength=n + 1)
+        return r[:n_s] + g[:n_s]
+
+    def back_substitute(self, x, r):
+        """A's solution from S's solution x and A's load r: the interior
+        DOFs u_i = K_ii^-1 r_i - X x_b, one batch per class."""
+        n, n_s = self.shape[0], self.n_skeleton
+        if n_s == n:
+            return x
+        u = np.zeros(n + 1)
+        u[:n_s] = x
+        for (ec, _), slots in zip(self.classes, self._slots):
+            nb, (chol, X, _) = ec.n_boundary, ec.condensed
+            interior = slots[:, nb:]
+            u[interior] = cho_solve((chol, True), r[interior].T).T \
+                - u[slots[:, :nb]] @ X.T
+        return u[:n]
+
+    def inverse(self, skeleton_inverse):
+        """r -> A^-1 r, given x -> S^-1 x."""
+        return lambda r: self.back_substitute(
+            skeleton_inverse(self.condense(r)), r)
+
+
+def solve_reduced(solution_class, dm, S, b, classes, solver, tol,
                   kappa=False):
-    """Eliminate the Dirichlet DOFs, solve, and wrap the full DOF vector
-    (Dirichlet zeros), the reduced matrix and load and, with kappa, their
-    kappa_2 (else None, as on a level without free DOFs), which
-    solvers.solve_spd computes beside the solve, in solution_class.  CG
-    gets the P1 coarse space and the per-element free-DOF index for its
-    two-level preconditioner."""
-    A_red, b_red = reduce_dirichlet(dm, A, b)
+    """Eliminate the Dirichlet DOFs, condense the interior DOFs, solve on
+    the skeleton and back-substitute; S is the skeleton matrix of
+    assemble_matrix(dm, classes, skeleton=True) and b the load on all
+    DOFs.  Wrap the full DOF vector (Dirichlet zeros), the condensation
+    (whose matrix is the reduced matrix), the reduced load and, with
+    kappa, the kappa_2 of the full reduced matrix (else None, as on a
+    level without free DOFs), which solvers.solve_spd computes beside the
+    solve, in solution_class.  CG gets the P1 coarse space on the skeleton
+    and the per-element skeleton index for its two-level
+    preconditioner."""
+    cond = Condensation(dm, classes)
+    S_red = _restrict(S, dm.free[:cond.n_skeleton])
+    b_red = b[dm.free]
     two_level = {}
     if solver == "cg":
-        two_level = dict(coarse=coarse_space(dm, classes),
-                         element_dofs=free_index(dm)[dm.element_dofs])
-    x, kappa = solvers.solve_spd(A_red, b_red, method=solver, tol=tol,
-                                 kappa=kappa, **two_level)
+        two_level = dict(
+            coarse=coarse_space(dm, classes)[:cond.n_skeleton],
+            element_dofs=free_index(dm)[dm.element_dofs[:, :3 * dm.k]])
+    x, kappa = solvers.solve_spd(
+        S_red, cond.condense(b_red), method=solver, tol=tol, kappa=kappa,
+        condensed=cond if dm.n_interior else None, **two_level)
     dofs = np.zeros(dm.total)
-    dofs[dm.free] = x
-    return solution_class(dm.mesh, dm.k, dm, dofs, classes, A_red, b_red,
+    dofs[dm.free] = cond.back_substitute(x, b_red)
+    return solution_class(dm.mesh, dm.k, dm, dofs, classes, cond, b_red,
                           kappa)
 
 
@@ -334,11 +463,17 @@ class Solution:
     dofmap: object
     dofs: np.ndarray                 # full DOF vector (Dirichlet zeros)
     classes: list                    # [(element class, element indices)]
-    matrix: object                   # reduced system matrix (CSC)
+    condensation: Condensation       # of the level's interior DOFs
     load: np.ndarray                 # reduced load vector
     kappa: float = None              # kappa_2 of matrix, if asked for
 
     field_class = Field
+
+    @property
+    def matrix(self):
+        """The reduced system matrix (CSC) on all free DOFs, assembled on
+        first read: the solve ran on the condensed skeleton."""
+        return self.condensation.matrix
 
     def solution_field(self):
         """Per-class local DOFs of u_h."""

@@ -18,8 +18,8 @@ from scipy.linalg import cho_solve
 
 from .dofmap import DofMap
 from .hct import HctLocalSpace
-from .pipeline import (ElementClass, Field, Solution, assemble,
-                       build_classes, solve_reduced)
+from .pipeline import (ElementClass, Field, Solution, assemble_load,
+                       assemble_matrix, build_classes, solve_reduced)
 from .polynomials import AffineMonomialBasis
 
 
@@ -91,10 +91,11 @@ class SfElementClass(ElementClass):
 
 class ScaledSfClass(SfElementClass):
     """The class `base` scaled by 2^e, built from base's arrays.  The
-    projection, stiffness Gram, interior scale, basis values, K_loc,
-    p1_dofs and R_S are base's; points, weights, R_M and gradients are
-    base's times exact powers of two; the geometry, interior basis and
-    load operators are computed at the level's scale."""
+    projection, stiffness Gram, interior scale, basis values, K_loc, its
+    condensation, p1_dofs and R_S are base's; points, weights, R_M and
+    gradients are base's times exact powers of two; the geometry,
+    interior basis and load operators are computed at the level's
+    scale."""
 
     def __init__(self, base, e):
         ElementClass.__init__(self, base.k, np.ldexp(base.verts, e))
@@ -113,6 +114,10 @@ class ScaledSfClass(SfElementClass):
     @property
     def K_loc(self):
         return self.base.K_loc
+
+    @property
+    def condensed(self):
+        return self.base.condensed
 
     @property
     def p1_dofs(self):
@@ -146,10 +151,11 @@ _GLOBAL_CACHE = {}
 
 
 def _assemble(mesh, k, classes, f, load_rule="interp", lap_f=None):
-    """Global matrix and load; see pipeline.assemble for the load rules."""
+    """The DOF map, the skeleton matrix and the global load; see
+    pipeline.assemble_load for the load rules."""
     dm = DofMap(mesh, k)
-    A, b = assemble(dm, classes, f, load_rule, lap_f)
-    return dm, A, b
+    b = assemble_load(dm, classes, f, load_rule, lap_f)
+    return dm, assemble_matrix(dm, classes, skeleton=True), b
 
 
 # SfField and SfSolution add nothing to the shared classes.  They exist so
@@ -166,6 +172,6 @@ class SfSolution(Solution):
 def solve_sf_vem(mesh, k, problem, solver="direct", tol=1e-12,
                  load_rule="interp", kappa=False):
     classes = _class_cache_build(mesh, k, _GLOBAL_CACHE)
-    dm, A, b = _assemble(mesh, k, classes, problem.f, load_rule,
+    dm, S, b = _assemble(mesh, k, classes, problem.f, load_rule,
                          problem.lap_f)
-    return solve_reduced(SfSolution, dm, A, b, classes, solver, tol, kappa)
+    return solve_reduced(SfSolution, dm, S, b, classes, solver, tol, kappa)

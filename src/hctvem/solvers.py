@@ -181,25 +181,42 @@ def _lambda_max(A):
     return _lanczos_extreme(lambda x: A @ x, A.shape[0])
 
 
+def _factorized(A):
+    """x -> A^-1 x by spla.factorized; a singular A is not SPD."""
+    try:
+        return spla.factorized(sp.csc_matrix(A, dtype=float))
+    except RuntimeError as exc:
+        raise NotSpdError(f"singular matrix: {exc}") from exc
+
+
 def solve_spd(A, b, method="direct", tol=1e-12, coarse=None,
-              element_dofs=None, kappa=False):
-    """Default solve path for assembled systems: (x, kappa_2(A)) with
-    kappa, else (x, None); an empty A has no kappa either.  "direct"
+              element_dofs=None, kappa=False, condensed=None):
+    """Default solve path for assembled systems: (x, kappa_2) with kappa,
+    else (x, None); an empty system has no kappa either.  "direct"
     factors A by SuperLU, "dense" by Cholesky.  With the coarse space and
     the per-element DOF index of two_level_preconditioner, "cg" is
     preconditioned by it; otherwise by the diagonal.
 
-    kappa is estimate_condition_2's, on the solve's own factor.  Its
-    lambda_max needs only products with A, which release the GIL, so it
-    runs on a second thread beside the factorization (mostly GIL-free as
-    well) and the solve; lambda_min's Lanczos, whose SuperLU solves hold
-    the GIL, stays on this thread.  The thread is joined before this
-    returns or raises."""
+    kappa is estimate_condition_2's, on the solve's own factor, of A or,
+    with condensed (a pipeline.Condensation whose Schur complement is A),
+    of the full system that condensed describes: its products are
+    condensed.matvec, and its inverse is condensed.inverse of A's (after
+    CG, A is factored by spla.factorized for it).  lambda_max needs only
+    those products, mostly GIL-free sparse or BLAS work, so it runs on a
+    second thread beside the factorization (mostly GIL-free as well) and
+    the solve; lambda_min's Lanczos, whose SuperLU solves hold the GIL,
+    stays on this thread.  The thread is joined before this returns or
+    raises."""
     if method not in SOLVERS:
         raise ValueError(f"unknown solver {method!r}")
+    system = A if condensed is None else condensed
+    n = system.shape[0]
     with ThreadPoolExecutor(max_workers=1) as pool:
-        lam_max = pool.submit(_lambda_max, A).result \
-            if kappa and A.shape[0] else None
+        lam_max = None
+        if kappa and n:
+            lam_max = (pool.submit(_lambda_max, A) if condensed is None else
+                       pool.submit(_lanczos_extreme, condensed.matvec, n)
+                       ).result
         inverse = None
         if method == "direct":
             inverse = _superlu_inverse(A)
@@ -216,7 +233,9 @@ def solve_spd(A, b, method="direct", tol=1e-12, coarse=None,
             x, _ = solve_cg(A_rows, b, tol=tol, preconditioner=pre)
         if lam_max is None:
             return x, None
-        return x, estimate_condition_2(A, inverse, lam_max)
+        if condensed is not None:
+            inverse = condensed.inverse(inverse or _factorized(A))
+        return x, estimate_condition_2(system, inverse, lam_max)
 
 
 def _lanczos_extreme(apply, n, max_iter=None, tol=1e-10):
@@ -279,17 +298,14 @@ def estimate_condition_2(A, inverse=None, lam_max=None):
     on A^-1.  inverse applies A^-1; without it A is factored here.
     lam_max, when given, returns lambda_max (solve_spd hands in its
     thread's result, which is awaited after lambda_min); without it the
-    Lanczos on A runs here.  Raises NotSpdError when A is singular or
-    either value is not positive, ConvergenceError when Lanczos does not
-    settle."""
+    Lanczos on A runs here.  Given both, A is read only for its shape.
+    Raises NotSpdError when A is singular or either value is not
+    positive, ConvergenceError when Lanczos does not settle."""
     n = A.shape[0]
     if n == 0:
         raise ValueError("condition number of an empty (0 x 0) matrix")
     if inverse is None:
-        try:
-            inverse = spla.factorized(sp.csc_matrix(A, dtype=float))
-        except RuntimeError as exc:
-            raise NotSpdError(f"singular matrix: {exc}") from exc
+        inverse = _factorized(A)
     mu = _lanczos_extreme(inverse, n)
     lam_max = _lambda_max(A) if lam_max is None else lam_max()
     if lam_max <= 0 or mu <= 0:

@@ -82,16 +82,18 @@ def element_classes(method, mesh, k):
         FACTORIES[method](k), CLASS_CACHE, (method, k)))
 
 
-def reduced_system(method, family, k, level, f=get_solution("sinsin").f):
-    """(A, b, dm, classes): the matrix (CSC) and load on the free DOFs of
-    one method at one mesh level, with its DofMap and element classes,
-    built through pipeline as the solve_* functions build them; f=None
-    assembles a zero load."""
+def reduced_system(method, family, k, level, f=get_solution("sinsin").f,
+                   load_rule="interp", lap_f=None):
+    """(A, b, dm, classes): the full matrix (CSC) and load on the free
+    DOFs (homogeneous Dirichlet data) of one method at one mesh level,
+    with its DofMap and element classes, assembled over all DOFs with no
+    condensation; f=None assembles a zero load."""
     mesh = generate_mesh(family, level)
     classes = element_classes(method, mesh, k)
     dm = DofMap(mesh, k)
-    A, b = pipeline.assemble(dm, classes, f)
-    return (*pipeline.reduce_dirichlet(dm, A, b), dm, classes)
+    A = pipeline.assemble_matrix(dm, classes)
+    b = pipeline.assemble_load(dm, classes, f, load_rule, lap_f)
+    return A[dm.free][:, dm.free].tocsc(), b[dm.free], dm, classes
 
 
 def eval_basis(space, points):

@@ -1,0 +1,239 @@
+"""Static condensation of the interior DOFs: every solve runs on the
+skeleton (free vertex and edge DOFs) and recovers the interior DOFs per
+class.  The oracle is the full reduced system of conftest.reduced_system,
+assembled without condensation and solved by SuperLU."""
+
+import numpy as np
+import pytest
+import scipy.sparse.linalg as spla
+
+from conftest import reduced_system
+
+from hctvem import classic_vem, pipeline, solvers
+from hctvem.cli import main
+from hctvem.classic_vem import (ClassicElementClass, solve_classic_vem,
+                                solve_enriched_vem)
+from hctvem.experiments import ExperimentConfig, run_experiment
+from hctvem.mesh import _build_topology, generate_mesh
+from hctvem.problems import get_solution
+from hctvem.sf_vem import SfElementClass, sf_class, solve_sf_vem
+
+PROB = get_solution("sinsin")
+TRI = np.array([[0.0, 0.0], [1.0, 0.1], [0.3, 0.9]])
+
+
+def solve(method, family, k, level, solver="direct", load_rule="interp",
+          kappa=False):
+    """A level solved by the program, with the element classes that
+    conftest.element_classes builds for the method."""
+    mesh = generate_mesh(family, level)
+    if method == "sf-hct":
+        return solve_sf_vem(mesh, k, PROB, solver=solver,
+                            load_rule=load_rule, kappa=kappa)
+    if method == "classic":
+        return solve_classic_vem(mesh, k, PROB, dof_mode="l2_normalized_x10",
+                                 alpha=-1.0, solver=solver, kappa=kappa)
+    return solve_enriched_vem(mesh, k, PROB, (k + 1,), solver=solver,
+                              kappa=kappa)
+
+
+CASES = ([("sf-hct", k, rule) for k in range(1, 7)
+          for rule in pipeline.LOAD_RULES]
+         + [("classic", k, "interp") for k in range(1, 5)]
+         + [("enriched", 2, "interp")])
+
+
+@pytest.mark.parametrize("solver", ["direct", "cg"])
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("family", ["uniform", "irregular8"])
+@pytest.mark.parametrize("method,k,load_rule", CASES)
+def test_condensed_solve_matches_full_solve(method, k, load_rule, family,
+                                            level, solver):
+    lap_f = PROB.lap_f if load_rule == "vem" else None
+    A, b, dm, _ = reduced_system(method, family, k, level,
+                                 load_rule=load_rule, lap_f=lap_f)
+    want = np.zeros(dm.total)
+    want[dm.free] = spla.splu(A).solve(b)
+    got = solve(method, family, k, level, solver, load_rule).dofs
+    # bound set before the run: 1e-10 relative in the max norm
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("method,k,solver", [
+    ("sf-hct", 6, "cg"), ("classic", 3, "direct"), ("enriched", 2, "direct"),
+])
+def test_kappa_is_that_of_the_full_system(method, k, solver):
+    sol = solve(method, "irregular8", k, 3, solver, kappa=True)
+    A = reduced_system(method, "irregular8", k, 3)[0]
+    want = solvers.estimate_condition_2(A)
+    assert abs(sol.kappa - want) <= 1e-10 * want
+
+
+@pytest.mark.parametrize("method,k", [("sf-hct", 1), ("sf-hct", 3),
+                                      ("classic", 3), ("enriched", 2)])
+def test_full_system_read_bit_for_bit(method, k):
+    sol = solve(method, "irregular8", k, 3)
+    A, b, _, _ = reduced_system(method, "irregular8", k, 3)
+    M = sol.matrix
+    assert M.format == "csc" and M.shape == A.shape
+    for got, want in ((M.indptr, A.indptr), (M.indices, A.indices),
+                      (M.data, A.data), (sol.load, b)):
+        assert got.tobytes() == want.tobytes()
+    assert sol.matrix is M
+
+
+def count_full_assemblies(monkeypatch):
+    """Calls of pipeline.assemble_matrix without skeleton, from now on."""
+    calls = []
+    assemble_matrix = pipeline.assemble_matrix
+
+    def counted(dm, classes, skeleton=False):
+        if not skeleton:
+            calls.append(dm.k)
+        return assemble_matrix(dm, classes, skeleton)
+
+    monkeypatch.setattr(pipeline, "assemble_matrix", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kappa", [False, True])
+def test_run_assembles_no_full_matrix(kappa, monkeypatch):
+    # kappa's lambda_max multiplies by the full system element by element
+    calls = count_full_assemblies(monkeypatch)
+    report = run_experiment(ExperimentConfig(k=3, mesh="irregular8",
+                                             levels=(1, 3), kappa=kappa))
+    assert calls == []
+    assert [r.dofs for r in report.rows] == [
+        reduced_system("sf-hct", "irregular8", 3, level)[0].shape[0]
+        for level in (1, 2, 3)]
+
+
+def test_dump_matrix_assembles_the_full_matrix_once_per_level(
+        tmp_path, monkeypatch):
+    calls = count_full_assemblies(monkeypatch)
+    run_experiment(ExperimentConfig(k=2, levels=(2, 3),
+                                    dump_matrix=str(tmp_path / "A")))
+    assert calls == [2, 2]
+
+
+def test_degree_one_has_nothing_to_condense(monkeypatch):
+    seen = []
+    solve_spd = solvers.solve_spd
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("condensed"))
+        return solve_spd(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "solve_spd", spy)
+    sol = solve("sf-hct", "irregular8", 1, 3, kappa=True)
+    assert seen == [None]
+    cond = sol.condensation
+    assert cond.n_skeleton == cond.shape[0]
+    r = np.ones(cond.shape[0])
+    assert cond.condense(r) is r and cond.back_substitute(r, r) is r
+    ec = sol.classes[0][0]
+    assert ec.condensed[2] is ec.K_loc
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_condensed_operators(k):
+    ec = SfElementClass(k, TRI)
+    chol, X, S = ec.condensed
+    nb, K = ec.n_boundary, ec.K_loc
+    assert np.allclose(chol @ chol.T, K[nb:, nb:], rtol=0,
+                       atol=1e-13 * np.abs(K).max())
+    # S_loc is the energy of the interior-minimizing extension: for u_b,
+    # (u_b, -X u_b) meets K_loc in u_b^T S_loc u_b
+    u = np.random.default_rng(k).normal(size=nb)
+    full = np.concatenate([u, -X @ u])
+    assert full @ K @ full == pytest.approx(u @ S @ u, rel=1e-10)
+    assert np.array_equal(S, S.T)
+    # the boundary columns of the projection are discrete-harmonic in the
+    # HCT space, so energy-orthogonal to its bubbles, which span the
+    # interior columns: K_ib vanishes up to round-off (|X| reached 3.7e-13
+    # at k = 6), and S_loc is K_bb
+    assert np.abs(X).max() <= 1e-11
+    assert np.allclose(S, K[:nb, :nb], rtol=0, atol=1e-12 * np.abs(K).max())
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_scaled_classes_share_the_condensation(k):
+    cache = {}
+    big = sf_class(k, TRI, cache)
+    small = sf_class(k, np.ldexp(TRI, -3), cache)
+    assert big.base is small.base
+    assert small.condensed is big.condensed is big.base.condensed
+    # and the scale-free S_loc carries a fresh build's bits
+    fresh = SfElementClass(k, np.ldexp(TRI, -3))
+    assert small.condensed[2].tobytes() == fresh.condensed[2].tobytes()
+
+
+def doctored(k, verts, mode="standard", alpha=0.0):
+    """A classic class whose interior block is indefinite."""
+    ec = ClassicElementClass(k, verts, mode, alpha)
+    K = ec.K_loc.copy()
+    nb = ec.n_boundary
+    K[nb, nb] = -K[nb, nb]
+    ec.K_loc = K
+    return ec
+
+
+def test_indefinite_interior_block_raises():
+    ec = doctored(3, TRI)
+    with pytest.raises(solvers.NotSpdError) as info:
+        ec.condensed
+    assert "degree-3" in str(info.value)
+    assert str(TRI.tolist()) in str(info.value)
+
+
+def test_indefinite_interior_block_stops_the_solve(monkeypatch):
+    monkeypatch.setattr(classic_vem, "ClassicElementClass", doctored)
+    monkeypatch.setattr(classic_vem, "_CLASSIC_CACHE", {})
+    with pytest.raises(solvers.NotSpdError, match="degree-2"):
+        solve_classic_vem(generate_mesh("uniform", 2), 2, PROB)
+
+
+def test_verify_catches_a_wrong_back_substitution(monkeypatch, capsys):
+    back_substitute = pipeline.Condensation.back_substitute
+
+    def off(self, x, r):
+        u = back_substitute(self, x, r)
+        return u + 1e-6 * np.abs(u).max() * (np.arange(len(u)) >= len(x))
+
+    monkeypatch.setattr(pipeline.Condensation, "back_substitute", off)
+    assert main(["verify"]) == 1
+    assert "condensed solve" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_skeleton_cg_iterations_flat_in_h(k, monkeypatch):
+    # two-level CG on the skeleton, with P restricted to its rows: the
+    # same bound as on the full system (tests/test_solvers.py), measured
+    # at 27..38 iterations here
+    iterations = []
+    solve_cg = solvers.solve_cg
+
+    def spy(*args, **kwargs):
+        x, it = solve_cg(*args, **kwargs)
+        iterations.append(it)
+        return x, it
+
+    monkeypatch.setattr(solvers, "solve_cg", spy)
+    for level in (2, 3, 4):
+        solve("sf-hct", "irregular8", k, level, solver="cg")
+    assert len(iterations) == 3 and max(iterations) <= 40, iterations
+
+
+@pytest.mark.parametrize("solver", ["direct", "cg", "dense"])
+def test_single_triangle_has_an_empty_skeleton(solver):
+    # every vertex and edge DOF is a Dirichlet DOF: the solve is the
+    # back-substitution alone, and kappa is still that of the full system
+    mesh = _build_topology(TRI, np.array([[0, 1, 2]]))
+    sol = solve_sf_vem(mesh, 4, PROB, solver=solver, kappa=True)
+    assert sol.condensation.n_skeleton == 0
+    A = sol.matrix.toarray()
+    assert A.shape == (6, 6)
+    assert np.allclose(sol.dofs[sol.dofmap.free],
+                       np.linalg.solve(A, sol.load), rtol=1e-12, atol=0)
+    eig = np.linalg.eigvalsh(A)
+    assert sol.kappa == pytest.approx(eig[-1] / eig[0], rel=1e-10)

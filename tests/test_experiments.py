@@ -9,11 +9,12 @@ import pytest
 import hctvem
 from hctvem import solvers
 from hctvem.cli import main
+from hctvem.dofmap import DofMap
 from hctvem.experiments import (CSV_HEADER, ConfigError, ExperimentConfig,
                                 config_from_mapping, convergence_order,
                                 parse_config_file, parse_degree_list,
                                 parse_level_range, run_experiment)
-from hctvem.mesh import MAX_LEVEL
+from hctvem.mesh import MAX_LEVEL, generate_mesh
 
 
 class TestParsing:
@@ -173,7 +174,9 @@ class TestRunExperiment:
         # the benchmark traces spla.splu and expects it on direct solves
         # only (FIRES_ON in bench/test_bench.py): on the direct path kappa
         # reuses the solve's SuperLU factor, on the CG path it factors
-        # with spla.factorized, whose own SuperLU call is not traced
+        # with spla.factorized, whose own SuperLU call is not traced.
+        # Every factor is of the skeleton system, the free vertex and edge
+        # DOFs: kappa's A^-1 condenses onto it as the solve does
         sizes = {"splu": [], "factorized": []}
         for name, seen in sizes.items():
             def spy(A, *args, _original=getattr(solvers.spla, name),
@@ -184,14 +187,20 @@ class TestRunExperiment:
         rep = self.run(k=2, mesh="irregular8", levels=(2, 3), solver=solver,
                        kappa=True)
         dofs = [r.dofs for r in rep.rows]
+        skeleton = []
+        for level in (2, 3):
+            dm = DofMap(generate_mesh("irregular8", level), 2)
+            assert len(dm.free) == dofs[level - 2]
+            skeleton.append(int(np.sum(dm.free < dm.interior_offset)))
+        assert all(s < n for s, n in zip(skeleton, dofs))
         if solver == "direct":
-            assert sizes == {"splu": dofs, "factorized": []}
+            assert sizes == {"splu": skeleton, "factorized": []}
         else:
             assert sizes["splu"] == []
             # per level: the preconditioner's coarse matrix, then kappa's
-            coarse, full = sizes["factorized"][::2], sizes["factorized"][1::2]
-            assert full == dofs
-            assert all(nc < n for nc, n in zip(coarse, dofs))
+            coarse, skel = sizes["factorized"][::2], sizes["factorized"][1::2]
+            assert skel == skeleton
+            assert all(nc < n for nc, n in zip(coarse, skeleton))
 
     def test_cg_errors_match_direct_within_benchmark_gate(self):
         # the benchmark's correctness gate, 1e-6 rel + 1e-12 abs, on the

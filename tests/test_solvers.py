@@ -115,21 +115,24 @@ class TestSolveSpd:
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_direct_factor_fill_is_small(self, monkeypatch):
-        # a symmetric minimum-degree ordering keeps (nnz(L)+nnz(U))/nnz(A)
-        # near 2.7 at irregular8 k=3 L5; COLAMD gives 8.6
-        fills = []
+        # the direct solve factors the skeleton system S (the interior
+        # DOFs condensed out).  At irregular8 k=3 L5 a symmetric
+        # minimum-degree ordering keeps nnz(L)+nnz(U) at 2.2 times the nnz
+        # of the full reduced matrix A (4.6 nnz(S)); COLAMD gives 4.3 nnz(A)
+        # (9.1 nnz(S)).  Factoring A itself took 2.7 nnz(A)
+        factor_nnz = []
         splu = solvers.spla.splu
 
         def spy(A, *args, **kwargs):
             lu = splu(A, *args, **kwargs)
-            fills.append((lu.L.nnz + lu.U.nnz) / A.nnz)
+            factor_nnz.append(lu.L.nnz + lu.U.nnz)
             return lu
 
         monkeypatch.setattr(solvers.spla, "splu", spy)
-        solve_sf_vem(generate_mesh("irregular8", 5), 3,
-                     get_solution("sinsin"))
-        assert len(fills) == 1
-        assert fills[0] < 4
+        sol = solve_sf_vem(generate_mesh("irregular8", 5), 3,
+                           get_solution("sinsin"))
+        assert len(factor_nnz) == 1
+        assert factor_nnz[0] / sol.matrix.nnz < 4
 
 
 class TestConditionEstimate:
