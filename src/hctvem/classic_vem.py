@@ -190,7 +190,7 @@ def _build_classes(mesh, factory, cache, cache_key):
 def _assemble_and_solve(mesh, k, classes, problem, solver, tol, load_rule,
                         kappa):
     dm = DofMap(mesh, k)
-    b = assemble_load(dm, classes, problem.f, load_rule)
+    b = assemble_load(dm, classes, problem.f, load_rule, problem.lap_f)
     S = assemble_matrix(dm, classes, skeleton=True)
     return solve_reduced(ClassicSolution, dm, S, b, classes, solver, tol,
                          kappa)

@@ -130,7 +130,8 @@ def _cmd_verify(args):
         except solvers.NotSpdError as exc:
             failures.append(f"{fam} level-2 system not SPD: {exc}")
             continue
-        err = np.abs(sol.dofs[sol.dofmap.free] - x).max() / np.abs(x).max()
+        err = np.abs(sol.dofs[:sol.dofmap.n_free] - x).max() \
+            / np.abs(x).max()
         if err > 1e-10:
             failures.append(f"{fam} level-2 condensed solve off the full "
                             f"system's by {err:.2e}")

@@ -81,8 +81,6 @@ class ExperimentConfig:
         if self.method != "classic" and (self.alpha != 0.0
                                          or self.dof_mode != "standard"):
             raise ConfigError("alpha and dof mode are for the classic method")
-        if self.load_rule == "vem" and self.method != "sf-hct":
-            raise ConfigError('load rule "vem" is for the sf-hct method')
         # nan compares false: a plain tol <= 0 test would let it through
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ConfigError("tol must be positive and finite, "
@@ -236,7 +234,7 @@ def run_experiment(cfg):
             solvers.export_matrix_market(
                 sol.matrix, f"{cfg.dump_matrix}.level{level}")
         report.rows.append(LevelResult(
-            level=level, dofs=len(sol.dofmap.free), l2=l2, h1=h1,
+            level=level, dofs=sol.dofmap.n_free, l2=l2, h1=h1,
             kappa=sol.kappa))
     if cfg.out:
         with open(cfg.out, "w") as fh:

@@ -38,16 +38,19 @@ ElementClass derives from these, once per class, the local stiffness
 K_loc, its static condensation `condensed` (the interior DOFs eliminated,
 which leaves the Schur complement S_loc on the 3k boundary DOFs), the
 load operators of the three load rules (load_matrix, interp_load,
-vem_load_matrix), p1_dofs, the DOFs of the barycentric coordinates that
-span the coarse space of the CG solve, and error_factors, the triangular
-factors R_M and R_S that take a DOF difference straight to the L2 norm
-and H1 seminorm of its projection.
+vem_load_matrix), and error_factors, the triangular factors R_M and R_S
+that take a DOF difference straight to the L2 norm and H1 seminorm of
+its projection.
 
 Every level is solved on its skeleton, the free vertex and edge DOFs:
 the interior DOFs of each element couple only within it, so they are
 eliminated class by class before the global factor (Condensation), and
-recovered afterwards.  The full reduced matrix is assembled only when
-read (Solution.matrix); kappa multiplies by it element by element.
+recovered afterwards.  DofMap numbers the free DOFs first, so the
+reduced system is the block [0, n_free) of its numbering and the
+skeleton the block [0, n_skeleton); assembly drops the Dirichlet
+entries, and the reduced load and solution are slices.  The full reduced
+matrix is assembled only when read (Solution.matrix); kappa multiplies
+by it element by element.
 
 Local coordinates put the class's first vertex at the origin; `origins`
 are the first vertices of the class's triangles.
@@ -216,52 +219,13 @@ class ElementClass:
         return (np.linalg.qr(values @ self.projection, mode="r"),
                 np.linalg.qr(gradients @ self.projection, mode="r"))
 
-    @cached_property
-    def p1_dofs(self):
-        """(ndof, 3) DOFs of the barycentric coordinates of verts."""
-        # row i: (c0, cx, cy) with lambda_i = c0 + cx x + cy y
-        coeffs = np.linalg.inv(np.vstack([np.ones(3), self.verts.T]))
-        origin = np.zeros((1, 2))
-        no_laplacian = lambda x, y: np.zeros_like(x)
-        return np.column_stack(
-            [self.dof_values(lambda x, y, c=c: c[0] + c[1] * x + c[2] * y,
-                             no_laplacian, origin)[0] for c in coeffs])
-
-
-def free_index(dm):
-    """Position of each DOF among the free DOFs, -1 for Dirichlet DOFs."""
-    pos = np.full(dm.total, -1, dtype=np.int64)
-    pos[dm.free] = np.arange(len(dm.free))
-    return pos
-
-
-def coarse_space(dm, classes):
-    """P (CSR, free DOFs x free vertices): column j holds the free DOFs of
-    the P1 hat function of the j-th free vertex, so P^T A P is the P1
-    stiffness on the free vertices."""
-    T, n = dm.element_dofs.shape
-    lam = np.empty((T, n, 3))
-    for ec, idx in classes:
-        lam[idx] = ec.p1_dofs
-    # the hat functions are continuous, so any element holding a DOF gives
-    # their values there; one assignment keeps element and slot together
-    owner = np.empty(dm.total, dtype=np.int64)
-    owner[dm.element_dofs] = np.arange(T * n).reshape(T, n)
-    vals = lam.reshape(-1, 3)[owner]
-    pos = free_index(dm)
-    rows = np.broadcast_to(pos[:, None], vals.shape)
-    cols = pos[dm.mesh.triangles[owner // n]]     # vertex DOF = vertex id
-    keep = (rows >= 0) & (cols >= 0) & (vals != 0.0)
-    return sp.csr_matrix(
-        (vals[keep], (rows[keep], cols[keep])),
-        shape=(len(dm.free), np.count_nonzero(~dm.mesh.boundary_vertex)))
-
 
 def assemble_matrix(dm, classes, skeleton=False):
-    """Global matrix (CSR) over the DOF numbering dm: each class's K_loc
-    over all DOFs or, with skeleton, its condensed S_loc over the vertex
-    and edge DOFs, numbered [0, dm.interior_offset)."""
-    n = dm.interior_offset if skeleton else dm.total
+    """The reduced matrix (CSC) over the DOF numbering dm, the Dirichlet
+    entries dropped: each class's K_loc on the free DOFs [0, dm.n_free)
+    or, with skeleton, its condensed S_loc on the free vertex and edge
+    DOFs [0, dm.n_skeleton)."""
+    n = dm.n_skeleton if skeleton else dm.n_free
     rows, cols, vals = [], [], []
     for ec, idx in classes:
         gd = dm.element_dofs[idx]
@@ -270,12 +234,14 @@ def assemble_matrix(dm, classes, skeleton=False):
         K = ec.condensed[2] if skeleton else ec.K_loc
         m = len(K)
         gd = gd[:, :m]
-        rows.append(np.repeat(gd, m, axis=1).ravel())
-        cols.append(np.tile(gd, (1, m)).ravel())
-        vals.append(np.tile(K.ravel(), len(idx)))
+        free = gd < n
+        keep = np.repeat(free, m, axis=1) & np.tile(free, (1, m))
+        rows.append(np.repeat(gd, m, axis=1)[keep])
+        cols.append(np.tile(gd, (1, m))[keep])
+        vals.append(np.broadcast_to(K.ravel(), keep.shape)[keep])
     return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
+        shape=(n, n)).tocsc()
 
 
 def assemble_load(dm, classes, f, load_rule="interp", lap_f=None):
@@ -308,18 +274,13 @@ def assemble_load(dm, classes, f, load_rule="interp", lap_f=None):
     return b
 
 
-def _restrict(A, rows):
-    """A's rows and columns `rows`, CSC."""
-    return A[rows][:, rows].tocsc()
-
-
 class Condensation:
     """Static condensation of one level's interior DOFs.  The full reduced
-    system A on the free DOFs numbers its interior DOFs last (DofMap does,
-    and none of them is a Dirichlet DOF), so its leading n_skeleton
-    unknowns are the free vertex and edge DOFs, the skeleton, and its
-    Schur complement there is the skeleton system S that
-    assemble_matrix(dm, classes, skeleton=True) assembles from S_loc.
+    system A is the block [0, n_free) of the DOF numbering, and its
+    leading n_skeleton unknowns are the free vertex and edge DOFs, the
+    skeleton (DofMap numbers them first); its Schur complement there is
+    the skeleton system S that assemble_matrix(dm, classes, skeleton=True)
+    assembles from S_loc.
 
     condense and back_substitute take a load r of A to S's load and S's
     solution back to A's; between them A^-1 r is exact block elimination
@@ -330,17 +291,15 @@ class Condensation:
 
     def __init__(self, dm, classes):
         self.dm, self.classes = dm, classes
-        n = len(dm.free)
-        self.shape = (n, n)
-        self.n_skeleton = int(np.searchsorted(dm.free, dm.interior_offset))
+        self.shape = (dm.n_free, dm.n_free)
+        self.n_skeleton = dm.n_skeleton
 
     @cached_property
     def _slots(self):
         """Per class, the (nE, ndof) positions of its elements' DOFs in
         A, Dirichlet DOFs at a discarded position n."""
-        pos = free_index(self.dm)
-        pos[pos < 0] = self.shape[0]
-        return [pos[self.dm.element_dofs[idx]] for _, idx in self.classes]
+        return [np.minimum(self.dm.element_dofs[idx], self.shape[0])
+                for _, idx in self.classes]
 
     def matvec(self, x):
         """A x, summed from the K_loc products of the elements."""
@@ -356,8 +315,7 @@ class Condensation:
     @cached_property
     def matrix(self):
         """The full reduced matrix A (CSC)."""
-        return _restrict(assemble_matrix(self.dm, self.classes),
-                         self.dm.free)
+        return assemble_matrix(self.dm, self.classes)
 
     def condense(self, r):
         """S's load g = r_b - sum_e X_e^T r_i,e of A's load r."""
@@ -403,21 +361,18 @@ def solve_reduced(solution_class, dm, S, b, classes, solver, tol,
     kappa, the kappa_2 of the full reduced matrix (else None, as on a
     level without free DOFs), which solvers.solve_spd computes beside the
     solve, in solution_class.  CG gets the P1 coarse space on the skeleton
-    and the per-element skeleton index for its two-level
-    preconditioner."""
+    and the elements' skeleton DOFs for its two-level preconditioner."""
     cond = Condensation(dm, classes)
-    S_red = _restrict(S, dm.free[:cond.n_skeleton])
-    b_red = b[dm.free]
+    b_red = b[:dm.n_free]
     two_level = {}
     if solver == "cg":
-        two_level = dict(
-            coarse=coarse_space(dm, classes)[:cond.n_skeleton],
-            element_dofs=free_index(dm)[dm.element_dofs[:, :3 * dm.k]])
+        two_level = dict(coarse=dm.coarse_space(),
+                         element_dofs=dm.element_dofs[:, :3 * dm.k])
     x, kappa = solvers.solve_spd(
-        S_red, cond.condense(b_red), method=solver, tol=tol, kappa=kappa,
+        S, cond.condense(b_red), method=solver, tol=tol, kappa=kappa,
         condensed=cond if dm.n_interior else None, **two_level)
     dofs = np.zeros(dm.total)
-    dofs[dm.free] = cond.back_substitute(x, b_red)
+    dofs[:dm.n_free] = cond.back_substitute(x, b_red)
     return solution_class(dm.mesh, dm.k, dm, dofs, classes, cond, b_red,
                           kappa)
 

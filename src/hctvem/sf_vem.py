@@ -92,7 +92,7 @@ class SfElementClass(ElementClass):
 class ScaledSfClass(SfElementClass):
     """The class `base` scaled by 2^e, built from base's arrays.  The
     projection, stiffness Gram, interior scale, basis values, K_loc, its
-    condensation, p1_dofs and R_S are base's; points, weights, R_M and
+    condensation and R_S are base's; points, weights, R_M and
     gradients are base's times exact powers of two; the geometry,
     interior basis and load operators are computed at the level's
     scale."""
@@ -118,10 +118,6 @@ class ScaledSfClass(SfElementClass):
     @property
     def condensed(self):
         return self.base.condensed
-
-    @property
-    def p1_dofs(self):
-        return self.base.p1_dofs
 
     @property
     def error_factors(self):

@@ -109,10 +109,10 @@ def two_level_preconditioner(A, coarse, element_dofs):
 
     P = coarse maps the coarse unknowns (the P1 hat functions) to A's
     unknowns; P^T A P is factored once.  R_e restricts to the unknowns of
-    element e, the rows of element_dofs (-1 marks an eliminated DOF, whose
-    slot gets an identity row).  When P is square the coarse solve is
-    exact and is applied alone.  Raises NotSpdError when an element block
-    is not positive definite.
+    element e, the rows of element_dofs (an index >= n marks an
+    eliminated DOF, whose slot gets an identity row).  When P is square
+    the coarse solve is exact and is applied alone.  Raises NotSpdError
+    when an element block is not positive definite.
     """
     n = A.shape[0]
     if n == 0:
@@ -124,7 +124,7 @@ def two_level_preconditioner(A, coarse, element_dofs):
             return lambda r: coarse @ coarse_solve(coarse.T @ r)
 
     T, m = element_dofs.shape
-    fixed = element_dofs < 0
+    fixed = element_dofs >= n
     gather = np.where(fixed, 0, element_dofs)
     inv = np.empty((T, m, m))
     step = max(1, _BLOCK_CHUNK // (m * m))
@@ -145,7 +145,7 @@ def two_level_preconditioner(A, coarse, element_dofs):
         linv = np.linalg.inv(chol)
         inv[s:s + step] = linv.transpose(0, 2, 1) @ linv
     # eliminated slots gather a zero and scatter to a discarded slot n
-    slots = np.where(fixed, n, element_dofs)
+    slots = np.minimum(element_dofs, n)
     flat = slots.ravel()
 
     def apply(r):

@@ -85,15 +85,15 @@ def element_classes(method, mesh, k):
 def reduced_system(method, family, k, level, f=get_solution("sinsin").f,
                    load_rule="interp", lap_f=None):
     """(A, b, dm, classes): the full matrix (CSC) and load on the free
-    DOFs (homogeneous Dirichlet data) of one method at one mesh level,
-    with its DofMap and element classes, assembled over all DOFs with no
+    DOFs [0, dm.n_free) (homogeneous Dirichlet data) of one method at one
+    mesh level, with its DofMap and element classes, assembled with no
     condensation; f=None assembles a zero load."""
     mesh = generate_mesh(family, level)
     classes = element_classes(method, mesh, k)
     dm = DofMap(mesh, k)
     A = pipeline.assemble_matrix(dm, classes)
     b = pipeline.assemble_load(dm, classes, f, load_rule, lap_f)
-    return A[dm.free][:, dm.free].tocsc(), b[dm.free], dm, classes
+    return A, b[:dm.n_free], dm, classes
 
 
 def eval_basis(space, points):
@@ -424,14 +424,3 @@ def group_elements_oracle(mesh, ndigits=12):
     for t, key in enumerate(map(tuple, keys)):
         groups.setdefault(key, []).append(t)
     return {key: np.array(idx) for key, idx in groups.items()}
-
-
-def dirichlet_oracle(mesh, k):
-    """DofMap.dirichlet by a walk over the boundary vertices and edges."""
-    n_edge = k - 1
-    V, E, T = mesh.num_vertices, mesh.num_edges, mesh.num_triangles
-    flags = np.zeros(V + E * n_edge + T * k * (k - 1) // 2, dtype=bool)
-    flags[:V] = mesh.boundary_vertex
-    for e in np.flatnonzero(mesh.boundary_edge):
-        flags[V + e * n_edge:V + (e + 1) * n_edge] = True
-    return flags

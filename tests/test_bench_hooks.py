@@ -10,11 +10,13 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
-from tracer import ENTRY_POINTS, _resolve  # noqa: E402
+from tracer import COUNTERS, ENTRY_POINTS, _resolve  # noqa: E402
 
-from hctvem import classic_vem, sf_vem, solvers  # noqa: E402
+from hctvem import classic_vem, pipeline, sf_vem, solvers  # noqa: E402
 from hctvem.experiments import (ExperimentConfig,  # noqa: E402
                                 run_experiment)
+from hctvem.mesh import generate_mesh  # noqa: E402
+from hctvem.problems import get_solution  # noqa: E402
 
 
 @pytest.mark.parametrize("path", sorted(ENTRY_POINTS))
@@ -32,6 +34,38 @@ def test_no_two_entry_points_share_a_slot():
         slot = (id(owner), attr)
         assert slot not in slots, f"{path} and {slots[slot]} share a slot"
         slots[slot] = path
+
+
+@pytest.mark.parametrize("module,solve", [
+    (sf_vem, lambda mesh, k, prob: sf_vem.solve_sf_vem(mesh, k, prob)),
+    (classic_vem,
+     lambda mesh, k, prob: classic_vem.solve_classic_vem(mesh, k, prob)),
+], ids=["sf-hct", "classic"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_counters_keep_their_meaning(module, solve, k, monkeypatch):
+    # dofmap.dofs counts every DOF, the Dirichlet ones too, and
+    # assemble.nnz is the skeleton matrix that the solver gets
+    mesh = generate_mesh("irregular8", 2)
+    dm = module.DofMap(mesh, k)
+    name = module.__name__.rpartition(".")[2]
+    counted = COUNTERS[f"{name}.DofMap"](None, dm)
+    assert counted["dofmap.dofs"] == dm.total == (
+        mesh.num_vertices + (k - 1) * mesh.num_edges
+        + k * (k - 1) // 2 * mesh.num_triangles)
+    received = []
+    solve_spd = solvers.solve_spd
+
+    def spy(*args, **kwargs):
+        received.append(args[0])
+        return solve_spd(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "solve_spd", spy)
+    sol = solve(mesh, k, get_solution("sinsin"))
+    S = pipeline.assemble_matrix(dm, sol.classes, skeleton=True)
+    assert S.shape == (dm.n_skeleton, dm.n_skeleton)
+    [A] = received
+    assert COUNTERS["solvers.solve_spd"]((A,), None) \
+        == {"assemble.nnz": S.nnz}
 
 
 def test_cache_names_read_by_the_worker_exist():

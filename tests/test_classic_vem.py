@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import polynomial
+from conftest import polynomial, reduced_system
 
 from hctvem import classic_vem
 from hctvem.mesh import generate_mesh
@@ -124,13 +126,28 @@ class TestGlobalSolves:
 
     @pytest.mark.parametrize("rule", ["vem", "midpoint"])
     def test_load_rule_errors_through_shared_assembler(self, rule):
-        prob = get_solution("sinsin")
+        # "vem" fails only for a problem that lacks the Laplacian of f
+        prob = dataclasses.replace(get_solution("sinsin"), lap_f=None)
         m = generate_mesh("uniform", 2)
         with pytest.raises(AssemblyError):
             solve_classic_vem(m, 2, prob, load_rule=rule)
         with pytest.raises(AssemblyError):
             solve_enriched_vem(m, 2, prob, harmonic_degrees=(3,),
                                load_rule=rule)
+
+    @pytest.mark.parametrize("method,k", [("classic", k) for k in (2, 3, 4)]
+                             + [("enriched", k) for k in (2, 3)])
+    def test_vem_load_is_exact_for_quadratic_f(self, method, k):
+        # bubble4 has f in P_2, which the virtual space holds and the
+        # projection keeps, so (Pi I_h f, Pi phi_j) is (f, Pi phi_j)
+        prob = get_solution("bubble4")
+        exact = reduced_system(method, "irregular8", k, 3, f=prob.f,
+                               load_rule="exact")[1]
+        vem = reduced_system(method, "irregular8", k, 3, f=prob.f,
+                             load_rule="vem", lap_f=prob.lap_f)[1]
+        # bound set before the run: 1e-12 relative in the max norm
+        # (measured: <= 1.4e-14)
+        assert np.abs(vem - exact).max() <= 1e-12 * np.abs(exact).max()
 
     def test_degree_above_4_rejected(self):
         with pytest.raises(ValueError):

@@ -53,7 +53,7 @@ def test_condensed_solve_matches_full_solve(method, k, load_rule, family,
     A, b, dm, _ = reduced_system(method, family, k, level,
                                  load_rule=load_rule, lap_f=lap_f)
     want = np.zeros(dm.total)
-    want[dm.free] = spla.splu(A).solve(b)
+    want[:dm.n_free] = spla.splu(A).solve(b)
     got = solve(method, family, k, level, solver, load_rule).dofs
     # bound set before the run: 1e-10 relative in the max norm
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
@@ -233,7 +233,7 @@ def test_single_triangle_has_an_empty_skeleton(solver):
     assert sol.condensation.n_skeleton == 0
     A = sol.matrix.toarray()
     assert A.shape == (6, 6)
-    assert np.allclose(sol.dofs[sol.dofmap.free],
+    assert np.allclose(sol.dofs[:sol.dofmap.n_free],
                        np.linalg.solve(A, sol.load), rtol=1e-12, atol=0)
     eig = np.linalg.eigvalsh(A)
     assert sol.kappa == pytest.approx(eig[-1] / eig[0], rel=1e-10)

@@ -68,6 +68,12 @@ class TestValidation:
     def test_defaults_valid(self):
         ExperimentConfig().validate()
 
+    @pytest.mark.parametrize("method,extra", [
+        ("sf-hct", {}), ("classic", {}),
+        ("enriched", {"k": 2, "harmonic_degrees": (3,)})])
+    def test_vem_load_rule_valid_for_every_method(self, method, extra):
+        ExperimentConfig(method=method, load_rule="vem", **extra).validate()
+
     @pytest.mark.parametrize("patch", [
         {"method": "fem"},
         {"mesh": "hex"},
@@ -81,7 +87,6 @@ class TestValidation:
         {"method": "enriched", "k": 2,
          "harmonic_degrees": (2,)},                      # degree <= k
         {"tol": 0.0},
-        {"method": "classic", "load_rule": "vem"},       # sf-hct only
         {"method": "enriched", "k": 1,
          "harmonic_degrees": (16,)},                     # rule too high
         {"load_rule": "foo"},
@@ -190,8 +195,8 @@ class TestRunExperiment:
         skeleton = []
         for level in (2, 3):
             dm = DofMap(generate_mesh("irregular8", level), 2)
-            assert len(dm.free) == dofs[level - 2]
-            skeleton.append(int(np.sum(dm.free < dm.interior_offset)))
+            assert dm.n_free == dofs[level - 2]
+            skeleton.append(dm.n_skeleton)
         assert all(s < n for s, n in zip(skeleton, dofs))
         if solver == "direct":
             assert sizes == {"splu": skeleton, "factorized": []}

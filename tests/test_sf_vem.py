@@ -3,9 +3,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import (dirichlet_oracle, group_elements_oracle, orders,
-                      polynomial, random_ccw_triangle, reduced_system,
-                      sf_errors)
+from conftest import (group_elements_oracle, orders, polynomial,
+                      random_ccw_triangle, reduced_system, sf_errors)
 
 from hctvem.classic_vem import ClassicElementClass, EnrichedElementClass
 from hctvem.dofmap import DofMap, boundary_nodes, edge_slots
@@ -108,7 +107,7 @@ class TestScaleFreeClasses:
             for j in (1, 5):
                 a = SfElementClass(k, verts)
                 b = SfElementClass(k, np.ldexp(verts, -j))
-                for name in ("K_loc", "projection", "p1_dofs"):
+                for name in ("K_loc", "projection"):
                     assert same_bits(getattr(b, name), getattr(a, name))
                 assert same_bits(b.error_factors[1], a.error_factors[1])
                 assert same_bits(b.error_factors[0],
@@ -123,8 +122,7 @@ class TestScaleFreeClasses:
     READ = ("verts", "diameter", "barycenter", "boundary_nodes",
             "n_boundary", "ndof", "quad_points", "quad_weights",
             "interior_scale", "projection", "basis_values",
-            "basis_gradients", "K_loc", "load_matrix", "vem_load_matrix",
-            "p1_dofs")
+            "basis_gradients", "K_loc", "load_matrix", "vem_load_matrix")
 
     @pytest.mark.parametrize("family,levels,shapes",
                              [("irregular8", range(1, 5), 8),
@@ -236,7 +234,7 @@ class TestAssembly:
     def test_assembled_matrix_symmetric(self):
         A, b, dm, _ = reduced_system("sf-hct", "irregular8", 3, 2)
         assert abs(A - A.T).max() < 1e-12 * abs(A).max()
-        assert A.shape[0] == len(dm.free) == len(b)
+        assert A.shape[0] == dm.n_free == len(b)
 
     def test_dirichlet_elimination_counts(self):
         A, b, dm, _ = reduced_system("sf-hct", "uniform", 2, 2, f=None)
@@ -245,13 +243,57 @@ class TestAssembly:
                          + m.boundary_edge.sum())
         assert dm.total - A.shape[0] == n_boundary
 
+    @staticmethod
+    def node_coordinates(m, dm):
+        """(dm.total, 2) coordinates of each vertex and edge DOF, put there
+        by the elements' local boundary nodes (NaN for interior DOFs), and
+        (dm.total,) how many elements hold each DOF."""
+        k = dm.k
+        slots = dm.element_dofs[:, :3 * k].ravel()
+        nodes = np.concatenate([boundary_nodes(m.vertices[tri], k)
+                                for tri in m.triangles])
+        coords = np.full((dm.total, 2), np.nan)
+        coords[slots] = nodes
+        assert np.abs(coords[slots] - nodes).max() <= 1e-14
+        return coords, np.bincount(slots, minlength=dm.total)
+
     @pytest.mark.parametrize("k", range(1, 7))
     def test_dirichlet_flags(self, k):
+        # the Dirichlet DOFs are the ones from n_free on: exactly the
+        # vertex and edge nodes on the boundary of the unit square
         m = generate_mesh("irregular8", 3)
         dm = DofMap(m, k)
-        assert dm.dirichlet.sum() == (m.boundary_vertex.sum()
-                                      + (k - 1) * m.boundary_edge.sum())
-        assert np.array_equal(dm.dirichlet, dirichlet_oracle(m, k))
+        coords, held = self.node_coordinates(m, dm)
+        on_boundary = np.any((coords == 0.0) | (coords == 1.0), axis=1)
+        assert np.all(held[dm.n_free:] > 0)
+        assert np.array_equal(np.flatnonzero(on_boundary),
+                              np.arange(dm.n_free, dm.total))
+        assert dm.total - dm.n_free == (m.boundary_vertex.sum()
+                                        + (k - 1) * m.boundary_edge.sum())
+
+    @pytest.mark.parametrize("family", ["uniform", "irregular8"])
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_skeleton_dofs_come_first(self, family, k):
+        # [0, n_skeleton): the free vertex and edge DOFs, then the
+        # interior DOFs up to n_free
+        m = generate_mesh(family, 3)
+        dm = DofMap(m, k)
+        _, held = self.node_coordinates(m, dm)
+        assert np.all(held[:dm.n_skeleton] > 0)
+        assert np.all(held[dm.n_skeleton:dm.n_free] == 0)
+        assert np.array_equal(np.sort(dm.element_dofs[:, 3 * k:].ravel()),
+                              np.arange(dm.n_skeleton, dm.n_free))
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_free_vertex_dof_j_is_the_jth_interior_vertex(self, k):
+        m = generate_mesh("irregular8", 3)
+        dm = DofMap(m, k)
+        dof = np.empty(m.num_vertices, dtype=np.int64)
+        dof[m.triangles] = dm.element_dofs[:, :3]
+        interior = ~m.boundary_vertex
+        assert np.array_equal(dof[interior],
+                              np.arange(np.count_nonzero(interior)))
+        assert np.all(dof[m.boundary_vertex] >= dm.n_free)
 
     def test_edge_slots(self):
         # vertices first, then the edge nodes edge by edge, each edge
@@ -269,22 +311,16 @@ class TestAssembly:
         # it in opposite directions
         m = generate_mesh(family, 3)
         dm = DofMap(m, k)
-        slots = dm.element_dofs[:, :3 * k].ravel()
-        nodes = np.concatenate([boundary_nodes(m.vertices[tri], k)
-                                for tri in m.triangles])
-        coords = np.full((dm.total, 2), np.nan)
-        coords[slots] = nodes
-        assert np.abs(coords[slots] - nodes).max() <= 1e-14
-        held = np.bincount(slots, minlength=dm.total)
-        assert np.count_nonzero(held[m.num_vertices:] == 2) \
+        coords, held = self.node_coordinates(m, dm)
+        edge_dofs = dm.edge_dofs.ravel()
+        assert np.count_nonzero(held[edge_dofs] == 2) \
             == (k - 1) * np.count_nonzero(~m.boundary_edge)
         # and the global numbering walks each edge from its lower vertex
         lo, hi = m.vertices[m.edges[:, 0]], m.vertices[m.edges[:, 1]]
         t = np.arange(1, k)[None, :, None] / k
         walk = (lo[:, None] + t * (hi - lo)[:, None]).reshape(-1, 2)
-        assert np.array_equal(coords[:m.num_vertices], m.vertices)
-        assert np.abs(coords[m.num_vertices:dm.interior_offset]
-                      - walk).max(initial=0.0) <= 1e-14
+        assert np.array_equal(coords[dm.vertex_dofs], m.vertices)
+        assert np.abs(coords[edge_dofs] - walk).max(initial=0.0) <= 1e-14
 
     def test_unknown_load_rule_rejected(self):
         m = generate_mesh("uniform", 1)

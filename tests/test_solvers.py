@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import lanczos_every_step, p1_fem_stiffness, reduced_system
+from conftest import element_classes, lanczos_every_step, p1_fem_stiffness
 from hctvem import pipeline, solvers
 from hctvem.classic_vem import solve_classic_vem
+from hctvem.dofmap import DofMap, boundary_nodes
 from hctvem.mesh import generate_mesh
 from hctvem.problems import get_solution
 from hctvem.sf_vem import solve_sf_vem
@@ -314,11 +315,34 @@ class TestKappaThread:
 
 
 def two_level_system(method, family, k, level):
-    """Reduced matrix (CSR) and load, coarse space and per-element free-DOF
-    index, built as pipeline.solve_reduced builds them."""
-    A, b, dm, classes = reduced_system(method, family, k, level)
-    return (A.tocsr(), b, pipeline.coarse_space(dm, classes),
-            pipeline.free_index(dm)[dm.element_dofs])
+    """The skeleton matrix (CSR) and condensed load, the coarse space and
+    the elements' skeleton DOFs of the sinsin problem, built as
+    pipeline.solve_reduced builds them."""
+    mesh = generate_mesh(family, level)
+    classes = element_classes(method, mesh, k)
+    dm = DofMap(mesh, k)
+    b = pipeline.assemble_load(dm, classes, get_solution("sinsin").f)
+    g = pipeline.Condensation(dm, classes).condense(b[:dm.n_free])
+    return (pipeline.assemble_matrix(dm, classes, skeleton=True).tocsr(), g,
+            dm.coarse_space(), dm.element_dofs[:, :3 * k])
+
+
+def hat_values(mesh, dm):
+    """{(skeleton DOF, free vertex): value} of the P1 hat functions at the
+    free vertex and edge nodes, from the barycentric coordinates of each
+    element's boundary nodes; the zeros left out."""
+    k, nv = dm.k, np.count_nonzero(~mesh.boundary_vertex)
+    out = {}
+    for tri, dofs in zip(mesh.triangles, dm.element_dofs[:, :3 * k]):
+        v = mesh.vertices[tri]
+        nodes = boundary_nodes(v, k)
+        lam = np.linalg.solve(np.vstack([np.ones(3), v.T]),
+                              np.vstack([np.ones(3 * k), nodes.T]))
+        for i, col in enumerate(dofs[:3]):
+            for row, val in zip(dofs, lam[i]):
+                if row < dm.n_skeleton and col < nv and abs(val) > 1e-12:
+                    out[int(row), int(col)] = val
+    return out
 
 
 class TestTwoLevel:
@@ -328,11 +352,24 @@ class TestTwoLevel:
                              + [("enriched", 2)])
     def test_coarse_matrix_is_p1_stiffness(self, method, k, family):
         # the P1 hat functions lie in every method's space and each local
-        # stiffness is exact on P_1, so P^T A P is the cotangent matrix
+        # stiffness is exact on P_1; their interior DOFs are the ones that
+        # minimize the energy, so P^T S P is the cotangent matrix
         A, _, P, _ = two_level_system(method, family, k, 3)
         F = p1_fem_stiffness(generate_mesh(family, 3))
         assert P.shape == (A.shape[0], F.shape[0])
         assert abs(P.T @ A @ P - F).max() <= 1e-12 * abs(F).max()
+
+    @pytest.mark.parametrize("family", ["uniform", "irregular8"])
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_coarse_space_holds_exactly_the_hat_values(self, family, k):
+        mesh = generate_mesh(family, 3)
+        dm = DofMap(mesh, k)
+        P = dm.coarse_space().tocoo()
+        want = hat_values(mesh, dm)
+        got = dict(zip(zip(P.row.tolist(), P.col.tolist()), P.data))
+        assert P.nnz == len(got) == len(want)
+        assert got.keys() == want.keys()
+        assert max(abs(got[key] - want[key]) for key in want) <= 1e-14
 
     @pytest.mark.parametrize("family", ["uniform", "irregular8"])
     @pytest.mark.parametrize("k", range(2, 7))
