@@ -83,8 +83,9 @@ def _cmd_mesh(args):
 
 def _cmd_verify(args):
     """Quick structural checks: projection polynomial consistency, the
-    scale-free class cache, SPD assembly, the condensed solve against the
-    full system, and the lowest-order finite element equivalence."""
+    scale-free class cache (operators bit for bit at scale 2^-3), SPD
+    assembly, the condensed solve against the full system, and the
+    lowest-order finite element equivalence."""
     from .mesh import gen_uniform_mesh, gen_irregular8_mesh
     from .sf_vem import SfElementClass, sf_class, solve_sf_vem
     from .problems import get_solution
@@ -107,16 +108,25 @@ def _cmd_verify(args):
         if err > 1e-9:
             failures.append(f"P_{k} reproduction error {err:.2e}")
         # classes are built once per shape up to a power-of-two scale: one
-        # handed out at scale 2^-3 must carry a fresh build's K_loc and
-        # condensed S_loc bits
+        # handed out at scale 2^-3 must carry a fresh build's bits in its
+        # K_loc, condensed S_loc, load operators and interior moments
         cache = {}
         sf_class(k, tri, cache)
         small = np.ldexp(tri, -3)
         scaled, fresh = sf_class(k, small, cache), SfElementClass(k, small)
-        for name, a, b in (("K_loc", scaled.K_loc, fresh.K_loc),
-                           ("S_loc", scaled.condensed[2],
-                            fresh.condensed[2])):
-            if a.tobytes() != b.tobytes():
+        for name, a, b in (
+                ("K_loc", scaled.K_loc, fresh.K_loc),
+                ("S_loc", scaled.condensed[2], fresh.condensed[2]),
+                ("load_matrix", scaled.load_matrix, fresh.load_matrix),
+                ("interp_load nodes", scaled.interp_load[0],
+                 fresh.interp_load[0]),
+                ("interp_load matrix", scaled.interp_load[1],
+                 fresh.interp_load[1]),
+                ("vem_load_matrix", scaled.vem_load_matrix,
+                 fresh.vem_load_matrix),
+                ("moment values", scaled.moments[0], fresh.moments[0]),
+                ("moment Gram", scaled.moments[1], fresh.moments[1])):
+            if a.shape != b.shape or a.tobytes() != b.tobytes():
                 failures.append(f"k={k} {name} at scale 2^-3 differs from "
                                 "a fresh build")
 

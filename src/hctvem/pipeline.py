@@ -40,7 +40,9 @@ which leaves the Schur complement S_loc on the 3k boundary DOFs), the
 load operators of the three load rules (load_matrix, interp_load,
 vem_load_matrix), and error_factors, the triangular factors R_M and R_S
 that take a DOF difference straight to the L2 norm and H1 seminorm of
-its projection.
+its projection.  The sf-hct class of each level derives none of them: it
+takes them from its shape's base build, scaled by exact powers of two
+(sf_vem.ScaledSfClass).
 
 Every level is solved on its skeleton, the free vertex and edge DOFs:
 the interior DOFs of each element couple only within it, so they are
@@ -50,7 +52,7 @@ reduced system is the block [0, n_free) of its numbering and the
 skeleton the block [0, n_skeleton); assembly drops the Dirichlet
 entries, and the reduced load and solution are slices.  The full reduced
 matrix is assembled only when read (Solution.matrix); kappa multiplies
-by it element by element.
+by it element by element (Condensation.matvec).
 
 Local coordinates put the class's first vertex at the origin; `origins`
 are the first vertices of the class's triangles.
@@ -286,8 +288,10 @@ class Condensation:
     solution back to A's; between them A^-1 r is exact block elimination
     (inverse).  With no interior DOFs (k = 1) S is A, and both pass their
     vector through.  matvec multiplies by A element by element, without
-    assembling it; matrix is A itself, assembled on first read; shape is
-    A's."""
+    assembling it: one gather of x over all elements, one K_loc product
+    per class and one scatter-add.  One slot array serves all three:
+    each class's _slots are views of its rows.  matrix is A itself,
+    assembled on first read; shape is A's."""
 
     def __init__(self, dm, classes):
         self.dm, self.classes = dm, classes
@@ -295,22 +299,32 @@ class Condensation:
         self.n_skeleton = dm.n_skeleton
 
     @cached_property
+    def _rows(self):
+        """Per class, the slice of its elements' rows in _all_slots."""
+        ends = np.cumsum([0] + [len(idx) for _, idx in self.classes])
+        return [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
+
+    @cached_property
+    def _all_slots(self):
+        """(T, ndof) positions of the elements' DOFs in A, class after
+        class, Dirichlet DOFs at a discarded position n."""
+        order = np.concatenate([idx for _, idx in self.classes])
+        slots = self.dm.element_dofs[order]
+        return np.minimum(slots, self.shape[0], out=slots)
+
+    @cached_property
     def _slots(self):
-        """Per class, the (nE, ndof) positions of its elements' DOFs in
-        A, Dirichlet DOFs at a discarded position n."""
-        return [np.minimum(self.dm.element_dofs[idx], self.shape[0])
-                for _, idx in self.classes]
+        """Per class, the view of _all_slots of its elements."""
+        return [self._all_slots[rows] for rows in self._rows]
 
     def matvec(self, x):
         """A x, summed from the K_loc products of the elements."""
-        n = self.shape[0]
-        xe = np.append(x, 0.0)
-        y = np.zeros(n + 1)
-        for (ec, _), slots in zip(self.classes, self._slots):
-            y += np.bincount(slots.ravel(),
-                             weights=(xe[slots] @ ec.K_loc).ravel(),
-                             minlength=n + 1)
-        return y[:n]
+        n, slots = self.shape[0], self._all_slots
+        xe = np.append(x, 0.0)[slots]
+        for (ec, _), rows in zip(self.classes, self._rows):
+            xe[rows] = xe[rows] @ ec.K_loc
+        return np.bincount(slots.ravel(), weights=xe.ravel(),
+                           minlength=n + 1)[:n]
 
     @cached_property
     def matrix(self):

@@ -7,9 +7,10 @@ The element is scale-free: the macro split at the barycenter, the
 h-scaled P_k basis and the interior DOFs scaled by the squared diameter
 make the projection and K_loc of a triangle those of any scaled copy.
 So one SfElementClass is built per shape up to a power-of-two scale, and
-each mesh level gets a ScaledSfClass of it, whose arrays equal a fresh
-build's bit for bit, as scaling by 2^e is exact in floating point (away
-from overflow and underflow)."""
+each mesh level gets a ScaledSfClass of it, which takes every per-shape
+array, the load operators and interior moments included, from it; they
+equal a fresh build's bit for bit, as scaling by 2^e is exact in
+floating point (away from overflow and underflow)."""
 
 from functools import cached_property
 
@@ -71,6 +72,14 @@ class SfElementClass(ElementClass):
             P[nb:, nb:] = cho_solve(sp_.bubble_chol, M)
         return P
 
+    @cached_property
+    def moments(self):
+        """(w mu, mu^T w mu): the interior basis at quad_points weighted by
+        quad_weights, and its Gram, which dof_values solves with."""
+        mu = self.interior_basis.values(self.quad_points)
+        wmu = self.quad_weights[:, None] * mu
+        return wmu, mu.T @ wmu
+
     def dof_values(self, g, lap_g, origins):
         """(nE, ndof) DOFs of the virtual interpolant of g on the copies
         translated by origins: g at the boundary nodes, and -Delta of the
@@ -81,10 +90,9 @@ class SfElementClass(ElementClass):
         if not self.n_interior:
             return bvals
         qp = origins[:, None, :] + self.quad_points[None, :, :]
-        mu = self.interior_basis.values(self.quad_points)
-        wmu = self.quad_weights[:, None] * mu
+        wmu, gram = self.moments
         mom = -lap_g(qp[..., 0], qp[..., 1]) @ wmu    # (nE, dim P_{k-2})
-        coeffs = np.linalg.solve(mu.T @ wmu, mom.T).T
+        coeffs = np.linalg.solve(gram, mom.T).T
         interior = coeffs * self.diameter ** 2 * self.interior_scale
         return np.concatenate([bvals, interior], axis=1)
 
@@ -92,10 +100,9 @@ class SfElementClass(ElementClass):
 class ScaledSfClass(SfElementClass):
     """The class `base` scaled by 2^e, built from base's arrays.  The
     projection, stiffness Gram, interior scale, basis values, K_loc, its
-    condensation and R_S are base's; points, weights, R_M and
-    gradients are base's times exact powers of two; the geometry,
-    interior basis and load operators are computed at the level's
-    scale."""
+    condensation and R_S are base's; points, weights, R_M, gradients,
+    the load operators and the interior moments are base's times exact
+    powers of two; only the geometry is computed at the level's scale."""
 
     def __init__(self, base, e):
         ElementClass.__init__(self, base.k, np.ldexp(base.verts, e))
@@ -110,6 +117,24 @@ class ScaledSfClass(SfElementClass):
     @cached_property
     def basis_gradients(self):
         return np.ldexp(self.base.basis_gradients, -self.e)
+
+    @cached_property
+    def load_matrix(self):
+        return np.ldexp(self.base.load_matrix, 2 * self.e)
+
+    @cached_property
+    def interp_load(self):
+        nodes, matrix = self.base.interp_load
+        return np.ldexp(nodes, self.e), np.ldexp(matrix, 2 * self.e)
+
+    @cached_property
+    def vem_load_matrix(self):
+        return np.ldexp(self.base.vem_load_matrix, 2 * self.e)
+
+    @cached_property
+    def moments(self):
+        wmu, gram = self.base.moments
+        return np.ldexp(wmu, 2 * self.e), np.ldexp(gram, 2 * self.e)
 
     @property
     def K_loc(self):

@@ -174,11 +174,21 @@ def _superlu_inverse(A):
                      options=dict(SymmetricMode=True)).solve
 
 
+def _alternating(n):
+    """The start vector of lambda_max's Lanczos, (1, -1, 1, ...): the top
+    of a stiffness spectrum is oscillatory, and the all-ones vector, the
+    smooth mode, is almost orthogonal to it.  Lanczos converges at a rate
+    scaled by the start's component along the top eigenvector (Kaniel,
+    Paige and Saad; Parlett, The Symmetric Eigenvalue Problem, ch. 12)."""
+    return np.resize([1.0, -1.0], n)
+
+
 def _lambda_max(A):
     """Top eigenvalue of the symmetric matrix A by Lanczos on its
-    products alone."""
+    products alone, from the alternating start vector."""
     A = _csr(A)
-    return _lanczos_extreme(lambda x: A @ x, A.shape[0])
+    n = A.shape[0]
+    return _lanczos_extreme(lambda x: A @ x, n, start=_alternating(n))
 
 
 def _factorized(A):
@@ -215,8 +225,8 @@ def solve_spd(A, b, method="direct", tol=1e-12, coarse=None,
         lam_max = None
         if kappa and n:
             lam_max = (pool.submit(_lambda_max, A) if condensed is None else
-                       pool.submit(_lanczos_extreme, condensed.matvec, n)
-                       ).result
+                       pool.submit(_lanczos_extreme, condensed.matvec, n,
+                                   start=_alternating(n))).result
         inverse = None
         if method == "direct":
             inverse = _superlu_inverse(A)
@@ -238,10 +248,12 @@ def solve_spd(A, b, method="direct", tol=1e-12, coarse=None,
         return x, estimate_condition_2(system, inverse, lam_max)
 
 
-def _lanczos_extreme(apply, n, max_iter=None, tol=1e-10):
+def _lanczos_extreme(apply, n, *, start=None, max_iter=None, tol=1e-10):
     """Ritz value of largest magnitude of the symmetric operator `apply`
     on R^n (the top one when the operator is positive definite), by plain
-    Lanczos from the all-ones start vector.
+    Lanczos from the vector start, all ones by default.  lambda_max starts
+    from _alternating; 1 / lambda_min, the top of A^-1, whose top
+    eigenvectors are smooth, from all ones.
 
     The Ritz values are checked at steps m = 1, 2, ..., each check
     max(1, m // 16) steps after the last: every step up to 32, then
@@ -258,7 +270,8 @@ def _lanczos_extreme(apply, n, max_iter=None, tol=1e-10):
     steps = min(max_iter, n)
     alphas, betas = np.empty(steps), np.empty(steps)
     checks = {}                    # step -> Ritz value of that check
-    q = np.ones(n) / np.sqrt(n)
+    q = np.ones(n) if start is None else np.asarray(start, dtype=float)
+    q = q / np.linalg.norm(q)
     q_prev = np.zeros(n)
     beta = 0.0
     check = 1

@@ -278,14 +278,16 @@ def quadrature_error_norms(field, other):
     return float(np.sqrt(l2)), float(np.sqrt(h1))
 
 
-def lanczos_every_step(apply, n, max_iter=None, tol=1e-10):
+def lanczos_every_step(apply, n, start=None, max_iter=None, tol=1e-10):
     """solvers._lanczos_extreme as it was before its Ritz values were
     checked on a schedule: they are computed at every step, and the value
     has settled from the 11th step on once it moved by at most tol
-    relative since step m - m // 4.  Returns (value, steps)."""
+    relative since step m - m // 4.  Starts from start, all ones by
+    default.  Returns (value, steps)."""
     if max_iter is None:
         max_iter = max(200, int(10 * np.sqrt(n)))
-    q = np.ones(n) / np.sqrt(n)
+    q = np.ones(n) if start is None else np.asarray(start, dtype=float)
+    q = q / np.linalg.norm(q)
     alphas, betas, ests = [], [], []
     q_prev = np.zeros(n)
     beta = 0.0

@@ -135,6 +135,32 @@ def test_degree_one_has_nothing_to_condense(monkeypatch):
     assert ec.condensed[2] is ec.K_loc
 
 
+@pytest.mark.parametrize("family", ["uniform", "irregular8"])
+@pytest.mark.parametrize("method", ["sf-hct", "classic", "enriched"])
+@pytest.mark.parametrize("k", range(1, 5))
+def test_matvec_is_the_full_matrix_product(method, k, family):
+    A, _, dm, classes = reduced_system(method, family, k, 3)
+    x = np.random.default_rng(k).normal(size=A.shape[0])
+    want = A @ x
+    got = pipeline.Condensation(dm, classes).matvec(x)
+    # bound set before the run: 1e-14 relative in the max norm
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_class_slots_share_one_array():
+    # matvec gathers and scatters over all elements at once, while
+    # condense and back_substitute read each class's rows of that array
+    _, _, dm, classes = reduced_system("sf-hct", "irregular8", 3, 3)
+    cond = pipeline.Condensation(dm, classes)
+    rows = 0
+    for (_, idx), slots in zip(classes, cond._slots):
+        assert np.shares_memory(slots, cond._all_slots)
+        assert np.array_equal(slots,
+                              np.minimum(dm.element_dofs[idx], dm.n_free))
+        rows += len(slots)
+    assert rows == len(cond._all_slots) == dm.mesh.num_triangles
+
+
 @pytest.mark.parametrize("k", range(2, 7))
 def test_condensed_operators(k):
     ec = SfElementClass(k, TRI)

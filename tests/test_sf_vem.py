@@ -1,3 +1,5 @@
+from collections import Counter
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +11,8 @@ from conftest import (group_elements_oracle, orders, polynomial,
 from hctvem.classic_vem import ClassicElementClass, EnrichedElementClass
 from hctvem.dofmap import DofMap, boundary_nodes, edge_slots
 from hctvem.mesh import _build_topology, generate_mesh
-from hctvem.pipeline import AssemblyError, group_elements
+from hctvem.pipeline import (LOAD_RULES, AssemblyError, ElementClass,
+                             assemble_load, group_elements)
 from hctvem.problems import get_solution
 from hctvem.sf_vem import (SfElementClass, _assemble, _class_cache_build,
                            solve_sf_vem)
@@ -149,6 +152,39 @@ class TestScaleFreeClasses:
                     ec.dof_values(prob.u, prob.lap_u, origins),
                     fresh.dof_values(prob.u, prob.lap_u, origins))
         assert len(cache) == shapes
+
+    def test_operators_built_once_per_shape(self, monkeypatch):
+        # a sweep of k=6 irregular8 levels 1..4 has 32 level classes of 8
+        # shapes; each level class scales its base's load operators and
+        # interior moments, so each is computed once per shape
+        built = []
+
+        def spy(owner, name):
+            compute = owner.__dict__[name].func
+
+            def counted(ec):
+                built.append(name)
+                return compute(ec)
+
+            prop = cached_property(counted)
+            prop.__set_name__(owner, name)
+            monkeypatch.setattr(owner, name, prop)
+
+        names = ("load_matrix", "interp_load", "vem_load_matrix")
+        for name in names:
+            spy(ElementClass, name)
+        spy(SfElementClass, "moments")
+        prob = get_solution("sinsin")
+        cache, level_classes = {}, 0
+        for level in range(1, 5):
+            m = generate_mesh("irregular8", level)
+            classes = _class_cache_build(m, 6, cache)
+            for rule in LOAD_RULES:
+                assemble_load(DofMap(m, 6), classes, prob.f, rule,
+                              prob.lap_f)
+            level_classes += len(classes)
+        assert level_classes == 32 and len(cache) == 8
+        assert Counter(built) == dict.fromkeys(names + ("moments",), 8)
 
 
 class TestLocalProjection:

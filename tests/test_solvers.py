@@ -258,6 +258,94 @@ class TestLanczosSchedule:
         assert len(calls) == 11
 
 
+class TestStartVector:
+    """lambda_max's Lanczos starts from the alternating vector (1, -1, 1,
+    ...), whose component along the oscillatory top of a stiffness
+    spectrum is far larger than the all-ones vector's; 1 / lambda_min's
+    starts from all ones, as the top of A^-1 is smooth."""
+
+    @pytest.mark.parametrize("system", sorted(ORACLE_SYSTEMS))
+    def test_alternating_start_matches_every_step_rule(self, system):
+        A = ORACLE_SYSTEMS[system](get_solution("sinsin")).matrix
+        apply, _ = counted(A)
+        n = A.shape[0]
+        start = solvers._alternating(n)
+        got = solvers._lanczos_extreme(apply, n, start=start)
+        want, _ = lanczos_every_step(apply, n, start=start)
+        assert abs(got - want) <= 1e-13 * want
+        top = np.linalg.eigvalsh(A.toarray())[-1]
+        assert abs(got - top) <= 1e-10 * top
+
+    def test_alternating_start_on_a_clustered_top(self):
+        A = clustered_diagonal()
+        apply, _ = counted(A)
+        n = A.shape[0]
+        start = solvers._alternating(n)
+        got = solvers._lanczos_extreme(apply, n, start=start)
+        want, _ = lanczos_every_step(apply, n, start=start)
+        assert abs(got - want) <= 1e-13 * want
+        assert abs(got - 1.0) <= 1e-10
+
+    def test_default_start_is_all_ones(self):
+        A = ORACLE_SYSTEMS["sf-hct k=2 irregular8 L3"](
+            get_solution("sinsin")).matrix
+        apply, _ = counted(A)
+        n = A.shape[0]
+        assert solvers._lanczos_extreme(apply, n) \
+            == solvers._lanczos_extreme(apply, n, start=np.ones(n))
+
+    def test_kappa_starts(self, monkeypatch):
+        starts = []
+        lanczos = solvers._lanczos_extreme
+
+        def spy(apply, n, **kwargs):
+            starts.append(kwargs.get("start"))
+            return lanczos(apply, n, **kwargs)
+
+        monkeypatch.setattr(solvers, "_lanczos_extreme", spy)
+        A = clustered_diagonal(100)
+        alternating = np.resize([1.0, -1.0], 100)
+        for run in (lambda: estimate_condition_2(A),
+                    lambda: solve_spd(A, np.ones(100), kappa=True)):
+            starts.clear()
+            run()
+            assert sorted(s is None for s in starts) == [False, True]
+            assert all(np.array_equal(s, alternating)
+                       for s in starts if s is not None)
+
+    def test_condensed_kappa_equals_its_runs_in_sequence(self):
+        # the thread changes no bit: kappa is lambda_max's Lanczos on the
+        # element-by-element products times lambda_min's on the
+        # condensed inverse through the solve's own factor
+        mesh = generate_mesh("irregular8", 3)
+        classes = element_classes("sf-hct", mesh, 3)
+        dm = DofMap(mesh, 3)
+        cond = pipeline.Condensation(dm, classes)
+        S = pipeline.assemble_matrix(dm, classes, skeleton=True)
+        g = cond.condense(np.ones(dm.n_free))
+        _, kappa = solve_spd(S, g, kappa=True, condensed=cond)
+        n = dm.n_free
+        lam_max = solvers._lanczos_extreme(cond.matvec, n,
+                                           start=solvers._alternating(n))
+        inverse = cond.inverse(solvers._superlu_inverse(S))
+        assert kappa == lam_max * solvers._lanczos_extreme(inverse, n)
+
+    def test_lambda_max_products_at_k6_level3(self, monkeypatch):
+        products = []
+        matvec = pipeline.Condensation.matvec
+
+        def spy(cond, x):
+            products.append(1)
+            return matvec(cond, x)
+
+        monkeypatch.setattr(pipeline.Condensation, "matvec", spy)
+        sol = solve_sf_vem(generate_mesh("irregular8", 3), 6,
+                           get_solution("sinsin"), solver="cg", kappa=True)
+        assert sol.kappa > 1
+        # measured 82 products; 115 from the all-ones start
+        assert len(products) <= 90
+
+
 class TestKappaThread:
     """solve_spd runs lambda_max's Lanczos on a second thread and joins
     it whatever happens on its own."""
