@@ -9,7 +9,7 @@ import numpy as np
 from .dofmap import DofMap, edge_slots
 from .pipeline import (AssemblyError, ElementClass, Field, Solution,
                        assemble_load, assemble_matrix, build_classes,
-                       solve_reduced, translation_classes)
+                       solve_reduced)
 from .polynomials import harmonic_basis, monomial_exponents
 from .quadrature import quad_rule_triangle, quad_rule_edge
 
@@ -131,18 +131,11 @@ class EnrichedElementClass(ElementClass):
                 "degrees likely insufficient or dependent")
         self.projection = np.linalg.solve(G, B)
 
-    def dof_values(self, g, lap_g, origins):
-        """(nE, ndof) DOFs of g on the copies translated by origins; they
-        are values and moments of g, so lap_g is not used."""
-        shift = origins[:, None, :]
-        nodes = shift + self.boundary_nodes
-        vals = np.asarray(g(nodes[..., 0], nodes[..., 1]), dtype=float)
-        if not self.n_interior:
-            return vals
-        qp = shift + self.quad_points
-        gq = np.asarray(g(qp[..., 0], qp[..., 1]))
-        mom = (gq * self.quad_weights) @ self.moment_values / self.normalizer
-        return np.concatenate([vals, mom], axis=-1)
+    def interior_dofs(self, g, lap_g, origins):
+        """(nE, n_interior) the normalized moments of g on the copies
+        translated by origins; lap_g is not used."""
+        gq = self.sample(g, origins, self.quad_points)
+        return (gq * self.quad_weights) @ self.moment_values / self.normalizer
 
 
 class ClassicElementClass(EnrichedElementClass):
@@ -176,15 +169,15 @@ class ClassicSolution(Solution):
     field_class = PolyField
 
 
+# Always empty, as classes are built per level: bench/worker.py checks
+# that they are empty, and tests/test_bench_hooks.py that they exist.
 _CLASSIC_CACHE = {}
 _ENRICHED_CACHE = {}
 
 
 # _build_classes and _assemble_and_solve are this module's entries into
 # the shared pipeline, apart from sf_vem's for the benchmark's tracer
-def _build_classes(mesh, factory, cache, cache_key):
-    return build_classes(mesh,
-                         translation_classes(factory, cache, cache_key))
+_build_classes = build_classes
 
 
 def _assemble_and_solve(mesh, k, classes, problem, solver, tol, load_rule,
@@ -202,8 +195,7 @@ def solve_classic_vem(mesh, k, problem, dof_mode="standard", alpha=0.0,
     if not 1 <= k <= 4:
         raise ValueError(f"classical baseline supports k in 1..4, got {k}")
     classes = _build_classes(
-        mesh, lambda lv: ClassicElementClass(k, lv, dof_mode, alpha),
-        _CLASSIC_CACHE, (k, dof_mode, alpha))
+        mesh, lambda lv: ClassicElementClass(k, lv, dof_mode, alpha))
     return _assemble_and_solve(mesh, k, classes, problem, solver, tol,
                                load_rule, kappa)
 
@@ -217,7 +209,6 @@ def solve_enriched_vem(mesh, k, problem, harmonic_degrees, solver="direct",
         raise ValueError(
             f"harmonic enrichment degrees must exceed k={k}, got {degrees}")
     classes = _build_classes(
-        mesh, lambda lv: EnrichedElementClass(k, lv, degrees),
-        _ENRICHED_CACHE, (k, degrees))
+        mesh, lambda lv: EnrichedElementClass(k, lv, degrees))
     return _assemble_and_solve(mesh, k, classes, problem, solver, tol,
                                load_rule, kappa)

@@ -7,14 +7,11 @@ import sys
 
 import numpy as np
 
-from .experiments import (FAMILIES, METHODS, ConfigError, ExperimentConfig,
-                          config_from_mapping, parse_config_file,
-                          run_experiment)
+from .experiments import (_DOF_MODE_ALIAS, DOF_MODES, FAMILIES, METHODS,
+                          ConfigError, ExperimentConfig, config_from_mapping,
+                          parse_config_file, run_experiment)
 from .pipeline import LOAD_RULES
 from .solvers import SOLVERS
-
-_DOF_MODE_ALIAS = {"standard": "standard", "l2": "l2_normalized",
-                   "l2x10": "l2_normalized_x10"}
 
 
 def _add_run_parser(sub):
@@ -27,7 +24,8 @@ def _add_run_parser(sub):
     p.add_argument("--solution")
     p.add_argument("--alpha", type=float,
                    help="stabilizer exponent (classic method)")
-    p.add_argument("--dof-mode", choices=sorted(_DOF_MODE_ALIAS))
+    p.add_argument("--dof-mode",
+                   choices=sorted({*DOF_MODES, *_DOF_MODE_ALIAS}))
     p.add_argument("--harmonic-degrees",
                    help="comma-separated degrees (enriched method)")
     p.add_argument("--kappa", action="store_true",
@@ -59,8 +57,7 @@ def _config_from_args(args):
         given = getattr(args, f.name)
         if given is None or given is False:
             continue
-        values[f.name] = _DOF_MODE_ALIAS[given] if f.name == "dof_mode" \
-            else given
+        values[f.name] = given
     return config_from_mapping(values)
 
 
@@ -210,7 +207,7 @@ def main(argv=None):
         if args.command == "mesh":
             return _cmd_mesh(args)
         return _cmd_verify(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,7 +2,8 @@
 writes one CSV row per level with errors, computed orders and, on
 request, a condition-number estimate."""
 
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -18,6 +19,8 @@ CSV_HEADER = "level,dofs,l2,l2_order,h1,h1_order,kappa,seconds"
 
 METHODS = ("sf-hct", "classic", "enriched")
 FAMILIES = ("uniform", "irregular8")
+# short spellings of DOF_MODES, accepted wherever a dof mode is read
+_DOF_MODE_ALIAS = {"l2": "l2_normalized", "l2x10": "l2_normalized_x10"}
 
 
 class ConfigError(ValueError):
@@ -87,6 +90,11 @@ class ExperimentConfig:
                               f"got {self.tol!r}")
         if not np.isfinite(self.alpha):
             raise ConfigError(f"alpha must be finite, got {self.alpha!r}")
+        # checked before any level runs, not after the last one
+        for what, path in (("out", self.out),
+                           ("dump_matrix", self.dump_matrix)):
+            if path and not os.path.isdir(os.path.dirname(path) or "."):
+                raise ConfigError(f"{what} {path!r}: no such directory")
         return self
 
 
@@ -107,8 +115,9 @@ def parse_config_file(path):
 
 def config_from_mapping(values):
     cfg = ExperimentConfig()
+    names = {f.name for f in fields(ExperimentConfig)}
     for key, raw in values.items():
-        if not hasattr(cfg, key):
+        if key not in names:
             raise ConfigError(f"unknown config key {key!r}")
         if key in ("k",):
             setattr(cfg, key, int(raw))
@@ -120,6 +129,8 @@ def config_from_mapping(values):
             setattr(cfg, key, parse_level_range(raw))
         elif key == "harmonic_degrees":
             setattr(cfg, key, parse_degree_list(raw))
+        elif key == "dof_mode":
+            setattr(cfg, key, _DOF_MODE_ALIAS.get(raw, raw))
         else:
             setattr(cfg, key, raw)
     return cfg

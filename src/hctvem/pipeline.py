@@ -2,9 +2,10 @@
 classes per translation class, global assembly, Dirichlet reduction,
 static condensation and solve, and the discrete and reference fields with
 their error norms.
-A method's element_class(local) hands out the class of each translation
-class and caches what it builds: classic and enriched once per
-translation class (translation_classes), sf-hct once per shape up to a
+A method hands build_classes a factory(local) for the class of each
+translation class.  Classic and enriched build one per class on every
+level and keep nothing, as a level meets each class once and the next
+level's shapes are halved; sf-hct builds one per shape up to a
 power-of-two scale (sf_vem.sf_class), as that element is scale-free.
 
 ElementClass(k, verts) sets the geometry every method shares:
@@ -28,16 +29,17 @@ between methods:
     quad_points, quad_weights   volume quadrature, local coordinates
     basis_values                (nq, dim) projection basis at quad_points
     basis_gradients             (nq, dim, 2) its gradients
-    dof_values(g, lap_g, origins)
-                                (nE, ndof) DOFs of the virtual interpolant
-                                of g (lap_g: its Laplacian) on the
-                                translated copies: the DOFs of I_h u
-                                whose projection is the error reference
+    interior_dofs(g, lap_g, origins)
+                                (nE, n_interior) interior DOFs of I_h g
+                                (lap_g: the Laplacian of g)
 
-ElementClass derives from these, once per class, the local stiffness
-K_loc, its static condensation `condensed` (the interior DOFs eliminated,
-which leaves the Schur complement S_loc on the 3k boundary DOFs), the
-load operators of the three load rules (load_matrix, interp_load,
+ElementClass owns the rest: sample(g, origins, points) is g on the
+translated copies, and dof_values(g, lap_g, origins), g at the boundary
+nodes and then interior_dofs, are the DOFs of the virtual interpolant
+I_h g.  It derives, once per class, the local stiffness K_loc, its
+static condensation `condensed` (the interior DOFs eliminated, which
+leaves the Schur complement S_loc on the 3k boundary DOFs), the load
+operators of the three load rules (load_matrix, interp_load,
 vem_load_matrix), and error_factors, the triangular factors R_M and R_S
 that take a DOF difference straight to the L2 norm and H1 seminorm of
 its projection.  The sf-hct class of each level derives none of them: it
@@ -102,29 +104,16 @@ def group_elements(mesh):
     return {tuple(keys[idx[0]]): idx for idx in classes}
 
 
-def build_classes(mesh, element_class):
+def build_classes(mesh, factory):
     """[(element class, triangle indices)] per translation class.
-    element_class(local) hands out the class of the exact local vertices
-    of the class's first triangle (its vertices less its first vertex),
-    not of the rounded key, and caches what it builds."""
+    factory(local) gives the class of the exact local vertices of the
+    class's first triangle (its vertices less its first vertex), not of
+    the rounded key; it is called once per translation class."""
     out = []
     for idx in group_elements(mesh).values():
         v = mesh.vertices[mesh.triangles[idx[0]]]
-        out.append((element_class(v - v[0]), idx))
+        out.append((factory(v - v[0]), idx))
     return out
-
-
-def translation_classes(factory, cache, cache_key):
-    """An element_class for build_classes that builds factory(local) once
-    per translation class, stored in `cache` under cache_key + (local
-    edge vectors,); cache_key must name every parameter the class
-    depends on."""
-    def element_class(local):
-        key = cache_key + (tuple(local[1:].ravel()),)
-        if key not in cache:
-            cache[key] = factory(local)
-        return cache[key]
-    return element_class
 
 
 class ElementClass:
@@ -144,6 +133,20 @@ class ElementClass:
         self.n_boundary = len(self.boundary_nodes)
         self.n_interior = monomial_dim(k - 2)
         self.ndof = self.n_boundary + self.n_interior
+
+    def sample(self, g, origins, points):
+        """(nE, npts) g at points on the copies translated by origins."""
+        pts = origins[:, None, :] + points
+        return np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
+
+    def dof_values(self, g, lap_g, origins):
+        """(nE, ndof) DOFs of I_h g on the copies translated by origins:
+        g at the boundary nodes, then the method's interior_dofs."""
+        values = self.sample(g, origins, self.boundary_nodes)
+        if not self.n_interior:
+            return values
+        return np.concatenate(
+            [values, self.interior_dofs(g, lap_g, origins)], axis=1)
 
     @cached_property
     def poly(self):
@@ -261,17 +264,12 @@ def assemble_load(dm, classes, f, load_rule="interp", lap_f=None):
         return b
     v0 = dm.mesh.vertices[dm.mesh.triangles[:, 0]]
     for ec, idx in classes:
-        if load_rule == "interp":
-            nodes, interp_load = ec.interp_load
-            pts = v0[idx][:, None, :] + nodes[None, :, :]
-            fv = np.asarray(f(pts[..., 0], pts[..., 1]))
-            loads = fv @ interp_load
-        elif load_rule == "exact":
-            qp = v0[idx][:, None, :] + ec.quad_points[None, :, :]
-            fv = np.asarray(f(qp[..., 0], qp[..., 1]))
-            loads = fv @ ec.load_matrix
-        else:
+        if load_rule == "vem":
             loads = ec.dof_values(f, lap_f, v0[idx]) @ ec.vem_load_matrix
+        else:
+            points, operator = ec.interp_load if load_rule == "interp" \
+                else (ec.quad_points, ec.load_matrix)
+            loads = ec.sample(f, v0[idx], points) @ operator
         np.add.at(b, dm.element_dofs[idx].ravel(), loads.ravel())
     return b
 

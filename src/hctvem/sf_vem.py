@@ -75,26 +75,19 @@ class SfElementClass(ElementClass):
     @cached_property
     def moments(self):
         """(w mu, mu^T w mu): the interior basis at quad_points weighted by
-        quad_weights, and its Gram, which dof_values solves with."""
+        quad_weights, and its Gram, which interior_dofs solves with."""
         mu = self.interior_basis.values(self.quad_points)
         wmu = self.quad_weights[:, None] * mu
         return wmu, mu.T @ wmu
 
-    def dof_values(self, g, lap_g, origins):
-        """(nE, ndof) DOFs of the virtual interpolant of g on the copies
-        translated by origins: g at the boundary nodes, and -Delta of the
-        interpolant taken as the L2 projection of -Delta(g) onto P_{k-2},
-        scaled like the interior columns of projection."""
-        nodes = origins[:, None, :] + self.boundary_nodes
-        bvals = np.asarray(g(nodes[..., 0], nodes[..., 1]), dtype=float)
-        if not self.n_interior:
-            return bvals
-        qp = origins[:, None, :] + self.quad_points[None, :, :]
+    def interior_dofs(self, g, lap_g, origins):
+        """(nE, n_interior) -Delta of I_h g on the copies translated by
+        origins: the L2 projection of -Delta(g) onto P_{k-2}, scaled like
+        the interior columns of projection."""
         wmu, gram = self.moments
-        mom = -lap_g(qp[..., 0], qp[..., 1]) @ wmu    # (nE, dim P_{k-2})
+        mom = -self.sample(lap_g, origins, self.quad_points) @ wmu
         coeffs = np.linalg.solve(gram, mom.T).T
-        interior = coeffs * self.diameter ** 2 * self.interior_scale
-        return np.concatenate([bvals, interior], axis=1)
+        return coeffs * self.diameter ** 2 * self.interior_scale
 
 
 class ScaledSfClass(SfElementClass):

@@ -1,6 +1,7 @@
 """SPD solvers, condition-number estimation and Matrix Market export for
 the assembled systems."""
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -328,5 +329,11 @@ def estimate_condition_2(A, inverse=None, lam_max=None):
 
 
 def export_matrix_market(A, path):
+    """Write A to path + ".mtx" (to path if it ends in .mtx), as
+    scipy.io.mmwrite names it.  The file is opened here, so a path that
+    cannot be written raises OSError: mmwrite given the name of a file in
+    a missing directory returns without writing."""
     from scipy.io import mmwrite
-    mmwrite(path, sp.coo_matrix(A))
+    path = os.fspath(path)
+    with open(path if path.endswith(".mtx") else path + ".mtx", "wb") as fh:
+        mmwrite(fh, sp.coo_matrix(A))

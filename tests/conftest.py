@@ -70,16 +70,15 @@ FACTORIES = {
     "enriched": lambda k: lambda lv: EnrichedElementClass(k, lv, (k + 1,)),
 }
 SF_CACHE = {}
-CLASS_CACHE = {}
 
 
 def element_classes(method, mesh, k):
     """[(element class, triangle indices)] of one method on mesh, built
-    and cached as the solve_* functions build them."""
+    as the solve_* functions build them: sf-hct through a shape cache,
+    classic and enriched afresh."""
     if method == "sf-hct":
         return _class_cache_build(mesh, k, SF_CACHE)
-    return pipeline.build_classes(mesh, pipeline.translation_classes(
-        FACTORIES[method](k), CLASS_CACHE, (method, k)))
+    return pipeline.build_classes(mesh, FACTORIES[method](k))
 
 
 def reduced_system(method, family, k, level, f=get_solution("sinsin").f,

@@ -6,14 +6,15 @@ import pytest
 from conftest import polynomial, reduced_system
 
 from hctvem import classic_vem
+from hctvem.experiments import ExperimentConfig, run_experiment
 from hctvem.mesh import generate_mesh
-from hctvem.pipeline import AssemblyError
+from hctvem.pipeline import AssemblyError, group_elements
 from hctvem.problems import get_solution
 from hctvem.classic_vem import (DOF_MODES, ClassicElementClass,
                                 EnrichedElementClass, _edge_trace_data,
                                 solve_classic_vem, solve_enriched_vem)
 from hctvem.quadrature import quad_rule_triangle
-from hctvem.sf_vem import solve_sf_vem
+from hctvem.sf_vem import SfElementClass, solve_sf_vem
 
 TRI = np.array([[0.0, 0.0], [1.0, 0.1], [0.3, 0.9]])
 
@@ -112,8 +113,9 @@ class TestGlobalSolves:
         assert np.allclose(s1.load, s2.load, atol=1e-13)
 
     def test_alpha_is_part_of_the_class_cache_key(self, monkeypatch):
-        # one process, two alphas: each reduced matrix must equal a build
-        # from an empty cache, so a stale K_loc cannot be reused
+        # one process, two alphas: classes are built afresh on every
+        # level, with no cache; each reduced matrix must still equal a new
+        # build, so no K_loc of one alpha can reach the other
         prob = get_solution("sinsin")
         m = generate_mesh("irregular8", 3)
         got = {a: solve_classic_vem(m, 3, prob, alpha=a).matrix
@@ -209,3 +211,52 @@ class TestEnriched:
         v = np.column_stack([ec.poly.values(pts), ec.harm.values(pts)])
         M30 = v.T @ (w[:, None] * v)
         assert np.abs(M - M30).max() <= 1e-13 * np.abs(M30).max()
+
+
+class TestClassesPerLevel:
+    @pytest.mark.parametrize("name,study", [
+        ("ClassicElementClass",
+         dict(method="classic", k=3, dof_mode="l2_normalized_x10",
+              alpha=-1.0)),
+        ("EnrichedElementClass",
+         dict(method="enriched", k=2, harmonic_degrees=(3,))),
+    ], ids=["classic", "enriched"])
+    def test_factory_called_once_per_class_per_level(self, name, study,
+                                                     monkeypatch):
+        # no cache: each level builds each of its translation classes once,
+        # and a second identical run builds them all again
+        built = []
+        factory = getattr(classic_vem, name)
+
+        def counting(*args, **kwargs):
+            built.append(args[1])
+            return factory(*args, **kwargs)
+
+        monkeypatch.setattr(classic_vem, name, counting)
+        per_run = sum(len(group_elements(generate_mesh("irregular8", lev)))
+                      for lev in (2, 3, 4))
+        for run in (1, 2):
+            run_experiment(ExperimentConfig(mesh="irregular8",
+                                            levels=(2, 4), **study))
+            assert len(built) == run * per_run
+        assert classic_vem._CLASSIC_CACHE == {}
+        assert classic_vem._ENRICHED_CACHE == {}
+
+
+class TestInterpolant:
+    @pytest.mark.parametrize("method", ["sf-hct", "classic", "enriched"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_nodal_dofs_are_samples(self, method, k):
+        # ElementClass owns the nodal half of every interpolant: the
+        # boundary columns are g at the translated boundary nodes
+        ec = {"sf-hct": lambda: SfElementClass(k, TRI),
+              "classic": lambda: ClassicElementClass(
+                  k, TRI, "l2_normalized_x10", -1.0),
+              "enriched": lambda: EnrichedElementClass(k, TRI, (k + 1,)),
+              }[method]()
+        prob = get_solution("sinsin")
+        origins = np.random.default_rng(k).uniform(-1, 1, size=(5, 2))
+        dofs = ec.dof_values(prob.u, prob.lap_u, origins)
+        nodal = ec.sample(prob.u, origins, ec.boundary_nodes)
+        assert dofs.shape == (5, ec.ndof)
+        assert dofs[:, :ec.n_boundary].tobytes() == nodal.tobytes()

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 import hctvem
-from hctvem import solvers
+from hctvem import cli, experiments, solvers
 from hctvem.cli import main
 from hctvem.dofmap import DofMap
-from hctvem.experiments import (CSV_HEADER, ConfigError, ExperimentConfig,
-                                config_from_mapping, convergence_order,
-                                parse_config_file, parse_degree_list,
-                                parse_level_range, run_experiment)
+from hctvem.experiments import (CSV_HEADER, ConfigError, ErrorReport,
+                                ExperimentConfig, config_from_mapping,
+                                convergence_order, parse_config_file,
+                                parse_degree_list, parse_level_range,
+                                run_experiment)
 from hctvem.mesh import MAX_LEVEL, generate_mesh
 
 
@@ -62,6 +63,13 @@ class TestParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             config_from_mapping({"metod": "sf-hct"})
+
+    @pytest.mark.parametrize("key", ["validate", "__init__", "__class__"])
+    def test_method_names_are_not_keys(self, key):
+        # an attribute of the config that is not a field must not be
+        # replaced by the string from the file
+        with pytest.raises(ConfigError, match="unknown config key"):
+            config_from_mapping({key: "1"})
 
 
 class TestValidation:
@@ -224,6 +232,17 @@ class TestRunExperiment:
             assert l2o == pytest.approx(np.log2(a.l2 / b.l2))
             assert h1o == pytest.approx(np.log2(a.h1 / b.h1))
 
+    @pytest.mark.parametrize("key", ["out", "dump_matrix"])
+    def test_missing_output_directory_rejected_before_any_level(
+            self, key, tmp_path, monkeypatch):
+        def no_level(*args):
+            raise AssertionError("a level ran")
+
+        monkeypatch.setattr(experiments, "generate_mesh", no_level)
+        cfg = ExperimentConfig(**{key: str(tmp_path / "missing" / "x")})
+        with pytest.raises(ConfigError, match="no such directory"):
+            run_experiment(cfg)
+
     def test_dump_matrix_writes_per_level(self, tmp_path):
         cfg = ExperimentConfig(levels=(1, 2),
                                dump_matrix=str(tmp_path / "A"))
@@ -285,6 +304,52 @@ class TestCli:
                    "--mesh", "uniform", "--levels", "1..1",
                    "--dof-mode", "l2x10", "--out", str(out)])
         assert rc == 0
+
+    SPELLINGS = [("standard", "standard"),
+                 ("l2", "l2_normalized"), ("l2_normalized", "l2_normalized"),
+                 ("l2x10", "l2_normalized_x10"),
+                 ("l2_normalized_x10", "l2_normalized_x10")]
+
+    @pytest.mark.parametrize("spelling,mode", SPELLINGS)
+    def test_dof_mode_spellings_agree_in_both_inputs(self, spelling, mode,
+                                                     tmp_path, monkeypatch):
+        seen = []
+
+        def record(cfg):
+            seen.append(cfg)
+            return ErrorReport(cfg)
+
+        monkeypatch.setattr(cli, "run_experiment", record)
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"method=classic\ndof_mode={spelling}\n")
+        assert main(["run", "--config", str(path)]) == 0
+        assert main(["run", "--method", "classic",
+                     "--dof-mode", spelling]) == 0
+        assert config_from_mapping({"method": "classic",
+                                    "dof_mode": spelling}).dof_mode == mode
+        assert seen == [ExperimentConfig(method="classic", dof_mode=mode)] * 2
+
+    def test_method_name_in_config_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("validate=1\nlevels=1..1\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "unknown config key 'validate'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--out", "--dump-matrix"])
+    def test_missing_output_directory_exits_2(self, flag, tmp_path, capsys):
+        missing = tmp_path / "missing" / "x"
+        assert main(["run", "--levels", "1..2", flag, str(missing)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "missing").exists()
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        # a directory passes validate, and the write itself fails
+        assert main(["run", "--levels", "1..1", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        assert main(["run", "--config", str(tmp_path / "none.cfg")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_mesh_subcommand(self, tmp_path, capsys):
         out = tmp_path / "m.txt"

@@ -532,3 +532,18 @@ class TestMatrixMarketExport:
         export_matrix_market(As, str(path))
         B = mmread(str(path) + ".mtx")
         assert np.allclose(B.toarray(), A)
+
+    def test_bytes_and_name_match_mmwrite(self, tmp_path):
+        from scipy.io import mmwrite
+        A = sp.csr_matrix(random_spd(8, seed=9)[0])
+        mmwrite(str(tmp_path / "direct"), sp.coo_matrix(A))
+        for name in ("matrix", "named.mtx"):
+            export_matrix_market(A, str(tmp_path / name))
+        want = (tmp_path / "direct.mtx").read_bytes()
+        assert (tmp_path / "matrix.mtx").read_bytes() == want
+        assert (tmp_path / "named.mtx").read_bytes() == want
+
+    def test_missing_directory_raises(self, tmp_path):
+        A = sp.csr_matrix(random_spd(8, seed=9)[0])
+        with pytest.raises(FileNotFoundError):
+            export_matrix_market(A, str(tmp_path / "missing" / "A"))
