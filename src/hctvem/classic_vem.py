@@ -66,10 +66,14 @@ class EnrichedElementClass(ElementClass):
         # the L2 terms of a degree-m harmonic have degree 2m
         rule = quad_rule_triangle(max(2 * k + 6, 2 * top))
         self.quad_points, self.quad_weights = rule.physical(self.verts)
+        # scalar exponents, so that x ** 2 is x * x: the power loop of an
+        # array exponent (AffineMonomialBasis.values) is an ulp off it,
+        # and the round-off-dominated classic k = 4, alpha = -2 levels
+        # move by 6e-4 relative under that ulp
         d = self.quad_points - self.barycenter
-        self.moment_values = np.column_stack(
-            [d[:, 0] ** j * d[:, 1] ** l for (j, l) in self.moment_exps]) \
-            if self.n_interior else np.zeros((len(self.quad_points), 0))
+        self.moment_values = np.empty((len(d), self.n_interior))
+        for i, (j, l) in enumerate(self.moment_exps):
+            self.moment_values[:, i] = d[:, 0] ** j * d[:, 1] ** l
         if mode == "standard":
             d1, d2 = self.verts[1:] - self.verts[0]
             area = 0.5 * abs(d1[0] * d2[1] - d1[1] * d2[0])
@@ -101,16 +105,15 @@ class EnrichedElementClass(ElementClass):
     def _build_projection(self, edge_degree):
         """Energy projection from the DOFs: gradient moments by
         integration by parts, constant fixed by the boundary mean."""
-        k, nb = self.k, self.n_boundary
+        nb = self.n_boundary
         B = np.zeros((self.dim, self.ndof))
-        if k >= 2:
-            # (v, mu_b)_K from moment DOFs: physical monomial / d^(j+l)
-            scale = np.array([self.diameter ** (j + l)
-                              for (j, l) in self.moment_exps])
-            mom_to_mu = np.diag(self.normalizer / scale)
-            lap = self.poly.laplacian_map()     # Delta m_a in mu basis
-            B[:self.poly.dim, nb:] -= lap @ mom_to_mu
-            # harmonic members have vanishing Laplacian: no volume term
+        # (v, mu_b)_K from moment DOFs: physical monomial / d^(j+l)
+        scale = np.array([self.diameter ** (j + l)
+                          for (j, l) in self.moment_exps])
+        mom_to_mu = np.diag(self.normalizer / scale)
+        lap = self.poly.laplacian_map()     # Delta m_a in mu basis
+        B[:self.poly.dim, nb:] -= lap @ mom_to_mu
+        # harmonic members have vanishing Laplacian: no volume term
         mean_row = np.zeros(self.ndof)
         mean_basis = np.zeros(self.dim)
         for pts, w, n, lag, cols in _edge_trace_data(self, edge_degree):
@@ -149,9 +152,8 @@ class ClassicElementClass(EnrichedElementClass):
         # D: P_k coefficients -> DOF values
         D = np.zeros((self.ndof, self.poly.dim))
         D[:nb] = self.poly.values(self.boundary_nodes)
-        if self.n_interior:
-            D[nb:] = (self.moment_values.T * self.quad_weights) \
-                @ self.basis_values / self.normalizer[:, None]
+        D[nb:] = (self.moment_values.T * self.quad_weights) \
+            @ self.basis_values / self.normalizer[:, None]
         R = np.eye(self.ndof) - D @ self.projection
         self.stabilizer = self.diameter ** alpha * (R.T @ R)
 

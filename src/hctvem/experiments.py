@@ -93,8 +93,15 @@ class ExperimentConfig:
         # checked before any level runs, not after the last one
         for what, path in (("out", self.out),
                            ("dump_matrix", self.dump_matrix)):
-            if path and not os.path.isdir(os.path.dirname(path) or "."):
+            if not path:
+                continue
+            if not os.path.isdir(os.path.dirname(path) or "."):
                 raise ConfigError(f"{what} {path!r}: no such directory")
+            # out would fail to open, and the prefix DIR/ would name the
+            # hidden files DIR/.levelN.mtx
+            if not os.path.basename(path) or os.path.isdir(path):
+                raise ConfigError(f"{what} {path!r} names a directory, "
+                                  "not a file")
         return self
 
 

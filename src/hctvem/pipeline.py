@@ -49,12 +49,14 @@ takes them from its shape's base build, scaled by exact powers of two
 Every level is solved on its skeleton, the free vertex and edge DOFs:
 the interior DOFs of each element couple only within it, so they are
 eliminated class by class before the global factor (Condensation), and
-recovered afterwards.  DofMap numbers the free DOFs first, so the
-reduced system is the block [0, n_free) of its numbering and the
-skeleton the block [0, n_skeleton); assembly drops the Dirichlet
-entries, and the reduced load and solution are slices.  The full reduced
-matrix is assembled only when read (Solution.matrix); kappa multiplies
-by it element by element (Condensation.matvec).
+recovered afterwards.  Degree 1 has none and takes the same path: its
+interior blocks are empty, so its skeleton system is the reduced one bit
+for bit.  DofMap numbers the free DOFs first, so the reduced system is
+the block [0, n_free) of its numbering and the skeleton the block
+[0, n_skeleton); assembly drops the Dirichlet entries, and the reduced
+load and solution are slices.  The full reduced matrix is assembled only
+when read (Solution.matrix); kappa multiplies by it element by element
+(Condensation.matvec).
 
 Local coordinates put the class's first vertex at the origin; `origins`
 are the first vertices of the class's triangles.
@@ -166,11 +168,9 @@ class ElementClass:
         J. 1965): with b the 3k boundary DOFs and i the interior ones, chol
         is the lower Cholesky factor of K_ii, X = K_ii^-1 K_ib and S_loc =
         K_bb - K_bi X, which the skeleton system assembles.  With no
-        interior DOFs (k = 1), chol is None and S_loc is K_loc.  Raises
-        solvers.NotSpdError when K_ii is not positive definite."""
+        interior DOFs (k = 1) the blocks are empty and S_loc equals K_loc.
+        Raises solvers.NotSpdError when K_ii is not positive definite."""
         nb, K = self.n_boundary, self.K_loc
-        if not self.n_interior:
-            return None, np.zeros((0, nb)), K
         try:
             chol = np.linalg.cholesky(K[nb:, nb:])
         except np.linalg.LinAlgError as exc:
@@ -250,18 +250,16 @@ def assemble_matrix(dm, classes, skeleton=False):
 
 
 def assemble_load(dm, classes, f, load_rule="interp", lap_f=None):
-    """Global load over the DOF numbering dm; f=None gives a zero load.
-    Load rules: "interp" (f interpolated in P_k on the parent triangle),
-    "exact" (f at the quadrature points) and "vem" (f interpolated in the
-    virtual element space like the error reference; it needs lap_f, the
-    Laplacian of f)."""
+    """Global load over the DOF numbering dm.  Load rules: "interp" (f
+    interpolated in P_k on the parent triangle), "exact" (f at the
+    quadrature points) and "vem" (f interpolated in the virtual element
+    space like the error reference; it needs lap_f, the Laplacian of
+    f)."""
     if load_rule not in LOAD_RULES:
         raise AssemblyError(f"unknown load rule {load_rule!r}")
     if load_rule == "vem" and lap_f is None:
         raise AssemblyError('load rule "vem" needs the Laplacian of f')
     b = np.zeros(dm.total)
-    if f is None:
-        return b
     v0 = dm.mesh.vertices[dm.mesh.triangles[:, 0]]
     for ec, idx in classes:
         if load_rule == "vem":
@@ -284,12 +282,12 @@ class Condensation:
 
     condense and back_substitute take a load r of A to S's load and S's
     solution back to A's; between them A^-1 r is exact block elimination
-    (inverse).  With no interior DOFs (k = 1) S is A, and both pass their
-    vector through.  matvec multiplies by A element by element, without
-    assembling it: one gather of x over all elements, one K_loc product
-    per class and one scatter-add.  One slot array serves all three:
-    each class's _slots are views of its rows.  matrix is A itself,
-    assembled on first read; shape is A's."""
+    (inverse).  With no interior DOFs (k = 1) S is A, and both return
+    their vector's values.  matvec multiplies by A element by element,
+    without assembling it: one gather of x over all elements, one K_loc
+    product per class and one scatter-add.  One slot array serves all
+    three: each class's _slots are views of its rows.  matrix is A
+    itself, assembled on first read; shape is A's."""
 
     def __init__(self, dm, classes):
         self.dm, self.classes = dm, classes
@@ -332,8 +330,6 @@ class Condensation:
     def condense(self, r):
         """S's load g = r_b - sum_e X_e^T r_i,e of A's load r."""
         n, n_s = self.shape[0], self.n_skeleton
-        if n_s == n:
-            return r
         g = np.zeros(n + 1)
         for (ec, _), slots in zip(self.classes, self._slots):
             nb, (_, X, _) = ec.n_boundary, ec.condensed
@@ -346,8 +342,6 @@ class Condensation:
         """A's solution from S's solution x and A's load r: the interior
         DOFs u_i = K_ii^-1 r_i - X x_b, one batch per class."""
         n, n_s = self.shape[0], self.n_skeleton
-        if n_s == n:
-            return x
         u = np.zeros(n + 1)
         u[:n_s] = x
         for (ec, _), slots in zip(self.classes, self._slots):
@@ -382,7 +376,7 @@ def solve_reduced(solution_class, dm, S, b, classes, solver, tol,
                          element_dofs=dm.element_dofs[:, :3 * dm.k])
     x, kappa = solvers.solve_spd(
         S, cond.condense(b_red), method=solver, tol=tol, kappa=kappa,
-        condensed=cond if dm.n_interior else None, **two_level)
+        condensed=cond, **two_level)
     dofs = np.zeros(dm.total)
     dofs[:dm.n_free] = cond.back_substitute(x, b_red)
     return solution_class(dm.mesh, dm.k, dm, dofs, classes, cond, b_red,

@@ -38,16 +38,13 @@ class SfElementClass(ElementClass):
         self.basis_values = sp_.quad_values
         self.basis_gradients = sp_.quad_gradients
         self.projection = self._projection_matrix()
-        if self.n_interior:
-            # normalize interior DOFs to unit local energy so the global
-            # spectrum is governed by the mesh, not by per-element modes
-            nb = self.n_boundary
-            Pi = self.projection[:, nb:]
-            e = np.sqrt(np.einsum("ia,ij,ja->a", Pi, self.stiffness, Pi))
-            self.interior_scale = e
-            self.projection[:, nb:] = Pi / e
-        else:
-            self.interior_scale = np.zeros(0)
+        # normalize interior DOFs to unit local energy so the global
+        # spectrum is governed by the mesh, not by per-element modes
+        nb = self.n_boundary
+        Pi = self.projection[:, nb:]
+        e = np.sqrt(np.einsum("ia,ij,ja->a", Pi, self.stiffness, Pi))
+        self.interior_scale = e
+        self.projection[:, nb:] = Pi / e
 
     @cached_property
     def interior_basis(self):
@@ -65,11 +62,10 @@ class SfElementClass(ElementClass):
         # boundary DOF columns: bubble part solves the homogeneous system
         bub_bnd = cho_solve(sp_.bubble_chol, sp_.s_bub_bnd)
         P[nb:, :nb] = -bub_bnd
-        if self.n_interior:
-            vals = self.interior_basis.values(sp_.quad_points)
-            M = sp_.quad_values[:, sp_.bubble_index].T \
-                @ (sp_.quad_weights[:, None] * vals) / self.diameter ** 2
-            P[nb:, nb:] = cho_solve(sp_.bubble_chol, M)
+        vals = self.interior_basis.values(sp_.quad_points)
+        M = sp_.quad_values[:, sp_.bubble_index].T \
+            @ (sp_.quad_weights[:, None] * vals) / self.diameter ** 2
+        P[nb:, nb:] = cho_solve(sp_.bubble_chol, M)
         return P
 
     @cached_property
@@ -92,16 +88,15 @@ class SfElementClass(ElementClass):
 
 class ScaledSfClass(SfElementClass):
     """The class `base` scaled by 2^e, built from base's arrays.  The
-    projection, stiffness Gram, interior scale, basis values, K_loc, its
-    condensation and R_S are base's; points, weights, R_M, gradients,
-    the load operators and the interior moments are base's times exact
-    powers of two; only the geometry is computed at the level's scale."""
+    projection, interior scale, basis values, K_loc, its condensation and
+    R_S are base's; points, weights, R_M, gradients, the load operators
+    and the interior moments are base's times exact powers of two; only
+    the geometry is computed at the level's scale."""
 
     def __init__(self, base, e):
         ElementClass.__init__(self, base.k, np.ldexp(base.verts, e))
         self.base, self.e = base, e
         self.projection = base.projection
-        self.stiffness = base.stiffness
         self.interior_scale = base.interior_scale
         self.basis_values = base.basis_values
         self.quad_points = np.ldexp(base.quad_points, e)

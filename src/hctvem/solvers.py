@@ -1,5 +1,7 @@
-"""SPD solvers, condition-number estimation and Matrix Market export for
-the assembled systems."""
+"""The two solvers of the SPD skeleton system, SuperLU ("direct") and
+two-level CG ("cg"); the dense Cholesky solve that tests and `hctvem
+verify` check them against; condition-number estimation; and Matrix
+Market export of the assembled systems."""
 
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -10,7 +12,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import cho_factor, cho_solve, eigvalsh_tridiagonal
 
 
-SOLVERS = ("direct", "cg", "dense")
+SOLVERS = ("direct", "cg")
 
 
 class NotSpdError(RuntimeError):
@@ -76,9 +78,9 @@ def solve_cg(A, b, tol=1e-12, max_iter=None, preconditioner="none"):
         f"(relative residual {np.linalg.norm(r) / bnorm:.3e})", max_iter)
 
 
-def _cholesky_inverse(A):
-    """x -> A^-1 x by a dense Cholesky factor; factorization failure
-    signals non-SPD."""
+def solve_dense_cholesky(A, b):
+    """Dense Cholesky solve, the reference the sparse solves are checked
+    against; factorization failure signals non-SPD."""
     if sp.issparse(A):
         A = A.toarray()
     A = np.asarray(A, dtype=float)
@@ -88,12 +90,7 @@ def _cholesky_inverse(A):
         c = cho_factor(A)
     except np.linalg.LinAlgError as exc:
         raise NotSpdError(f"Cholesky factorization failed: {exc}") from exc
-    return lambda x: cho_solve(c, np.asarray(x, dtype=float))
-
-
-def solve_dense_cholesky(A, b):
-    """Dense Cholesky solve; factorization failure signals non-SPD."""
-    return _cholesky_inverse(A)(b)
+    return cho_solve(c, np.asarray(b, dtype=float))
 
 
 # block entries gathered from the matrix per step of the smoother setup:
@@ -204,9 +201,9 @@ def solve_spd(A, b, method="direct", tol=1e-12, coarse=None,
               element_dofs=None, kappa=False, condensed=None):
     """Default solve path for assembled systems: (x, kappa_2) with kappa,
     else (x, None); an empty system has no kappa either.  "direct"
-    factors A by SuperLU, "dense" by Cholesky.  With the coarse space and
-    the per-element DOF index of two_level_preconditioner, "cg" is
-    preconditioned by it; otherwise by the diagonal.
+    factors A by SuperLU.  With the coarse space and the per-element DOF
+    index of two_level_preconditioner, "cg" is preconditioned by it;
+    otherwise by the diagonal.
 
     kappa is estimate_condition_2's, on the solve's own factor, of A or,
     with condensed (a pipeline.Condensation whose Schur complement is A),
@@ -232,9 +229,6 @@ def solve_spd(A, b, method="direct", tol=1e-12, coarse=None,
         if method == "direct":
             inverse = _superlu_inverse(A)
             x = inverse(np.asarray(b, dtype=float))
-        elif method == "dense":
-            inverse = _cholesky_inverse(A)
-            x = inverse(b)
         else:
             A_rows = _csr(A)
             if coarse is None:

@@ -86,7 +86,7 @@ def reduced_system(method, family, k, level, f=get_solution("sinsin").f,
     """(A, b, dm, classes): the full matrix (CSC) and load on the free
     DOFs [0, dm.n_free) (homogeneous Dirichlet data) of one method at one
     mesh level, with its DofMap and element classes, assembled with no
-    condensation; f=None assembles a zero load."""
+    condensation."""
     mesh = generate_mesh(family, level)
     classes = element_classes(method, mesh, k)
     dm = DofMap(mesh, k)

@@ -243,6 +243,20 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="no such directory"):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("key", ["out", "dump_matrix"])
+    @pytest.mark.parametrize("suffix", ["", os.sep])
+    def test_directory_output_rejected_before_any_level(
+            self, key, suffix, tmp_path, monkeypatch):
+        # out could not be opened, and the prefix DIR/ would name the
+        # hidden files DIR/.levelN.mtx
+        def no_level(*args):
+            raise AssertionError("a level ran")
+
+        monkeypatch.setattr(experiments, "generate_mesh", no_level)
+        cfg = ExperimentConfig(**{key: str(tmp_path) + suffix})
+        with pytest.raises(ConfigError, match="names a directory"):
+            run_experiment(cfg)
+
     def test_dump_matrix_writes_per_level(self, tmp_path):
         cfg = ExperimentConfig(levels=(1, 2),
                                dump_matrix=str(tmp_path / "A"))
@@ -342,10 +356,27 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "missing").exists()
 
-    def test_unwritable_out_exits_2(self, tmp_path, capsys):
-        # a directory passes validate, and the write itself fails
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a directory fails validate, before any level runs
+        def no_level(*args):
+            raise AssertionError("a level ran")
+
+        monkeypatch.setattr(experiments, "generate_mesh", no_level)
         assert main(["run", "--levels", "1..1", "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_dump_matrix_directory_exits_2(self, tmp_path, capsys):
+        (tmp_path / "out").mkdir()
+        assert main(["run", "--levels", "1..1", "--dump-matrix",
+                     str(tmp_path / "out") + os.sep]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_dense_solver_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--levels", "1..1", "--solver", "dense"])
+        assert info.value.code == 2
+        assert "invalid choice: 'dense'" in capsys.readouterr().err
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "none.cfg")]) == 2

@@ -94,16 +94,21 @@ class TestSolveSpd:
         b = np.linspace(0, 1, 25)
         xd, kd = solve_spd(As, b, method="direct", kappa=True)
         xc, kc = solve_spd(As, b, method="cg", tol=1e-13, kappa=True)
-        xe, ke = solve_spd(As, b, method="dense", kappa=True)
         assert np.allclose(xd, xc, atol=1e-8)
-        assert np.allclose(xd, xe, atol=1e-10)
-        for kappa in (kd, kc, ke):
+        assert np.allclose(xd, solve_dense_cholesky(A, b), atol=1e-10)
+        for kappa in (kd, kc):
             assert kappa == pytest.approx(d[-1] / d[0], rel=1e-10)
         assert solve_spd(As, b)[1] is None
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             solve_spd(sp.eye(3, format="csc"), np.ones(3), method="gmres")
+
+    def test_dense_is_no_solver(self):
+        # dense Cholesky is only the reference, solve_dense_cholesky
+        assert solvers.SOLVERS == ("direct", "cg")
+        with pytest.raises(ValueError, match="unknown solver"):
+            solve_spd(sp.eye(3, format="csc"), np.ones(3), method="dense")
 
     def test_direct_matches_dense_cholesky_on_sf_hct_system(self):
         # irregular8 k=3 L4: 3,233 free DOFs, under the dense cap
@@ -201,8 +206,7 @@ def test_kappa_matches_dense_eigenvalues(system):
     want = eig[-1] / eig[0]
     # the same factor as each solve's, lambda_max and lambda_min in
     # sequence on this thread; CG builds no factor, so kappa factors A
-    factors = {"direct": solvers._superlu_inverse(A),
-               "dense": solvers._cholesky_inverse(A), "cg": None}
+    factors = {"direct": solvers._superlu_inverse(A), "cg": None}
     for method, inverse in factors.items():
         _, kappa = solve_spd(A, b, method=method, kappa=True)
         assert kappa == estimate_condition_2(A, inverse), method
