@@ -80,9 +80,10 @@ def _cmd_mesh(args):
 
 def _cmd_verify(args):
     """Quick structural checks: projection polynomial consistency, the
-    scale-free class cache (operators bit for bit at scale 2^-3), SPD
-    assembly, the condensed solve against the full system, and the
-    lowest-order finite element equivalence."""
+    scale-free class cache (operators bit for bit at scale 2^-3), the
+    interior block's decoupling (K_ib = 0), SPD assembly, the condensed
+    solve and its kappa against the full system, and the lowest-order
+    finite element equivalence."""
     from .mesh import gen_uniform_mesh, gen_irregular8_mesh
     from .sf_vem import SfElementClass, sf_class, solve_sf_vem
     from .problems import get_solution
@@ -104,6 +105,12 @@ def _cmd_verify(args):
         err = np.abs(rec - full).max() / max(np.abs(full).max(), 1e-30)
         if err > 1e-9:
             failures.append(f"P_{k} reproduction error {err:.2e}")
+        # kappa takes the full system as S plus the interior blocks
+        nb, K = ec.n_boundary, ec.K_loc
+        coupling = np.abs(K[nb:, :nb]).max(initial=0.0) / np.abs(K).max()
+        if coupling > 1e-14:
+            failures.append(f"k={k} interior block couples to the "
+                            f"boundary: max|K_ib| / max|K| {coupling:.2e}")
         # classes are built once per shape up to a power-of-two scale: one
         # handed out at scale 2^-3 must carry a fresh build's bits in its
         # K_loc, condensed S_loc, load operators and interior moments
@@ -130,8 +137,9 @@ def _cmd_verify(args):
     for fam, gen in (("uniform", gen_uniform_mesh),
                      ("irregular8", gen_irregular8_mesh)):
         # the solve runs on the condensed skeleton; its DOFs must solve
-        # the full reduced system
-        sol = solve_sf_vem(gen(2), 2, prob)
+        # the full reduced system, and its kappa, from S and the interior
+        # blocks, must be the full system's
+        sol = solve_sf_vem(gen(2), 2, prob, kappa=True)
         try:
             x = solvers.solve_dense_cholesky(sol.matrix, sol.load)
         except solvers.NotSpdError as exc:
@@ -142,6 +150,10 @@ def _cmd_verify(args):
         if err > 1e-10:
             failures.append(f"{fam} level-2 condensed solve off the full "
                             f"system's by {err:.2e}")
+        want = solvers.estimate_condition_2(sol.matrix)
+        if abs(sol.kappa - want) > 1e-10 * want:
+            failures.append(f"{fam} level-2 kappa {sol.kappa:.6e} off the "
+                            f"full system's {want:.6e}")
 
     for gen in (gen_uniform_mesh, gen_irregular8_mesh):
         mesh = gen(3)

@@ -40,7 +40,8 @@ I_h g.  It derives, once per class, the local stiffness K_loc, its
 static condensation `condensed` (the interior DOFs eliminated, which
 leaves the Schur complement S_loc on the 3k boundary DOFs), the load
 operators of the three load rules (load_matrix, interp_load,
-vem_load_matrix), and error_factors, the triangular factors R_M and R_S
+vem_load_matrix), interior_spectrum, the extreme eigenvalues of K_ii,
+and error_factors, the triangular factors R_M and R_S
 that take a DOF difference straight to the L2 norm and H1 seminorm of
 its projection.  The sf-hct class of each level derives none of them: it
 takes them from its shape's base build, scaled by exact powers of two
@@ -55,8 +56,11 @@ for bit.  DofMap numbers the free DOFs first, so the reduced system is
 the block [0, n_free) of its numbering and the skeleton the block
 [0, n_skeleton); assembly drops the Dirichlet entries, and the reduced
 load and solution are slices.  The full reduced matrix is assembled only
-when read (Solution.matrix); kappa multiplies by it element by element
-(Condensation.matvec).
+when read (Solution.matrix).  kappa multiplies by it element by element
+(Condensation.matvec), unless no class's interior block couples to the
+skeleton (ElementClass.interior_coupled, false for sf-hct): then the
+reduced matrix is S plus the blocks K_ii on its diagonal, and kappa
+takes S's extremes and interior_spectrum's.
 
 Local coordinates put the class's first vertex at the origin; `origins`
 are the first vertices of the class's triangles.
@@ -124,6 +128,10 @@ class ElementClass:
     docstring)."""
 
     stabilizer = 0.0
+    # whether K_loc's interior block K_ii couples to its boundary DOFs
+    # (K_ib != 0); a class that says no lets kappa take the spectrum of
+    # the full system from the skeleton's and interior_spectrum
+    interior_coupled = True
 
     def __init__(self, k, verts):
         self.k = k
@@ -181,6 +189,17 @@ class ElementClass:
         X = cho_solve((chol, True), K[nb:, :nb])
         S = K[:nb, :nb] - K[:nb, nb:] @ X
         return chol, X, 0.5 * (S + S.T)
+
+    @cached_property
+    def interior_spectrum(self):
+        """(lambda_min, lambda_max) of the interior block K_ii of K_loc;
+        (inf, -inf), which min and max pass over, when it is empty
+        (k = 1)."""
+        nb = self.n_boundary
+        if not self.n_interior:
+            return np.inf, -np.inf
+        eig = np.linalg.eigvalsh(self.K_loc[nb:, nb:])
+        return float(eig[0]), float(eig[-1])
 
     @cached_property
     def load_matrix(self):
@@ -287,7 +306,9 @@ class Condensation:
     without assembling it: one gather of x over all elements, one K_loc
     product per class and one scatter-add.  One slot array serves all
     three: each class's _slots are views of its rows.  matrix is A
-    itself, assembled on first read; shape is A's."""
+    itself, assembled on first read; shape is A's.  When the level is
+    decoupled, A is S plus the interior blocks on its diagonal, and
+    interior_spectrum gives their extremes."""
 
     def __init__(self, dm, classes):
         self.dm, self.classes = dm, classes
@@ -356,6 +377,20 @@ class Condensation:
         return lambda r: self.back_substitute(
             skeleton_inverse(self.condense(r)), r)
 
+    @cached_property
+    def decoupled(self):
+        """Whether no class's interior block couples to the skeleton, so
+        that A is S plus the interior blocks K_ii on its diagonal."""
+        return not any(ec.interior_coupled for ec, _ in self.classes)
+
+    @cached_property
+    def interior_spectrum(self):
+        """(lambda_min, lambda_max) over the interior blocks of all
+        classes; (inf, -inf) when there are none."""
+        spectra = [ec.interior_spectrum for ec, _ in self.classes]
+        return (min(lo for lo, _ in spectra),
+                max(hi for _, hi in spectra))
+
 
 def solve_reduced(solution_class, dm, S, b, classes, solver, tol,
                   kappa=False):
@@ -365,7 +400,7 @@ def solve_reduced(solution_class, dm, S, b, classes, solver, tol,
     DOFs.  Wrap the full DOF vector (Dirichlet zeros), the condensation
     (whose matrix is the reduced matrix), the reduced load and, with
     kappa, the kappa_2 of the full reduced matrix (else None, as on a
-    level without free DOFs), which solvers.solve_spd computes beside the
+    level without free DOFs), which solvers.solve_spd computes with the
     solve, in solution_class.  CG gets the P1 coarse space on the skeleton
     and the elements' skeleton DOFs for its two-level preconditioner."""
     cond = Condensation(dm, classes)

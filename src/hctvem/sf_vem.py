@@ -26,7 +26,16 @@ from .polynomials import AffineMonomialBasis
 
 class SfElementClass(ElementClass):
     """Cached per-shape data: HCT space and DOF-to-HCT projection; the
-    stiffness Gram is the HCT space's, and there is no stabilizer."""
+    stiffness Gram is the HCT space's, and there is no stabilizer.
+
+    The interior block of K_loc does not couple to the boundary: the
+    boundary columns of the projection are discrete-harmonic extensions
+    in the HCT space, so they are energy-orthogonal to the HCT bubbles
+    that carry the interior columns, and K_ib = 0 in exact arithmetic
+    (to about 1e-15 of max|K_loc| in floating point).  The reduced system
+    is then S plus the blocks K_ii on its diagonal."""
+
+    interior_coupled = False
 
     def __init__(self, k, local_verts):
         super().__init__(k, local_verts)
@@ -88,10 +97,11 @@ class SfElementClass(ElementClass):
 
 class ScaledSfClass(SfElementClass):
     """The class `base` scaled by 2^e, built from base's arrays.  The
-    projection, interior scale, basis values, K_loc, its condensation and
-    R_S are base's; points, weights, R_M, gradients, the load operators
-    and the interior moments are base's times exact powers of two; only
-    the geometry is computed at the level's scale."""
+    projection, interior scale, basis values, K_loc, its condensation,
+    interior_spectrum and R_S are base's; points, weights, R_M,
+    gradients, the load operators and the interior moments are base's
+    times exact powers of two; only the geometry is computed at the
+    level's scale."""
 
     def __init__(self, base, e):
         ElementClass.__init__(self, base.k, np.ldexp(base.verts, e))
@@ -131,6 +141,10 @@ class ScaledSfClass(SfElementClass):
     @property
     def condensed(self):
         return self.base.condensed
+
+    @property
+    def interior_spectrum(self):
+        return self.base.interior_spectrum
 
     @property
     def error_factors(self):

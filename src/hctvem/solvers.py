@@ -197,6 +197,20 @@ def _factorized(A):
         raise NotSpdError(f"singular matrix: {exc}") from exc
 
 
+def _solve(A, b, method, tol, coarse, element_dofs):
+    """(x, inverse): A^-1 b by the solver method, and x -> A^-1 x by the
+    solve's factor, or None after CG, which builds none."""
+    if method == "direct":
+        inverse = _superlu_inverse(A)
+        return inverse(np.asarray(b, dtype=float)), inverse
+    A_rows = _csr(A)
+    if coarse is None:
+        pre = "jacobi"
+    else:
+        pre = two_level_preconditioner(A_rows, coarse, element_dofs)
+    return solve_cg(A_rows, b, tol=tol, preconditioner=pre)[0], None
+
+
 def solve_spd(A, b, method="direct", tol=1e-12, coarse=None,
               element_dofs=None, kappa=False, condensed=None):
     """Default solve path for assembled systems: (x, kappa_2) with kappa,
@@ -207,35 +221,33 @@ def solve_spd(A, b, method="direct", tol=1e-12, coarse=None,
 
     kappa is estimate_condition_2's, on the solve's own factor, of A or,
     with condensed (a pipeline.Condensation whose Schur complement is A),
-    of the full system that condensed describes: its products are
-    condensed.matvec, and its inverse is condensed.inverse of A's (after
-    CG, A is factored by spla.factorized for it).  lambda_max needs only
-    those products, mostly GIL-free sparse or BLAS work, so it runs on a
-    second thread beside the factorization (mostly GIL-free as well) and
-    the solve; lambda_min's Lanczos, whose SuperLU solves hold the GIL,
-    stays on this thread.  The thread is joined before this returns or
-    raises."""
+    of the full system that condensed describes; after CG, A is factored
+    by spla.factorized for it.  When condensed is decoupled, the full
+    system is A plus the interior blocks on its diagonal: kappa is A's
+    with the blocks' extremes (condensed.interior_spectrum), all on this
+    thread.  Otherwise its products are condensed.matvec, and its
+    inverse is condensed.inverse of A's.  lambda_max needs only products,
+    mostly GIL-free sparse or BLAS work, so it runs on a second thread
+    beside the factorization (mostly GIL-free as well) and the solve;
+    lambda_min's Lanczos, whose SuperLU solves hold the GIL, stays on
+    this thread.  The thread is joined before this returns or raises."""
     if method not in SOLVERS:
         raise ValueError(f"unknown solver {method!r}")
     system = A if condensed is None else condensed
     n = system.shape[0]
+    if condensed is not None and condensed.decoupled:
+        x, inverse = _solve(A, b, method, tol, coarse, element_dofs)
+        if not (kappa and n):
+            return x, None
+        return x, estimate_condition_2(
+            A, inverse, interior=condensed.interior_spectrum)
     with ThreadPoolExecutor(max_workers=1) as pool:
         lam_max = None
         if kappa and n:
             lam_max = (pool.submit(_lambda_max, A) if condensed is None else
                        pool.submit(_lanczos_extreme, condensed.matvec, n,
                                    start=_alternating(n))).result
-        inverse = None
-        if method == "direct":
-            inverse = _superlu_inverse(A)
-            x = inverse(np.asarray(b, dtype=float))
-        else:
-            A_rows = _csr(A)
-            if coarse is None:
-                pre = "jacobi"
-            else:
-                pre = two_level_preconditioner(A_rows, coarse, element_dofs)
-            x, _ = solve_cg(A_rows, b, tol=tol, preconditioner=pre)
+        x, inverse = _solve(A, b, method, tol, coarse, element_dofs)
         if lam_max is None:
             return x, None
         if condensed is not None:
@@ -300,26 +312,36 @@ def _lanczos_extreme(apply, n, *, start=None, max_iter=None, tol=1e-10):
         max_iter)
 
 
-def estimate_condition_2(A, inverse=None, lam_max=None):
+def estimate_condition_2(A, inverse=None, lam_max=None,
+                         interior=(np.inf, -np.inf)):
     """kappa_2 = lambda_max / lambda_min of an SPD matrix.  lambda_max is
     the extreme Ritz value of Lanczos on A, 1 / lambda_min that of Lanczos
     on A^-1.  inverse applies A^-1; without it A is factored here.
     lam_max, when given, returns lambda_max (solve_spd hands in its
     thread's result, which is awaited after lambda_min); without it the
     Lanczos on A runs here.  Given both, A is read only for its shape.
-    Raises NotSpdError when A is singular or either value is not
-    positive, ConvergenceError when Lanczos does not settle."""
+    interior is (lambda_min, lambda_max) of SPD blocks that sit beside A
+    on the diagonal of a larger matrix, (inf, -inf) for none; the kappa_2
+    returned is that matrix's, and A may be empty when there are some.
+    Raises NotSpdError when A is singular or either value, or the
+    interior lambda_min, is not positive, ConvergenceError when Lanczos
+    does not settle."""
     n = A.shape[0]
-    if n == 0:
+    lo, hi = interior
+    if n == 0 and hi < lo:
         raise ValueError("condition number of an empty (0 x 0) matrix")
-    if inverse is None:
-        inverse = _factorized(A)
-    mu = _lanczos_extreme(inverse, n)
-    lam_max = _lambda_max(A) if lam_max is None else lam_max()
-    if lam_max <= 0 or mu <= 0:
-        raise NotSpdError(f"nonpositive extreme eigenvalue: lambda_max "
-                          f"{lam_max:.3e}, 1 / lambda_min {mu:.3e}")
-    return lam_max * mu
+    mu = lam = 0.0
+    if n:
+        if inverse is None:
+            inverse = _factorized(A)
+        mu = _lanczos_extreme(inverse, n)
+        lam = _lambda_max(A) if lam_max is None else lam_max()
+        if lam <= 0 or mu <= 0:
+            raise NotSpdError(f"nonpositive extreme eigenvalue: lambda_max "
+                              f"{lam:.3e}, 1 / lambda_min {mu:.3e}")
+    if lo <= 0:
+        raise NotSpdError(f"nonpositive interior eigenvalue {lo:.3e}")
+    return max(lam, hi) * max(mu, 1.0 / lo)
 
 
 def export_matrix_market(A, path):

@@ -74,14 +74,16 @@ def test_cache_names_read_by_the_worker_exist():
         assert isinstance(cache, dict)
 
 
-@pytest.mark.parametrize("study", [
-    dict(method="sf-hct", k=3, levels=(1, 3), solver="cg"),
-    dict(method="classic", k=3, levels=(2, 3), dof_mode="l2_normalized_x10",
-         alpha=-1.0),
+@pytest.mark.parametrize("study,threaded", [
+    (dict(method="sf-hct", k=3, levels=(1, 3), solver="cg"), False),
+    (dict(method="classic", k=3, levels=(2, 3), dof_mode="l2_normalized_x10",
+          alpha=-1.0), True),
 ], ids=["sf-hct-cg", "classic-direct"])
-def test_kappa_run_calls_entry_points_on_the_main_thread(study, monkeypatch):
+def test_kappa_run_calls_entry_points_on_the_main_thread(study, threaded,
+                                                         monkeypatch):
     # the tracer keeps one span stack for the process: a wrapped name
-    # called from kappa's lambda_max thread would corrupt it
+    # called from kappa's lambda_max thread would corrupt it.  sf-hct's
+    # kappa runs both Lanczos on the skeleton matrix on this thread
     threads = {}
 
     def record(path, original):
@@ -101,7 +103,12 @@ def test_kappa_run_calls_entry_points_on_the_main_thread(study, monkeypatch):
     for path, seen in threads.items():
         if path != "solvers._lanczos_extreme":
             assert all(t is main for t in seen), path
-    # lambda_max on the second thread, lambda_min on this one, per level
     lanczos = threads["solvers._lanczos_extreme"]
-    assert sum(t is not main for t in lanczos) == len(report.rows)
-    assert sum(t is main for t in lanczos) == len(report.rows)
+    if threaded:
+        # lambda_max on the second thread, lambda_min on this one, per
+        # level
+        assert sum(t is not main for t in lanczos) == len(report.rows)
+        assert sum(t is main for t in lanczos) == len(report.rows)
+    else:
+        assert len(lanczos) == 2 * len(report.rows)
+        assert all(t is main for t in lanczos)

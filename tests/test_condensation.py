@@ -3,13 +3,15 @@ skeleton (free vertex and edge DOFs) and recovers the interior DOFs per
 class.  The oracle is the full reduced system of conftest.reduced_system,
 assembled without condensation and solved by SuperLU."""
 
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 from conftest import reduced_system
 
-from hctvem import classic_vem, pipeline, solvers
+from hctvem import classic_vem, pipeline, sf_vem, solvers
 from hctvem.cli import main
 from hctvem.classic_vem import (ClassicElementClass, solve_classic_vem,
                                 solve_enriched_vem)
@@ -67,6 +69,56 @@ def test_kappa_is_that_of_the_full_system(method, k, solver):
     A = reduced_system(method, "irregular8", k, 3)[0]
     want = solvers.estimate_condition_2(A)
     assert abs(sol.kappa - want) <= 1e-10 * want
+
+
+@functools.cache
+def dense_kappa(family, k, level):
+    """kappa_2 of sf-hct's full reduced matrix by dense eigvalsh."""
+    A = reduced_system("sf-hct", family, k, level)[0]
+    eig = np.linalg.eigvalsh(A.toarray())
+    return eig[-1] / eig[0]
+
+
+@pytest.mark.parametrize("solver", ["direct", "cg"])
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("family", ["uniform", "irregular8"])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_decoupled_kappa_matches_dense_eigenvalues(k, family, level,
+                                                   solver):
+    # sf-hct's kappa comes from S and the K_ii spectra; bound set before
+    # the run: 1e-10 relative
+    sol = solve("sf-hct", family, k, level, solver, kappa=True)
+    assert sol.condensation.decoupled
+    want = dense_kappa(family, k, level)
+    assert abs(sol.kappa - want) <= 1e-10 * want
+
+
+def spy_condensation(monkeypatch):
+    """Calls of Condensation.matvec and .inverse, from now on."""
+    calls = {"matvec": 0, "inverse": 0}
+    for name in calls:
+        def counted(self, *args, _name=name,
+                    _original=getattr(pipeline.Condensation, name)):
+            calls[_name] += 1
+            return _original(self, *args)
+        monkeypatch.setattr(pipeline.Condensation, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("solver", ["direct", "cg"])
+@pytest.mark.parametrize("method,k", [("sf-hct", 1), ("sf-hct", 3),
+                                      ("sf-hct", 6), ("classic", 1),
+                                      ("classic", 3), ("enriched", 2)])
+def test_only_coupled_methods_take_kappa_through_the_full_system(
+        method, k, solver, monkeypatch):
+    calls = spy_condensation(monkeypatch)
+    sol = solve(method, "irregular8", k, 2, solver, kappa=True)
+    assert sol.kappa > 1
+    assert sol.condensation.decoupled == (method == "sf-hct")
+    if method == "sf-hct":
+        assert calls == {"matvec": 0, "inverse": 0}
+    else:
+        assert calls["matvec"] > 0 and calls["inverse"] == 1
 
 
 @pytest.mark.parametrize("method,k", [("sf-hct", 1), ("sf-hct", 3),
@@ -238,6 +290,30 @@ def test_verify_catches_a_wrong_back_substitution(monkeypatch, capsys):
     monkeypatch.setattr(pipeline.Condensation, "back_substitute", off)
     assert main(["verify"]) == 1
     assert "condensed solve" in capsys.readouterr().err
+
+
+def test_verify_catches_a_coupled_interior_block(monkeypatch, capsys):
+    K_loc = SfElementClass.K_loc
+
+    def coupled(self):
+        K = K_loc.func(self).copy()
+        nb = self.n_boundary
+        K[nb:, :nb] += 1e-10 * np.abs(K).max()
+        K[:nb, nb:] = K[nb:, :nb].T
+        return K
+
+    monkeypatch.setattr(SfElementClass, "K_loc", property(coupled))
+    # the classes built meanwhile derive their condensation from it
+    monkeypatch.setattr(sf_vem, "_GLOBAL_CACHE", {})
+    assert main(["verify"]) == 1
+    assert "interior block couples" in capsys.readouterr().err
+
+
+def test_verify_catches_a_wrong_kappa(monkeypatch, capsys):
+    monkeypatch.setattr(pipeline.Condensation, "interior_spectrum",
+                        (1e-9, 1.0))
+    assert main(["verify"]) == 1
+    assert "level-2 kappa" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("k", range(2, 7))

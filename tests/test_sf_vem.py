@@ -15,7 +15,7 @@ from hctvem.pipeline import (LOAD_RULES, AssemblyError, ElementClass,
                              assemble_load, group_elements)
 from hctvem.problems import get_solution
 from hctvem.sf_vem import (SfElementClass, _assemble, _class_cache_build,
-                           solve_sf_vem)
+                           sf_class, solve_sf_vem)
 from hctvem.solvers import solve_dense_cholesky
 
 TRI = np.array([[0.0, 0.0], [1.0, 0.1], [0.3, 0.9]])
@@ -186,6 +186,47 @@ class TestScaleFreeClasses:
             level_classes += len(classes)
         assert level_classes == 32 and len(cache) == 8
         assert Counter(built) == dict.fromkeys(names + ("moments",), 8)
+
+
+class TestInteriorDecoupling:
+    """sf-hct's kappa rests on K_ib = 0: the boundary columns of the
+    projection are discrete-harmonic in the HCT space, so the reduced
+    system is S plus the interior blocks K_ii on its diagonal."""
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_interior_block_does_not_couple(self, k):
+        # bound set before the run: 1e-14 of max|K_loc|
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            tri = random_ccw_triangle(rng)
+            while min_angle_deg(tri) < 15.0:
+                tri = random_ccw_triangle(rng)
+            ec = SfElementClass(k, tri - tri[0])
+            nb, K = ec.n_boundary, ec.K_loc
+            assert np.abs(K[nb:, :nb]).max() <= 1e-14 * np.abs(K).max()
+            assert not ec.interior_coupled
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_interior_spectrum(self, k):
+        ec = SfElementClass(k, TRI)
+        nb = ec.n_boundary
+        if k == 1:
+            assert ec.interior_spectrum == (np.inf, -np.inf)
+            return
+        eig = np.linalg.eigvalsh(ec.K_loc[nb:, nb:])
+        assert ec.interior_spectrum == (eig[0], eig[-1])
+        assert 0 < eig[0] <= eig[-1]
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_scaled_class_carries_its_bases_spectrum(self, k):
+        cache = {}
+        base_class = sf_class(k, TRI, cache)
+        scaled = sf_class(k, np.ldexp(TRI, -3), cache)
+        assert scaled.base is base_class.base
+        fresh = SfElementClass(k, np.ldexp(TRI, -3))
+        for other in (scaled.base, fresh):
+            assert np.array(scaled.interior_spectrum).tobytes() \
+                == np.array(other.interior_spectrum).tobytes()
 
 
 class TestLocalProjection:

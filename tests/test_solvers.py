@@ -173,6 +173,32 @@ class TestConditionEstimate:
         with pytest.raises(NotSpdError):
             estimate_condition_2(form(np.diag([-1.0, 2.0, 3.0])))
 
+    @pytest.mark.parametrize("interior,want", [
+        ((0.5, 1.0), 8.0),      # the blocks hold lambda_min
+        ((2.0, 8.0), 4.0),      # and lambda_max
+        ((0.5, 8.0), 16.0),     # both
+        ((2.0, 3.0), 2.0),      # neither
+        ((np.inf, -np.inf), 2.0),
+    ])
+    def test_interior_blocks_widen_the_spectrum(self, interior, want):
+        # diag(2, 3, 4) beside SPD blocks with the given extremes
+        A = sp.csc_matrix(np.diag([2.0, 3.0, 4.0]))
+        assert estimate_condition_2(A, interior=interior) \
+            == pytest.approx(want, rel=1e-12)
+
+    def test_interior_blocks_alone(self):
+        assert estimate_condition_2(sp.csc_matrix((0, 0)),
+                                    interior=(0.5, 2.0)) == 4.0
+        with pytest.raises(ValueError, match="empty"):
+            estimate_condition_2(sp.csc_matrix((0, 0)),
+                                 interior=(np.inf, -np.inf))
+
+    @pytest.mark.parametrize("lo", [-1.0, 0.0])
+    def test_nonpositive_interior_block_rejected(self, lo):
+        A = sp.csc_matrix(np.diag([2.0, 3.0]))
+        with pytest.raises(NotSpdError, match="interior"):
+            estimate_condition_2(A, interior=(lo, 1.0))
+
     def test_empty_matrix_has_no_kappa(self):
         x, kappa = solve_spd(sp.csc_matrix((0, 0)), np.zeros(0), kappa=True)
         assert x.shape == (0,) and kappa is None
@@ -320,9 +346,10 @@ class TestStartVector:
     def test_condensed_kappa_equals_its_runs_in_sequence(self):
         # the thread changes no bit: kappa is lambda_max's Lanczos on the
         # element-by-element products times lambda_min's on the
-        # condensed inverse through the solve's own factor
+        # condensed inverse through the solve's own factor.  classic, as
+        # sf-hct's kappa takes neither (the test below)
         mesh = generate_mesh("irregular8", 3)
-        classes = element_classes("sf-hct", mesh, 3)
+        classes = element_classes("classic", mesh, 3)
         dm = DofMap(mesh, 3)
         cond = pipeline.Condensation(dm, classes)
         S = pipeline.assemble_matrix(dm, classes, skeleton=True)
@@ -334,19 +361,44 @@ class TestStartVector:
         inverse = cond.inverse(solvers._superlu_inverse(S))
         assert kappa == lam_max * solvers._lanczos_extreme(inverse, n)
 
+    def test_decoupled_kappa_is_the_skeletons_with_the_interior_blocks(
+            self):
+        # sf-hct's kappa: lambda_max's Lanczos on S and lambda_min's on the
+        # solve's own factor of S, widened by the K_ii extremes
+        mesh = generate_mesh("irregular8", 3)
+        classes = element_classes("sf-hct", mesh, 3)
+        dm = DofMap(mesh, 3)
+        cond = pipeline.Condensation(dm, classes)
+        assert cond.decoupled
+        S = pipeline.assemble_matrix(dm, classes, skeleton=True)
+        g = cond.condense(np.ones(dm.n_free))
+        _, kappa = solve_spd(S, g, kappa=True, condensed=cond)
+        lo, hi = cond.interior_spectrum
+        lam_max = solvers._lambda_max(S)
+        mu = solvers._lanczos_extreme(solvers._superlu_inverse(S),
+                                      dm.n_skeleton)
+        assert kappa == max(lam_max, hi) * max(mu, 1.0 / lo)
+
     def test_lambda_max_products_at_k6_level3(self, monkeypatch):
+        # sf-hct's lambda_max is the top of S or of a K_ii, and Lanczos
+        # runs on S from the alternating start
         products = []
-        matvec = pipeline.Condensation.matvec
+        lanczos = solvers._lanczos_extreme
 
-        def spy(cond, x):
-            products.append(1)
-            return matvec(cond, x)
+        def spy(apply, n, **kwargs):
+            if kwargs.get("start") is None:
+                return lanczos(apply, n, **kwargs)
 
-        monkeypatch.setattr(pipeline.Condensation, "matvec", spy)
+            def counted(x):
+                products.append(1)
+                return apply(x)
+            return lanczos(counted, n, **kwargs)
+
+        monkeypatch.setattr(solvers, "_lanczos_extreme", spy)
         sol = solve_sf_vem(generate_mesh("irregular8", 3), 6,
                            get_solution("sinsin"), solver="cg", kappa=True)
         assert sol.kappa > 1
-        # measured 82 products; 115 from the all-ones start
+        # measured 82 products on S, as many as on the full system
         assert len(products) <= 90
 
 
