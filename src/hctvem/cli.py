@@ -80,10 +80,13 @@ def _cmd_mesh(args):
 
 def _cmd_verify(args):
     """Quick structural checks: projection polynomial consistency, the
-    scale-free class cache (operators bit for bit at scale 2^-3), the
+    HCT space mapped from the unit triangle's against one built in the
+    triangle's own coordinates, the scale-free class cache (operators bit
+    for bit at scale 2^-3), the
     interior block's decoupling (K_ib = 0), SPD assembly, the condensed
     solve and its kappa against the full system, and the lowest-order
     finite element equivalence."""
+    from .hct import HctLocalSpace
     from .mesh import gen_uniform_mesh, gen_irregular8_mesh
     from .sf_vem import SfElementClass, sf_class, solve_sf_vem
     from .problems import get_solution
@@ -111,6 +114,17 @@ def _cmd_verify(args):
         if coupling > 1e-14:
             failures.append(f"k={k} interior block couples to the "
                             f"boundary: max|K_ib| / max|K| {coupling:.2e}")
+        # the space is the unit triangle's mapped onto tri: its stiffness
+        # and K_loc must match a build in tri's own coordinates
+        physical = SfElementClass(k, tri,
+                                  HctLocalSpace(k, tri, physical=True))
+        for name, a, b in (
+                ("HCT stiffness", ec.stiffness, physical.stiffness),
+                ("K_loc", ec.K_loc, physical.K_loc)):
+            diff = np.abs(a - b).max() / np.abs(b).max()
+            if diff > 1e-10:
+                failures.append(f"k={k} mapped {name} off the physical "
+                                f"build's by {diff:.2e}")
         # classes are built once per shape up to a power-of-two scale: one
         # handed out at scale 2^-3 must carry a fresh build's bits in its
         # K_loc, condensed S_loc, load operators and interior moments

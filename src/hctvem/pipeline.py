@@ -40,7 +40,9 @@ I_h g.  It derives, once per class, the local stiffness K_loc, its
 static condensation `condensed` (the interior DOFs eliminated, which
 leaves the Schur complement S_loc on the 3k boundary DOFs), the load
 operators of the three load rules (load_matrix, interp_load,
-vem_load_matrix), interior_spectrum, the extreme eigenvalues of K_ii,
+vem_load_matrix; interp_load reads lagrange_values, the P_k Lagrange
+basis of the triangle's lattice at quad_points, which sf-hct takes from
+the unit triangle), interior_spectrum, the extreme eigenvalues of K_ii,
 and error_factors, the triangular factors R_M and R_S
 that take a DOF difference straight to the L2 norm and H1 seminorm of
 its projection.  The sf-hct class of each level derives none of them: it
@@ -207,6 +209,20 @@ class ElementClass:
         return (self.quad_weights[:, None] * self.basis_values) \
             @ self.projection
 
+    @property
+    def lattice(self):
+        """(dim P_k, 2) the P_k lattice of the triangle."""
+        k, v = self.k, self.verts
+        return np.array([(a * v[0] + b * v[1] + c * v[2]) / k
+                         for (a, b, c) in lattice_multi_indices(k)])
+
+    @property
+    def lagrange_values(self):
+        """(nq, dim P_k) the P_k Lagrange basis of lattice at
+        quad_points."""
+        return self.poly.values(self.quad_points) \
+            @ np.linalg.inv(self.poly.values(self.lattice))
+
     @cached_property
     def interp_load(self):
         """(nodes, matrix): the P_k lattice of the triangle and the matrix
@@ -214,12 +230,7 @@ class ElementClass:
         interpolant of f.  For sf-hct it coincides with the "vem" load at
         k = 1; against the reference L2 errors that "vem" reproduces it is
         1 % off at k = 2, 4 and 6, 4 % at k = 5 and 1.5x at k = 3."""
-        k, v = self.k, self.verts
-        lat = np.array([(a * v[0] + b * v[1] + c * v[2]) / k
-                        for (a, b, c) in lattice_multi_indices(k)])
-        lag_quad = self.poly.values(self.quad_points) \
-            @ np.linalg.inv(self.poly.values(lat))
-        return lat, lag_quad.T @ self.load_matrix
+        return self.lattice, self.lagrange_values.T @ self.load_matrix
 
     @cached_property
     def vem_load_matrix(self):

@@ -3,6 +3,12 @@ coefficients of -Delta(v) in the element's affine monomial basis about the
 barycenter (scaled by the squared diameter).  The local stiffness is the
 energy product of the HCT projections of the DOF basis.
 
+Each class's HCT space is the affine image of the unit triangle's, which
+is built once per degree (hct.reference_space).  The interior P_{k-2}
+basis and the P_k Lagrange basis of the lattice are polynomials in the
+same affine coordinates, so their values at the mapped quadrature points
+are the unit triangle's too, computed once per degree (_unit_values).
+
 The element is scale-free: the macro split at the barycenter, the
 h-scaled P_k basis and the interior DOFs scaled by the squared diameter
 make the projection and K_loc of a triangle those of any scaled copy.
@@ -12,16 +18,34 @@ array, the load operators and interior moments included, from it; they
 equal a fresh build's bit for bit, as scaling by 2^e is exact in
 floating point (away from overflow and underflow)."""
 
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve
 
 from .dofmap import DofMap
-from .hct import HctLocalSpace
+from .hct import UNIT_TRIANGLE, HctLocalSpace, reference_space
 from .pipeline import (ElementClass, Field, Solution, assemble_load,
                        assemble_matrix, build_classes, solve_reduced)
 from .polynomials import AffineMonomialBasis
+
+
+@cache
+def _unit_values(k):
+    """(interior, lagrange): the interior P_{k-2} basis and the P_k
+    Lagrange basis of the lattice of UNIT_TRIANGLE at the quadrature
+    points of reference_space(k).  Both are polynomials in the affine
+    coordinates of the edges from the first vertex, in which every
+    triangle's quadrature points are these points, so every
+    SfElementClass shares these arrays, which are read-only."""
+    unit = ElementClass(k, UNIT_TRIANGLE)
+    unit.quad_points = reference_space(k).quad_points
+    # the interior_basis of the unit triangle, whose edge matrix is I
+    interior = AffineMonomialBasis(unit.barycenter, np.eye(2), k - 2)
+    values = interior.values(unit.quad_points), unit.lagrange_values
+    for a in values:
+        a.flags.writeable = False
+    return values
 
 
 class SfElementClass(ElementClass):
@@ -37,9 +61,12 @@ class SfElementClass(ElementClass):
 
     interior_coupled = False
 
-    def __init__(self, k, local_verts):
+    def __init__(self, k, local_verts, space=None):
+        """space: the HCT space on local_verts at the default quadrature,
+        HctLocalSpace(k, local_verts), mapped from the unit triangle's,
+        when not given."""
         super().__init__(k, local_verts)
-        self.space = HctLocalSpace(k, self.verts)
+        self.space = HctLocalSpace(k, self.verts) if space is None else space
         sp_ = self.space
         self.stiffness = sp_.stiffness
         self.quad_points = sp_.quad_points
@@ -63,6 +90,18 @@ class SfElementClass(ElementClass):
             self.barycenter,
             np.column_stack([v[1] - v[0], v[2] - v[0]]), self.k - 2)
 
+    @property
+    def interior_values(self):
+        """(nq, n_interior) interior_basis at quad_points: the unit
+        triangle's, shared by every shape."""
+        return _unit_values(self.k)[0]
+
+    @property
+    def lagrange_values(self):
+        """(nq, dim P_k) the lattice's Lagrange basis at quad_points: the
+        unit triangle's, shared by every shape."""
+        return _unit_values(self.k)[1]
+
     def _projection_matrix(self):
         sp_ = self.space
         nb = self.n_boundary
@@ -71,9 +110,9 @@ class SfElementClass(ElementClass):
         # boundary DOF columns: bubble part solves the homogeneous system
         bub_bnd = cho_solve(sp_.bubble_chol, sp_.s_bub_bnd)
         P[nb:, :nb] = -bub_bnd
-        vals = self.interior_basis.values(sp_.quad_points)
         M = sp_.quad_values[:, sp_.bubble_index].T \
-            @ (sp_.quad_weights[:, None] * vals) / self.diameter ** 2
+            @ (sp_.quad_weights[:, None] * self.interior_values) \
+            / self.diameter ** 2
         P[nb:, nb:] = cho_solve(sp_.bubble_chol, M)
         return P
 
@@ -81,7 +120,7 @@ class SfElementClass(ElementClass):
     def moments(self):
         """(w mu, mu^T w mu): the interior basis at quad_points weighted by
         quad_weights, and its Gram, which interior_dofs solves with."""
-        mu = self.interior_basis.values(self.quad_points)
+        mu = self.interior_values
         wmu = self.quad_weights[:, None] * mu
         return wmu, mu.T @ wmu
 

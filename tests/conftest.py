@@ -143,10 +143,11 @@ def project_hct(space, boundary_values, laplacian_coeffs=None,
 
 def _sf_oracle_elements(family, k, level):
     """Per-triangle data of the stabilizer-free method built without the
-    translation-class cache, DofMap or SfElementClass: one HctLocalSpace on
-    each triangle's physical coordinates, the projections of the unit DOFs
-    by project_hct (interior DOFs: -Delta v = one scaled monomial of degree
-    k - 2 about the barycenter), and global boundary DOFs matched by node
+    translation-class cache, DofMap or SfElementClass: one HctLocalSpace
+    built in each triangle's physical coordinates (not mapped from the
+    unit triangle's), the projections of the unit DOFs by project_hct
+    (interior DOFs: -Delta v = one scaled monomial of degree k - 2 about
+    the barycenter), and global boundary DOFs matched by node
     coordinates."""
     from hctvem.hct import HctLocalSpace
     from hctvem.polynomials import monomial_dim
@@ -158,7 +159,7 @@ def _sf_oracle_elements(family, k, level):
     n_interior = monomial_dim(k - 2)
     for t in range(mesh.num_triangles):
         X = mesh.vertices[mesh.triangles[t]]
-        space = HctLocalSpace(k, X, quad_degree=qdeg)
+        space = HctLocalSpace(k, X, quad_degree=qdeg, physical=True)
         nb = space.num_boundary
         diameter = np.linalg.norm(X[[1, 2, 0]] - X, axis=1).max()
         lap_basis = AffineMonomialBasis(space.barycenter,
@@ -327,6 +328,15 @@ def random_ccw_triangle(rng, min_area=0.05):
         a = 0.5 * (d1[0] * d2[1] - d1[1] * d2[0])
         if abs(a) > min_area:
             return tri[[0, 2, 1]] if a < 0 else tri
+
+
+def min_angle_deg(tri):
+    """Smallest interior angle of a triangle, in degrees."""
+    a = tri[[1, 2, 0]] - tri                  # vertex i -> vertex i+1
+    b = tri[[2, 0, 1]] - tri                  # vertex i -> vertex i-1
+    cos = np.einsum("id,id->i", a, b) \
+        / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
+    return float(np.degrees(np.arccos(cos)).min())
 
 
 def topology_oracle(vertices, triangles):

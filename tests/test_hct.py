@@ -1,11 +1,22 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import eval_basis, polynomial
+from conftest import (eval_basis, min_angle_deg, polynomial,
+                      random_ccw_triangle)
 
-from hctvem.hct import HctError, HctLocalSpace, hct_dimension
+import hctvem
+from hctvem import hct, sf_vem
+from hctvem.cli import main
+from hctvem.hct import (HctError, HctLocalSpace, hct_dimension,
+                        reference_space)
+from hctvem.mesh import generate_mesh
 from hctvem.polynomials import AffineMonomialBasis
-from hctvem.sf_vem import SfElementClass
+from hctvem.sf_vem import SfElementClass, _class_cache_build
 
 TRI = np.array([[0.0, 0.0], [1.0, 0.1], [0.3, 0.9]])
 
@@ -142,3 +153,103 @@ class TestProjection:
         d1, d2 = TRI[1] - TRI[0], TRI[2] - TRI[0]
         area = 0.5 * abs(d1[0] * d2[1] - d1[1] * d2[0])
         assert m.sum() == pytest.approx(area, rel=1e-12)
+
+
+def shape_regular_triangles(seed, n=20, min_angle=15.0):
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        tri = random_ccw_triangle(rng)
+        if min_angle_deg(tri) >= min_angle:
+            out.append(tri)
+    return out
+
+
+class TestAffineMap:
+    """Every triangle's space is the unit triangle's mapped by x = v0 +
+    J x_hat, built once per (k, quadrature degree)."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_mapped_space_matches_physical_build(self, k):
+        # bound set before the run: 1e-10 of the largest entry; the
+        # largest difference measured is 2e-12 (quad_values, k = 6)
+        for tri in shape_regular_triangles(k):
+            mapped = HctLocalSpace(k, tri)
+            physical = HctLocalSpace(k, tri, physical=True)
+            assert mapped.reference is reference_space(k)
+            for name in ("stiffness", "quad_values", "quad_gradients",
+                         "quad_weights", "quad_points", "nodes"):
+                got, want = getattr(mapped, name), getattr(physical, name)
+                assert got.shape == want.shape, name
+                assert np.abs(got - want).max() \
+                    <= 1e-10 * np.abs(want).max(), name
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_power_of_two_copy_has_identical_stiffness(self, k):
+        for tri in [TRI] + shape_regular_triangles(30 + k, n=3):
+            want = HctLocalSpace(k, tri)
+            for j in (-7, -1, 3):
+                got = HctLocalSpace(k, np.ldexp(tri, j))
+                assert got.stiffness.tobytes() == want.stiffness.tobytes()
+                assert got.quad_weights.tobytes() \
+                    == np.ldexp(want.quad_weights, 2 * j).tobytes()
+
+    def test_reference_built_once_per_degree(self, monkeypatch):
+        monkeypatch.setattr(hct, "_REFERENCES", {})
+        built = []
+        physical_build = HctLocalSpace._build_quadrature
+
+        def spy(space, quad_degree):
+            built.append((space.k, quad_degree))
+            physical_build(space, quad_degree)
+
+        monkeypatch.setattr(HctLocalSpace, "_build_quadrature", spy)
+        tris = shape_regular_triangles(3, n=4)
+        for k in (1, 2, 4):
+            for tri in tris:
+                HctLocalSpace(k, tri)
+                HctLocalSpace(k, tri, quad_degree=2 * k + 10)
+        assert built == [(k, d) for k in (1, 2, 4)
+                         for d in (2 * k + 6, 2 * k + 10)]
+        assert reference_space(2).coords.tobytes() \
+            == hct.UNIT_TRIANGLE.tobytes()
+
+    def test_nothing_built_at_import(self):
+        src = str(Path(hctvem.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import hctvem, hctvem.cli\n"
+                "from hctvem import hct, sf_vem\n"
+                "assert not hct._REFERENCES\n"
+                "assert not sf_vem._unit_values.cache_info().currsize\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_every_shape_shares_the_reference_values(self, k):
+        ref = reference_space(k).quad_values
+        assert not ref.flags.writeable
+        spaces = [HctLocalSpace(k, tri)
+                  for tri in shape_regular_triangles(40, n=3)]
+        for level in (1, 2):
+            m = generate_mesh("irregular8", level)
+            for ec, _ in _class_cache_build(m, k):
+                assert ec.basis_values is ref
+                spaces.append(ec.base.space)
+        assert all(sp.quad_values is ref for sp in spaces)
+
+    def test_verify_catches_a_wrong_map(self, monkeypatch, capsys):
+        map_reference = HctLocalSpace._map
+
+        def off(space, ref):
+            map_reference(space, ref)
+            space.quad_weights = space.quad_weights * (1 + 1e-8)
+
+        monkeypatch.setattr(HctLocalSpace, "_map", off)
+        # keep the classes built meanwhile out of the shared cache
+        monkeypatch.setattr(sf_vem, "_GLOBAL_CACHE", {})
+        assert main(["verify"]) == 1
+        assert "mapped HCT stiffness off the physical" \
+            in capsys.readouterr().err

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import (group_elements_oracle, orders, polynomial,
+from conftest import (group_elements_oracle, min_angle_deg, polynomial,
                       random_ccw_triangle, reduced_system, sf_errors)
 
 from hctvem.classic_vem import ClassicElementClass, EnrichedElementClass
@@ -19,15 +19,6 @@ from hctvem.sf_vem import (SfElementClass, _assemble, _class_cache_build,
 from hctvem.solvers import solve_dense_cholesky
 
 TRI = np.array([[0.0, 0.0], [1.0, 0.1], [0.3, 0.9]])
-
-
-def min_angle_deg(tri):
-    """Smallest interior angle of a triangle, in degrees."""
-    a = tri[[1, 2, 0]] - tri                  # vertex i -> vertex i+1
-    b = tri[[2, 0, 1]] - tri                  # vertex i -> vertex i-1
-    cos = np.einsum("id,id->i", a, b) \
-        / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
-    return float(np.degrees(np.arccos(cos)).min())
 
 
 def assert_groups_match_oracle(mesh):
