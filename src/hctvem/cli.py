@@ -80,7 +80,8 @@ def _cmd_mesh(args):
 
 def _cmd_verify(args):
     """Quick structural checks: projection polynomial consistency, the
-    HCT space mapped from the unit triangle's against one built in the
+    parent-triangle moment rule against the HCT split's on a polynomial,
+    the HCT space mapped from the unit triangle's against one built in the
     triangle's own coordinates, the scale-free class cache (operators bit
     for bit at scale 2^-3), the
     interior block's decoupling (K_ib = 0), SPD assembly, the condensed
@@ -88,6 +89,7 @@ def _cmd_verify(args):
     finite element equivalence."""
     from .hct import HctLocalSpace
     from .mesh import gen_uniform_mesh, gen_irregular8_mesh
+    from .polynomials import AffineMonomialBasis, monomial_dim
     from .sf_vem import SfElementClass, sf_class, solve_sf_vem
     from .problems import get_solution
     from . import solvers
@@ -108,6 +110,20 @@ def _cmd_verify(args):
         err = np.abs(rec - full).max() / max(np.abs(full).max(), 1e-30)
         if err > 1e-9:
             failures.append(f"P_{k} reproduction error {err:.2e}")
+        # the interior DOFs take -Delta g's moments by one rule of degree
+        # 2k + 6 on the parent triangle; for g of degree k + 8 it and the
+        # HCT split's rule are exact (-Delta g mu has degree 2k + 4)
+        if k >= 2:
+            g, lap_g = _polynomial(AffineMonomialBasis(
+                ec.barycenter, ec.diameter * np.eye(2), k + 8),
+                rng.normal(size=monomial_dim(k + 8)))
+            origin = np.zeros((1, 2))
+            want = _hct_rule_interior_dofs(ec, lap_g, origin)
+            diff = np.abs(ec.interior_dofs(g, lap_g, origin) - want).max() \
+                / np.abs(want).max()
+            if diff > 1e-12:
+                failures.append(f"k={k} parent-rule interior DOFs off the "
+                                f"HCT rule's by {diff:.2e}")
         # kappa takes the full system as S plus the interior blocks
         nb, K = ec.n_boundary, ec.K_loc
         coupling = np.abs(K[nb:, :nb]).max(initial=0.0) / np.abs(K).max()
@@ -127,7 +143,8 @@ def _cmd_verify(args):
                                 f"build's by {diff:.2e}")
         # classes are built once per shape up to a power-of-two scale: one
         # handed out at scale 2^-3 must carry a fresh build's bits in its
-        # K_loc, condensed S_loc, load operators and interior moments
+        # K_loc, condensed S_loc, load operators, moment points and
+        # interior moments
         cache = {}
         sf_class(k, tri, cache)
         small = np.ldexp(tri, -3)
@@ -142,6 +159,8 @@ def _cmd_verify(args):
                  fresh.interp_load[1]),
                 ("vem_load_matrix", scaled.vem_load_matrix,
                  fresh.vem_load_matrix),
+                ("moment points", scaled.moment_points,
+                 fresh.moment_points),
                 ("moment values", scaled.moments[0], fresh.moments[0]),
                 ("moment Gram", scaled.moments[1], fresh.moments[1])):
             if a.shape != b.shape or a.tobytes() != b.tobytes():
@@ -194,6 +213,15 @@ def _polynomial(basis, coeffs):
             [np.ravel(x), np.ravel(y)])) @ c).reshape(np.shape(x))
     return at(basis, coeffs), at(basis.lowered(),
                                  basis.laplacian_map().T @ coeffs)
+
+
+def _hct_rule_interior_dofs(ec, lap_g, origins):
+    """ec.interior_dofs by the HCT split's quadrature (quad_points,
+    quad_weights) in place of the parent-triangle rule."""
+    wmu = ec.quad_weights[:, None] * ec.interior_values
+    moments = -ec.sample(lap_g, origins, ec.quad_points) @ wmu
+    coeffs = np.linalg.solve(ec.interior_values.T @ wmu, moments.T).T
+    return coeffs * ec.diameter ** 2 * ec.interior_scale
 
 
 def _p1_fem_stiffness(mesh):

@@ -55,8 +55,18 @@ class ExperimentConfig:
             if value not in choices:
                 raise ConfigError(f"unknown {what} {value!r}; "
                                   f"choose from {choices}")
-        lo, hi = self.levels
-        for value in (self.k, lo, hi, *self.harmonic_degrees):
+        # unpacking a malformed value raises ValueError or TypeError
+        try:
+            lo, hi = self.levels
+        except (TypeError, ValueError):
+            raise ConfigError("levels are a pair (first, last), got "
+                              f"{self.levels!r}") from None
+        try:
+            degrees = tuple(self.harmonic_degrees)
+        except TypeError:
+            raise ConfigError("harmonic degrees are a sequence, got "
+                              f"{self.harmonic_degrees!r}") from None
+        for value in (self.k, lo, hi, *degrees):
             if not is_integer(value):
                 raise ConfigError("k, the levels and the harmonic degrees "
                                   f"are integers, got {value!r}")
@@ -68,18 +78,18 @@ class ExperimentConfig:
             raise ConfigError(f"bad level range {self.levels!r}; levels "
                               f"are 1..{MAX_LEVEL}")
         if self.method == "enriched":
-            if not self.harmonic_degrees:
+            if not degrees:
                 raise ConfigError("enriched method needs harmonic degrees")
-            if min(self.harmonic_degrees) <= self.k:
+            if min(degrees) <= self.k:
                 raise ConfigError(
                     f"harmonic degrees must exceed k={self.k}, "
-                    f"got {tuple(self.harmonic_degrees)}")
+                    f"got {degrees}")
             # a degree-m harmonic needs a volume rule of degree 2m
-            if 2 * max(self.harmonic_degrees) > MAX_DEGREE:
+            if 2 * max(degrees) > MAX_DEGREE:
                 raise ConfigError(
                     f"harmonic degrees above {MAX_DEGREE // 2} are not "
                     "supported by the quadrature")
-        if self.harmonic_degrees and self.method != "enriched":
+        if degrees and self.method != "enriched":
             raise ConfigError("harmonic degrees are for the enriched method")
         if self.method != "classic" and (self.alpha != 0.0
                                          or self.dof_mode != "standard"):

@@ -34,7 +34,8 @@ between methods:
                                 (lap_g: the Laplacian of g)
 
 ElementClass owns the rest: sample(g, origins, points) is g on the
-translated copies, and dof_values(g, lap_g, origins), g at the boundary
+translated copies (g gets x and y as two contiguous (nE, npts) arrays),
+and dof_values(g, lap_g, origins), g at the boundary
 nodes and then interior_dofs, are the DOFs of the virtual interpolant
 I_h g.  It derives, once per class, the local stiffness K_loc, its
 static condensation `condensed` (the interior DOFs eliminated, which
@@ -147,9 +148,10 @@ class ElementClass:
         self.ndof = self.n_boundary + self.n_interior
 
     def sample(self, g, origins, points):
-        """(nE, npts) g at points on the copies translated by origins."""
-        pts = origins[:, None, :] + points
-        return np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
+        """(nE, npts) g at points on the copies translated by origins; g
+        gets x and y as two contiguous (nE, npts) arrays."""
+        return np.asarray(g(origins[:, :1] + points[:, 0],
+                            origins[:, 1:] + points[:, 1]), dtype=float)
 
     def dof_values(self, g, lap_g, origins):
         """(nE, ndof) DOFs of I_h g on the copies translated by origins:
@@ -259,8 +261,13 @@ def assemble_matrix(dm, classes, skeleton=False):
     """The reduced matrix (CSC) over the DOF numbering dm, the Dirichlet
     entries dropped: each class's K_loc on the free DOFs [0, dm.n_free)
     or, with skeleton, its condensed S_loc on the free vertex and edge
-    DOFs [0, dm.n_skeleton)."""
+    DOFs [0, dm.n_skeleton).  The triplets are int32, the index type
+    scipy converts them to, gathered from broadcast views of the element
+    DOFs; int32 holds every DOF index up to mesh.MAX_LEVEL at k <= 6
+    (about 1.5e8 DOFs)."""
     n = dm.n_skeleton if skeleton else dm.n_free
+    if dm.total > np.iinfo(np.int32).max:
+        raise AssemblyError(f"{dm.total} DOFs overflow int32 indices")
     rows, cols, vals = [], [], []
     for ec, idx in classes:
         gd = dm.element_dofs[idx]
@@ -268,12 +275,16 @@ def assemble_matrix(dm, classes, skeleton=False):
             raise AssemblyError("inconsistent local DOF count")
         K = ec.condensed[2] if skeleton else ec.K_loc
         m = len(K)
-        gd = gd[:, :m]
+        # entry (e, i, j) is K[i, j] at (gd[e, i], gd[e, j]), element by
+        # element and row by row: the bits of summed duplicates depend on
+        # that order
+        gd = gd[:, :m].astype(np.int32)
         free = gd < n
-        keep = np.repeat(free, m, axis=1) & np.tile(free, (1, m))
-        rows.append(np.repeat(gd, m, axis=1)[keep])
-        cols.append(np.tile(gd, (1, m))[keep])
-        vals.append(np.broadcast_to(K.ravel(), keep.shape)[keep])
+        keep = free[:, :, None] & free[:, None, :]
+        shape = keep.shape
+        rows.append(np.broadcast_to(gd[:, :, None], shape)[keep])
+        cols.append(np.broadcast_to(gd[:, None, :], shape)[keep])
+        vals.append(np.broadcast_to(K, shape)[keep])
     return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n)).tocsc()

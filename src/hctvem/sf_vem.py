@@ -9,6 +9,13 @@ basis and the P_k Lagrange basis of the lattice are polynomials in the
 same affine coordinates, so their values at the mapped quadrature points
 are the unit triangle's too, computed once per degree (_unit_values).
 
+The interior DOFs of I_h g are the moments of -Delta g against P_{k-2}.
+That integrand is smooth on the whole triangle, so they take one rule of
+degree 2k + 6 on the parent triangle ((k + 4)^2 points) in place of the
+HCT split's three sub-triangle rules (3 (k + 4)^2), mapped from the unit
+triangle's the same way (_unit_moment_rule).  The projection keeps the
+HCT rule: its integrand is only piecewise polynomial.
+
 The element is scale-free: the macro split at the barycenter, the
 h-scaled P_k basis and the interior DOFs scaled by the squared diameter
 make the projection and K_loc of a triangle those of any scaled copy.
@@ -28,6 +35,7 @@ from .hct import UNIT_TRIANGLE, HctLocalSpace, reference_space
 from .pipeline import (ElementClass, Field, Solution, assemble_load,
                        assemble_matrix, build_classes, solve_reduced)
 from .polynomials import AffineMonomialBasis
+from .quadrature import quad_rule_triangle
 
 
 @cache
@@ -46,6 +54,20 @@ def _unit_values(k):
     for a in values:
         a.flags.writeable = False
     return values
+
+
+@cache
+def _unit_moment_rule(k):
+    """(points, weights, interior): the rule of degree 2k + 6 on
+    UNIT_TRIANGLE and the interior P_{k-2} basis at its points, which
+    every SfElementClass maps (moment_points, moments) and shares; the
+    arrays are read-only."""
+    points, weights = quad_rule_triangle(2 * k + 6).physical(UNIT_TRIANGLE)
+    interior = AffineMonomialBasis(UNIT_TRIANGLE.mean(axis=0), np.eye(2),
+                                   k - 2).values(points)
+    for a in (points, weights, interior):
+        a.flags.writeable = False
+    return points, weights, interior
 
 
 class SfElementClass(ElementClass):
@@ -117,19 +139,30 @@ class SfElementClass(ElementClass):
         return P
 
     @cached_property
+    def moment_points(self):
+        """The parent-triangle rule's points: the unit rule's mapped by
+        x = v0 + J x_hat."""
+        v0 = self.verts[0]
+        return v0 + _unit_moment_rule(self.k)[0] @ (self.verts[1:] - v0)
+
+    @cached_property
     def moments(self):
-        """(w mu, mu^T w mu): the interior basis at quad_points weighted by
-        quad_weights, and its Gram, which interior_dofs solves with."""
-        mu = self.interior_values
-        wmu = self.quad_weights[:, None] * mu
+        """(w mu, mu^T w mu): the interior basis at moment_points weighted
+        by the rule's weights |det J| w_hat (det J from the cross product,
+        which scales exactly with the triangle), and its Gram, which
+        interior_dofs solves with."""
+        (a, b), (c, d) = self.verts[1:] - self.verts[0]
+        _, weights, mu = _unit_moment_rule(self.k)
+        wmu = (abs(a * d - b * c) * weights)[:, None] * mu
         return wmu, mu.T @ wmu
 
     def interior_dofs(self, g, lap_g, origins):
         """(nE, n_interior) -Delta of I_h g on the copies translated by
-        origins: the L2 projection of -Delta(g) onto P_{k-2}, scaled like
-        the interior columns of projection."""
+        origins: the L2 projection of -Delta(g) onto P_{k-2}, by the
+        parent-triangle rule, scaled like the interior columns of
+        projection."""
         wmu, gram = self.moments
-        mom = -self.sample(lap_g, origins, self.quad_points) @ wmu
+        mom = -self.sample(lap_g, origins, self.moment_points) @ wmu
         coeffs = np.linalg.solve(gram, mom.T).T
         return coeffs * self.diameter ** 2 * self.interior_scale
 
@@ -138,9 +171,9 @@ class ScaledSfClass(SfElementClass):
     """The class `base` scaled by 2^e, built from base's arrays.  The
     projection, interior scale, basis values, K_loc, its condensation,
     interior_spectrum and R_S are base's; points, weights, R_M,
-    gradients, the load operators and the interior moments are base's
-    times exact powers of two; only the geometry is computed at the
-    level's scale."""
+    gradients, the load operators, the moment points and the interior
+    moments are base's times exact powers of two; only the geometry is
+    computed at the level's scale."""
 
     def __init__(self, base, e):
         ElementClass.__init__(self, base.k, np.ldexp(base.verts, e))
@@ -167,6 +200,10 @@ class ScaledSfClass(SfElementClass):
     @cached_property
     def vem_load_matrix(self):
         return np.ldexp(self.base.vem_load_matrix, 2 * self.e)
+
+    @cached_property
+    def moment_points(self):
+        return np.ldexp(self.base.moment_points, self.e)
 
     @cached_property
     def moments(self):

@@ -128,6 +128,18 @@ class TestValidation:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    @pytest.mark.parametrize("patch", [
+        {"levels": (3,)},
+        {"levels": 5},
+        {"levels": (1, 2, 3)},
+        {"method": "enriched", "k": 2, "harmonic_degrees": 3},
+    ])
+    def test_malformed_sequences_rejected(self, patch):
+        # unpacking these raised a bare ValueError or TypeError
+        cfg = ExperimentConfig(**patch)
+        with pytest.raises(ConfigError):
+            cfg.validate()
+
 
 class TestOrders:
     def test_halving_doubles(self):

@@ -1,18 +1,28 @@
+import os
+import subprocess
+import sys
 from collections import Counter
-from functools import cached_property
+from functools import cache, cached_property
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import (group_elements_oracle, min_angle_deg, polynomial,
                       random_ccw_triangle, reduced_system, sf_errors)
 
+import hctvem
+from hctvem import sf_vem
 from hctvem.classic_vem import ClassicElementClass, EnrichedElementClass
+from hctvem.cli import _hct_rule_interior_dofs, main
 from hctvem.dofmap import DofMap, boundary_nodes, edge_slots
 from hctvem.mesh import _build_topology, generate_mesh
 from hctvem.pipeline import (LOAD_RULES, AssemblyError, ElementClass,
-                             assemble_load, group_elements)
+                             assemble_load, assemble_matrix, build_classes,
+                             group_elements)
+from hctvem.polynomials import AffineMonomialBasis
 from hctvem.problems import get_solution
 from hctvem.sf_vem import (SfElementClass, _assemble, _class_cache_build,
                            sf_class, solve_sf_vem)
@@ -454,3 +464,185 @@ class TestSolutions:
         s3 = solve_sf_vem(m, 3, prob)
         with pytest.raises(ValueError):
             s2.solution_field().error_norms(s3.reference_field(prob))
+
+
+class TestMomentRule:
+    """The interior DOFs take the moments of -Delta g by one rule of
+    degree 2k + 6 on the parent triangle, mapped from the unit
+    triangle's, in place of the HCT split's three sub-triangle rules."""
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_polynomial_moments_match_the_hct_rule(self, k):
+        # -Delta g mu has degree 2k + 4 for g of degree k + 8: both rules
+        # are exact.  Bound set before the run: 1e-12 relative
+        rng = np.random.default_rng(100 + k)
+        for _ in range(5):
+            tri = random_ccw_triangle(rng)
+            while min_angle_deg(tri) < 15.0:
+                tri = random_ccw_triangle(rng)
+            ec = SfElementClass(k, tri)
+            basis = AffineMonomialBasis(ec.barycenter,
+                                        ec.diameter * np.eye(2), k + 8)
+            g, lap_g = polynomial(basis, rng.normal(size=basis.dim))
+            origin = np.zeros((1, 2))
+            want = _hct_rule_interior_dofs(ec, lap_g, origin)
+            got = ec.interior_dofs(g, lap_g, origin)
+            assert len(ec.moment_points) == (k + 4) ** 2
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_sinsin_moments_match_the_hct_rule(self, k):
+        # bound set before the run: 1e-10 relative to the largest DOF
+        prob = get_solution("sinsin")
+        m = generate_mesh("irregular8", 3)
+        v0 = m.vertices[m.triangles[:, 0]]
+        diff = scale = 0.0
+        for ec, idx in _class_cache_build(m, k, {}):
+            got = ec.interior_dofs(prob.u, prob.lap_u, v0[idx])
+            want = _hct_rule_interior_dofs(ec, prob.lap_u, v0[idx])
+            diff = max(diff, np.abs(got - want).max())
+            scale = max(scale, np.abs(want).max())
+        assert diff <= 1e-10 * scale
+
+    @pytest.mark.parametrize("e", [-3, 2])
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_scaled_class_moments_equal_a_fresh_build(self, k, e):
+        prob = get_solution("sinsin")
+        cache = {}
+        base = sf_class(k, TRI, cache)
+        scaled = sf_class(k, np.ldexp(TRI, e), cache)
+        assert scaled.base is base.base
+        fresh = SfElementClass(k, np.ldexp(TRI, e))
+        assert same_bits(scaled.moment_points, fresh.moment_points)
+        for got, want in zip(scaled.moments, fresh.moments):
+            assert same_bits(got, want)
+        origins = np.random.default_rng(k).uniform(0.0, 1.0, (4, 2))
+        assert same_bits(scaled.interior_dofs(prob.u, prob.lap_u, origins),
+                         fresh.interior_dofs(prob.u, prob.lap_u, origins))
+
+    def test_unit_rule_built_once_per_degree(self, monkeypatch):
+        monkeypatch.setattr(sf_vem, "_unit_moment_rule",
+                            cache(sf_vem._unit_moment_rule.__wrapped__))
+        built = []
+        rule = sf_vem.quad_rule_triangle
+
+        def spy(degree):
+            built.append(degree)
+            return rule(degree)
+
+        monkeypatch.setattr(sf_vem, "quad_rule_triangle", spy)
+        prob = get_solution("sinsin")
+        for k in (2, 3, 6):
+            shapes = {}
+            for level in (1, 2):
+                m = generate_mesh("irregular8", level)
+                v0 = m.vertices[m.triangles[:, 0]]
+                for ec, idx in _class_cache_build(m, k, shapes):
+                    ec.interior_dofs(prob.u, prob.lap_u, v0[idx])
+            for ec in shapes.values():
+                assert ec.moment_points.shape == ((k + 4) ** 2, 2)
+        assert built == [10, 12, 18]
+        for k in (2, 3, 6):
+            assert not any(a.flags.writeable
+                           for a in sf_vem._unit_moment_rule(k))
+
+    def test_unit_rule_not_built_at_import(self):
+        src = str(Path(hctvem.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import hctvem, hctvem.cli\n"
+                "from hctvem import sf_vem\n"
+                "assert not sf_vem._unit_moment_rule.cache_info().currsize\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_verify_catches_a_low_degree_moment_rule(self, monkeypatch,
+                                                     capsys):
+        rule = sf_vem.quad_rule_triangle
+        monkeypatch.setattr(sf_vem, "quad_rule_triangle",
+                            lambda degree: rule(degree - 8))
+        monkeypatch.setattr(sf_vem, "_unit_moment_rule",
+                            cache(sf_vem._unit_moment_rule.__wrapped__))
+        # keep the classes built meanwhile out of the shared cache
+        monkeypatch.setattr(sf_vem, "_GLOBAL_CACHE", {})
+        assert main(["verify"]) == 1
+        assert "parent-rule interior DOFs off the HCT rule's" \
+            in capsys.readouterr().err
+
+
+def assemble_matrix_int64(dm, classes, skeleton=False):
+    """The reduced matrix from int64 triplets built by np.repeat and
+    np.tile: the reference that assemble_matrix's int32 triplets from
+    broadcast views must match bit for bit."""
+    n = dm.n_skeleton if skeleton else dm.n_free
+    rows, cols, vals = [], [], []
+    for ec, idx in classes:
+        K = ec.condensed[2] if skeleton else ec.K_loc
+        m = len(K)
+        gd = dm.element_dofs[idx][:, :m].astype(np.int64)
+        free = gd < n
+        keep = np.repeat(free, m, axis=1) & np.tile(free, (1, m))
+        rows.append(np.repeat(gd, m, axis=1)[keep])
+        cols.append(np.tile(gd, (1, m))[keep])
+        vals.append(np.broadcast_to(K.ravel(), keep.shape)[keep])
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n)).tocsc()
+
+
+class TestSampleAndAssembly:
+    """sample forms x and y without an (nE, npts, 2) array, and
+    assemble_matrix its triplets in int32 from broadcast views; both give
+    the bits of the straightforward forms."""
+
+    @pytest.mark.parametrize("element", [SfElementClass,
+                                         ClassicElementClass])
+    def test_sample_equals_g_at_the_translated_points(self, element):
+        ec = element(3, TRI)
+        origins = np.random.default_rng(3).uniform(-1.0, 2.0, (17, 2))
+        sinsin, bubble = get_solution("sinsin"), get_solution("bubble4")
+        # bubble4's lap_f broadcasts a constant to the shape of x and y
+        funcs = [sinsin.u, sinsin.lap_u, sinsin.f, bubble.u, bubble.lap_f]
+        point_sets = [ec.quad_points, ec.boundary_nodes,
+                      ec.interp_load[0]]
+        if isinstance(ec, SfElementClass):
+            point_sets.append(ec.moment_points)
+        for points in point_sets:
+            pts = origins[:, None, :] + points
+            for g in funcs:
+                want = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
+                got = ec.sample(g, origins, points)
+                assert got.shape == (len(origins), len(points))
+                assert same_bits(got, want)
+
+    @pytest.mark.parametrize("skeleton", [True, False],
+                             ids=["skeleton", "full"])
+    @pytest.mark.parametrize("method,k", [("sf-hct", 1), ("sf-hct", 3),
+                                          ("sf-hct", 6), ("classic", 3)])
+    def test_assembly_equals_the_int64_reference(self, method, k,
+                                                  skeleton):
+        m = generate_mesh("irregular8", 3)
+        if method == "sf-hct":
+            classes = _class_cache_build(m, k, {})
+        else:
+            classes = build_classes(
+                m, lambda local: ClassicElementClass(k, local))
+        dm = DofMap(m, k)
+        got = assemble_matrix(dm, classes, skeleton=skeleton)
+        want = assemble_matrix_int64(dm, classes, skeleton=skeleton)
+        assert got.format == want.format == "csc"
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            assert same_bits(getattr(got, name), getattr(want, name)), name
+
+    def test_assembly_rejects_dofs_beyond_int32(self):
+        m = generate_mesh("uniform", 1)
+        classes = _class_cache_build(m, 2, {})
+        real = DofMap(m, 2)
+        dm = SimpleNamespace(n_skeleton=real.n_skeleton,
+                             n_free=real.n_free, total=2 ** 31,
+                             element_dofs=real.element_dofs)
+        with pytest.raises(AssemblyError, match="int32"):
+            assemble_matrix(dm, classes, skeleton=True)
