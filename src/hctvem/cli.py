@@ -7,35 +7,25 @@ import sys
 
 import numpy as np
 
-from .experiments import (_DOF_MODE_ALIAS, DOF_MODES, FAMILIES, METHODS,
-                          ConfigError, ExperimentConfig, config_from_mapping,
+from .experiments import (ConfigError, ExperimentConfig, config_from_mapping,
                           parse_config_file, run_experiment)
-from .pipeline import LOAD_RULES
-from .solvers import SOLVERS
+from .mesh import FAMILIES, export_mesh, generate_mesh
 
 
 def _add_run_parser(sub):
+    """One flag per ExperimentConfig field, --name-with-dashes. A flag's
+    value stays text, read by the field's parse as a config file's is."""
     p = sub.add_parser("run", help="run a convergence study, write CSV")
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--method", choices=METHODS)
-    p.add_argument("--k", type=int)
-    p.add_argument("--mesh", choices=FAMILIES)
-    p.add_argument("--levels", help="level range a..b")
-    p.add_argument("--solution")
-    p.add_argument("--alpha", type=float,
-                   help="stabilizer exponent (classic method)")
-    p.add_argument("--dof-mode",
-                   choices=sorted({*DOF_MODES, *_DOF_MODE_ALIAS}))
-    p.add_argument("--harmonic-degrees",
-                   help="comma-separated degrees (enriched method)")
-    p.add_argument("--kappa", action="store_true",
-                   help="estimate the 2-norm condition number per level")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--load-rule", choices=LOAD_RULES)
-    p.add_argument("--solver", choices=SOLVERS)
-    p.add_argument("--out", help="CSV output path (default: stdout)")
-    p.add_argument("--dump-matrix",
-                   help="Matrix-Market export path prefix per level")
+    for f in dataclasses.fields(ExperimentConfig):
+        flag, meta = "--" + f.name.replace("_", "-"), f.metadata
+        if f.type is bool:
+            p.add_argument(flag, action="store_true", help=meta["help"])
+            continue
+        choices = meta["choices"]
+        if choices is not None:
+            choices = [*choices, *meta["aliases"]]
+        p.add_argument(flag, choices=choices, help=meta["help"])
 
 
 def _add_mesh_parser(sub):
@@ -49,20 +39,16 @@ def _add_verify_parser(sub):
     sub.add_parser("verify", help="run quick structural self-checks")
 
 
-def _config_from_args(args):
-    """The config file's key=value mapping, overridden by the flags that
-    were given, typed and checked once by config_from_mapping."""
+def _cmd_run(args):
+    """The study of the config file's key=value mapping, overridden by the
+    flags given; config_from_mapping reads both."""
     values = parse_config_file(args.config) if args.config else {}
     for f in dataclasses.fields(ExperimentConfig):
         given = getattr(args, f.name)
         if given is None or given is False:
             continue
         values[f.name] = given
-    return config_from_mapping(values)
-
-
-def _cmd_run(args):
-    cfg = _config_from_args(args)
+    cfg = config_from_mapping(values)
     report = run_experiment(cfg)
     if not cfg.out:
         print("\n".join(report.csv_lines()))
@@ -70,7 +56,6 @@ def _cmd_run(args):
 
 
 def _cmd_mesh(args):
-    from .mesh import generate_mesh, export_mesh
     mesh = generate_mesh(args.family, args.level)
     export_mesh(mesh, args.mesh_out)
     print(f"{args.family} level {args.level}: {mesh.num_vertices} vertices, "
@@ -88,7 +73,6 @@ def _cmd_verify(args):
     solve and its kappa against the full system, and the lowest-order
     finite element equivalence."""
     from .hct import HctLocalSpace
-    from .mesh import gen_uniform_mesh, gen_irregular8_mesh
     from .polynomials import AffineMonomialBasis, monomial_dim
     from .sf_vem import SfElementClass, sf_class, solve_sf_vem
     from .problems import get_solution
@@ -167,8 +151,7 @@ def _cmd_verify(args):
                 failures.append(f"k={k} {name} at scale 2^-3 differs from "
                                 "a fresh build")
 
-    for fam, gen in (("uniform", gen_uniform_mesh),
-                     ("irregular8", gen_irregular8_mesh)):
+    for fam, gen in FAMILIES.items():
         # the solve runs on the condensed skeleton; its DOFs must solve
         # the full reduced system, and its kappa, from S and the interior
         # blocks, must be the full system's
@@ -188,7 +171,7 @@ def _cmd_verify(args):
             failures.append(f"{fam} level-2 kappa {sol.kappa:.6e} off the "
                             f"full system's {want:.6e}")
 
-    for gen in (gen_uniform_mesh, gen_irregular8_mesh):
+    for gen in FAMILIES.values():
         mesh = gen(3)
         A = solve_sf_vem(mesh, 1, prob).matrix
         F = _p1_fem_stiffness(mesh)

@@ -2,13 +2,15 @@
 writes one CSV row per level with errors, computed orders and, on
 request, a condition-number estimate."""
 
+import math
+import numbers
 import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import solvers
-from .mesh import MAX_LEVEL, generate_mesh, is_integer
+from .mesh import FAMILIES, MAX_LEVEL, generate_mesh, is_integer
 from .pipeline import LOAD_RULES
 from .problems import SOLUTIONS, get_solution
 from .quadrature import MAX_DEGREE
@@ -18,65 +20,125 @@ from .classic_vem import solve_classic_vem, solve_enriched_vem, DOF_MODES
 CSV_HEADER = "level,dofs,l2,l2_order,h1,h1_order,kappa,seconds"
 
 METHODS = ("sf-hct", "classic", "enriched")
-FAMILIES = ("uniform", "irregular8")
-# short spellings of DOF_MODES, accepted wherever a dof mode is read
-_DOF_MODE_ALIAS = {"l2": "l2_normalized", "l2x10": "l2_normalized_x10"}
 
 
 class ConfigError(ValueError):
     pass
 
 
+def parse_flag(text):
+    text = str(text).strip().lower()
+    if text in ("1", "true", "yes", "on"):
+        return True
+    if text in ("0", "false", "no", "off"):
+        return False
+    raise ConfigError("expected true or false")
+
+
+def parse_level_range(text):
+    lo, dots, hi = str(text).strip().partition("..")
+    try:
+        return (int(lo), int(hi if dots else lo))
+    except ValueError:
+        raise ConfigError("expected a level range a..b") from None
+
+
+def parse_degree_list(text):
+    if not str(text).strip():
+        return ()
+    try:
+        return tuple(int(t) for t in str(text).split(","))
+    except ValueError:
+        raise ConfigError("expected comma-separated integers") from None
+
+
+def _setting(default, help, parse=str, choices=None, aliases=None,
+             methods=METHODS):
+    return field(default=default, metadata=dict(
+        parse=parse, choices=choices, aliases=aliases or {},
+        methods=methods, help=help))
+
+
+def _is_a(kind, value):
+    """value fits the field type kind: a number may be numpy's but not a
+    bool, a str may be an os.PathLike, a tuple any sequence of integers."""
+    if kind is tuple:
+        try:
+            return all(map(is_integer, value))
+        except TypeError:
+            return False
+    if isinstance(value, (bool, np.bool_)):
+        return kind is bool
+    return isinstance(value, {int: numbers.Integral, float: numbers.Real,
+                              str: (str, os.PathLike)}.get(kind, kind))
+
+
 @dataclass
 class ExperimentConfig:
-    method: str = "sf-hct"
-    k: int = 1
-    mesh: str = "uniform"
-    levels: tuple = (1, 4)
-    solution: str = "sinsin"
-    alpha: float = 0.0
-    dof_mode: str = "standard"
-    harmonic_degrees: tuple = ()
-    kappa: bool = False
-    solver: str = "direct"
-    tol: float = 1e-12
-    load_rule: str = "interp"
-    out: str = None
-    dump_matrix: str = None
+    """One convergence study: a method of degree k on a range of levels of
+    a mesh family, with its solver and outputs.
+
+    The fields are the one list of run settings: config_from_mapping, the
+    `run` flags, validate and the level solve read them. Besides its type,
+    each field declares in its metadata its `parse` (text -> value, for a
+    config file and a flag, after its `aliases`, other spellings of a
+    choice, are mapped), its `choices` if any, its `help` text and the
+    `methods` whose solve takes it (none for the settings the study reads
+    itself). Under any other method a setting keeps its default."""
+
+    method: str = _setting("sf-hct", "element method", choices=METHODS,
+                           methods=())
+    k: int = _setting(1, "polynomial degree", int)
+    mesh: str = _setting("uniform", "mesh family", choices=FAMILIES,
+                         methods=())
+    levels: tuple = _setting((1, 4), "level range a..b", parse_level_range,
+                             methods=())
+    solution: str = _setting("sinsin", "manufactured solution",
+                             choices=SOLUTIONS, methods=())
+    alpha: float = _setting(0.0, "stabilizer exponent (classic method)",
+                            float, methods=("classic",))
+    dof_mode: str = _setting(
+        "standard", "DOF scaling (classic method)", choices=DOF_MODES,
+        aliases={"l2": "l2_normalized", "l2x10": "l2_normalized_x10"},
+        methods=("classic",))
+    harmonic_degrees: tuple = _setting(
+        (), "comma-separated degrees (enriched method)", parse_degree_list,
+        methods=("enriched",))
+    kappa: bool = _setting(
+        False, "estimate the 2-norm condition number per level", parse_flag)
+    solver: str = _setting("direct", "linear solver", choices=solvers.SOLVERS)
+    tol: float = _setting(1e-12, "CG relative residual tolerance", float)
+    load_rule: str = _setting("interp", "load vector rule",
+                              choices=LOAD_RULES)
+    out: str = _setting(None, "CSV output path (default: stdout)",
+                        methods=())
+    dump_matrix: str = _setting(
+        None, "Matrix-Market export path prefix per level", methods=())
 
     def validate(self):
-        for what, value, choices in (
-                ("method", self.method, METHODS),
-                ("mesh family", self.mesh, FAMILIES),
-                ("dof mode", self.dof_mode, DOF_MODES),
-                ("solution", self.solution, SOLUTIONS),
-                ("load rule", self.load_rule, LOAD_RULES),
-                ("solver", self.solver, solvers.SOLVERS)):
-            if value not in choices:
-                raise ConfigError(f"unknown {what} {value!r}; "
-                                  f"choose from {choices}")
-        # unpacking a malformed value raises ValueError or TypeError
-        try:
-            lo, hi = self.levels
-        except (TypeError, ValueError):
-            raise ConfigError("levels are a pair (first, last), got "
-                              f"{self.levels!r}") from None
-        try:
-            degrees = tuple(self.harmonic_degrees)
-        except TypeError:
-            raise ConfigError("harmonic degrees are a sequence, got "
-                              f"{self.harmonic_degrees!r}") from None
-        for value in (self.k, lo, hi, *degrees):
-            if not is_integer(value):
-                raise ConfigError("k, the levels and the harmonic degrees "
-                                  f"are integers, got {value!r}")
+        for f in fields(self):
+            value, meta = getattr(self, f.name), f.metadata
+            if value is None and f.default is None:
+                continue
+            if not _is_a(f.type, value):
+                raise ConfigError(f"{f.name} must be of type "
+                                  f"{f.type.__name__}, got {value!r}")
+            if meta["choices"] is not None and value not in meta["choices"]:
+                raise ConfigError(f"unknown {f.name} {value!r}; choose "
+                                  f"from {tuple(meta['choices'])}")
+            owners = meta["methods"]
+            if owners and self.method not in owners \
+                    and f.type(value) != f.default:
+                raise ConfigError(f"{f.name} is for the "
+                                  f"{' and '.join(owners)} method")
+        levels, degrees = tuple(self.levels), tuple(self.harmonic_degrees)
+        if len(levels) != 2 or not 1 <= levels[0] <= levels[1] <= MAX_LEVEL:
+            raise ConfigError(f"levels are a pair a <= b in 1..{MAX_LEVEL}, "
+                              f"got {self.levels!r}")
         if not 1 <= self.k <= 6:
             raise ConfigError(f"k must be in 1..6, got {self.k}")
         if self.method == "classic" and self.k > 4:
             raise ConfigError("classic baseline supports k in 1..4")
-        if not 1 <= lo <= hi <= MAX_LEVEL:
-            raise ConfigError(f"bad level range {self.levels!r}; levels "
-                              f"are 1..{MAX_LEVEL}")
         if self.method == "enriched":
             if not degrees:
                 raise ConfigError("enriched method needs harmonic degrees")
@@ -89,16 +151,11 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"harmonic degrees above {MAX_DEGREE // 2} are not "
                     "supported by the quadrature")
-        if degrees and self.method != "enriched":
-            raise ConfigError("harmonic degrees are for the enriched method")
-        if self.method != "classic" and (self.alpha != 0.0
-                                         or self.dof_mode != "standard"):
-            raise ConfigError("alpha and dof mode are for the classic method")
         # nan compares false: a plain tol <= 0 test would let it through
-        if not (np.isfinite(self.tol) and self.tol > 0):
+        if not (math.isfinite(self.tol) and self.tol > 0):
             raise ConfigError("tol must be positive and finite, "
                               f"got {self.tol!r}")
-        if not np.isfinite(self.alpha):
+        if not math.isfinite(self.alpha):
             raise ConfigError(f"alpha must be finite, got {self.alpha!r}")
         # checked before any level runs, not after the last one
         for what, path in (("out", self.out),
@@ -131,57 +188,19 @@ def parse_config_file(path):
 
 
 def config_from_mapping(values):
+    """An ExperimentConfig from {field name: text}; each text is read by
+    its field's parse (a `run` flag that is set comes as True)."""
+    settings = {f.name: f.metadata for f in fields(ExperimentConfig)}
     cfg = ExperimentConfig()
-    names = {f.name for f in fields(ExperimentConfig)}
     for key, raw in values.items():
-        if key not in names:
+        if key not in settings:
             raise ConfigError(f"unknown config key {key!r}")
-        if key in ("k",):
-            setattr(cfg, key, int(raw))
-        elif key in ("alpha", "tol"):
-            setattr(cfg, key, float(raw))
-        elif key == "kappa":
-            setattr(cfg, key, parse_flag(key, raw))
-        elif key == "levels":
-            setattr(cfg, key, parse_level_range(raw))
-        elif key == "harmonic_degrees":
-            setattr(cfg, key, parse_degree_list(raw))
-        elif key == "dof_mode":
-            setattr(cfg, key, _DOF_MODE_ALIAS.get(raw, raw))
-        else:
-            setattr(cfg, key, raw)
+        meta, text = settings[key], str(raw)
+        try:
+            setattr(cfg, key, meta["parse"](meta["aliases"].get(text, text)))
+        except ValueError as exc:
+            raise ConfigError(f"bad {key} value {raw!r}: {exc}") from None
     return cfg
-
-
-def parse_flag(key, raw):
-    text = str(raw).strip().lower()
-    if text in ("1", "true", "yes", "on"):
-        return True
-    if text in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"bad {key} value {raw!r}; expected true or false")
-
-
-def parse_level_range(text):
-    text = str(text).strip()
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-    else:
-        lo = hi = text
-    try:
-        return (int(lo), int(hi))
-    except ValueError:
-        raise ConfigError(f"bad level range {text!r}; expected a..b") \
-            from None
-
-
-def parse_degree_list(text):
-    if not str(text).strip():
-        return ()
-    try:
-        return tuple(int(t) for t in str(text).split(","))
-    except ValueError:
-        raise ConfigError(f"bad degree list {text!r}") from None
 
 
 def convergence_order(e_coarse, e_fine):
@@ -235,17 +254,13 @@ class ErrorReport:
 
 
 def _solve_level(cfg, mesh, problem):
-    common = dict(solver=cfg.solver, tol=cfg.tol, load_rule=cfg.load_rule,
-                  kappa=cfg.kappa)
-    if cfg.method == "sf-hct":
-        return solve_sf_vem(mesh, cfg.k, problem, **common)
-    if cfg.method == "classic":
-        return solve_classic_vem(mesh, cfg.k, problem,
-                                 dof_mode=cfg.dof_mode, alpha=cfg.alpha,
-                                 **common)
-    return solve_enriched_vem(mesh, cfg.k, problem,
-                              harmonic_degrees=cfg.harmonic_degrees,
-                              **common)
+    # built per call: the solve functions are read from this module when
+    # the level runs, so a wrapper set on it sees the call
+    solve = {"sf-hct": solve_sf_vem, "classic": solve_classic_vem,
+             "enriched": solve_enriched_vem}[cfg.method]
+    return solve(mesh, problem=problem, **{
+        f.name: getattr(cfg, f.name) for f in fields(cfg)
+        if cfg.method in f.metadata["methods"]})
 
 
 def run_experiment(cfg):

@@ -146,12 +146,13 @@ def gen_irregular8_mesh(level):
     return _build_topology(vertices, triangles)
 
 
+FAMILIES = {"uniform": gen_uniform_mesh, "irregular8": gen_irregular8_mesh}
+
+
 def generate_mesh(family, level):
-    if family == "uniform":
-        return gen_uniform_mesh(level)
-    if family == "irregular8":
-        return gen_irregular8_mesh(level)
-    raise MeshError(f"unknown mesh family {family!r}")
+    if family not in FAMILIES:
+        raise MeshError(f"unknown mesh family {family!r}")
+    return FAMILIES[family](level)
 
 
 def export_mesh(mesh, path):

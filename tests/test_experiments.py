@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -15,7 +16,11 @@ from hctvem.experiments import (CSV_HEADER, ConfigError, ErrorReport,
                                 convergence_order, parse_config_file,
                                 parse_degree_list, parse_level_range,
                                 run_experiment)
-from hctvem.mesh import MAX_LEVEL, generate_mesh
+from hctvem.mesh import FAMILIES, MAX_LEVEL, generate_mesh
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+from workloads import WORKLOADS  # noqa: E402
 
 
 class TestParsing:
@@ -59,6 +64,20 @@ class TestParsing:
     def test_kappa_typo_rejected(self, raw):
         with pytest.raises(ConfigError):
             config_from_mapping({"kappa": raw})
+
+    @pytest.mark.parametrize("key,raw", [
+        ("k", "2.0"), ("k", "x"), ("tol", "abc"), ("alpha", "-1,5"),
+        ("levels", "2.."), ("harmonic_degrees", "3;4"), ("kappa", "ture")])
+    def test_malformed_value_names_its_key(self, key, raw):
+        # int() and float() failed with a message that named no setting
+        with pytest.raises(ConfigError, match=f"^bad {key} value"):
+            config_from_mapping({key: raw})
+
+    def test_malformed_config_file_value_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("k=2.0\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad k value '2.0'")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -127,6 +146,28 @@ class TestValidation:
             setattr(cfg, key, val)
         with pytest.raises(ConfigError):
             cfg.validate()
+
+    @pytest.mark.parametrize("patch,key", [
+        ({"tol": "1e-12"}, "tol"),                       # np.isfinite raised
+        ({"tol": None}, "tol"),
+        ({"tol": True}, "tol"),
+        ({"method": "classic", "alpha": None}, "alpha"),
+        ({"method": "classic", "alpha": "-1"}, "alpha"),
+        ({"kappa": "false"}, "kappa"),                   # ran with kappa on
+        ({"kappa": 1}, "kappa"),
+        ({"out": 3}, "out"),                             # os.path raised
+        ({"dump_matrix": 3}, "dump_matrix"),
+        ({"method": 3}, "method"),
+    ])
+    def test_bad_types_rejected(self, patch, key):
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            ExperimentConfig(**patch).validate()
+
+    def test_numpy_scalars_and_paths_accepted(self, tmp_path):
+        ExperimentConfig(method="classic", k=np.int64(2),
+                         tol=np.float64(1e-9), alpha=np.float32(-1),
+                         kappa=np.bool_(True), levels=[1, np.int32(2)],
+                         out=tmp_path / "o.csv").validate()
 
     @pytest.mark.parametrize("patch", [
         {"levels": (3,)},
@@ -426,3 +467,122 @@ class TestCli:
     def test_verify_subcommand_passes(self, capsys):
         assert main(["verify"]) == 0
         assert "all checks passed" in capsys.readouterr().out
+
+
+# one valid text per setting, other than its default; flags and config
+# keys must read each to the same config
+SAMPLE_TEXTS = {
+    "method": ["classic"], "k": ["2"], "mesh": ["irregular8"],
+    "levels": ["2..3", "5"], "solution": ["bubble4"], "alpha": ["-1.5"],
+    "dof_mode": ["l2", "l2x10", "l2_normalized"],
+    "harmonic_degrees": ["3,4"], "kappa": ["1"], "solver": ["cg"],
+    "tol": ["1e-9"], "load_rule": ["vem"], "out": ["o.csv"],
+    "dump_matrix": ["A"],
+}
+
+# the settings only some methods take, with a non-default value each
+OWNED = {"alpha": (-1.0, "classic"),
+         "dof_mode": ("l2_normalized", "classic"),
+         "harmonic_degrees": ((3,), "enriched")}
+
+
+class TestSettingsTable:
+    """Each ExperimentConfig field is a run setting: a `run` flag, a config
+    key and, for a method's own settings, a keyword of its solve only."""
+
+    def recorded(self, monkeypatch):
+        seen = []
+
+        def record(cfg):
+            seen.append(cfg)
+            return ErrorReport(cfg)
+
+        monkeypatch.setattr(cli, "run_experiment", record)
+        return seen
+
+    def test_every_field_has_a_sample(self):
+        assert set(SAMPLE_TEXTS) == {
+            f.name for f in dataclasses.fields(ExperimentConfig)}
+
+    @pytest.mark.parametrize("key,text", [
+        (key, text) for key, texts in SAMPLE_TEXTS.items() for text in texts])
+    def test_flag_and_config_key_agree(self, key, text, tmp_path,
+                                       monkeypatch):
+        seen = self.recorded(monkeypatch)
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"{key}={text}\n")
+        flag = ["--" + key.replace("_", "-")]
+        assert main(["run", "--config", str(path)]) == 0
+        assert main(["run", *flag] + ([] if key == "kappa" else [text])) == 0
+        from_file, from_flag = seen
+        assert from_file == from_flag == config_from_mapping({key: text})
+        assert from_file != ExperimentConfig()
+
+    @pytest.mark.parametrize("method,extra", [
+        ("sf-hct", {}),
+        ("classic", {"alpha": -1.0, "dof_mode": "l2_normalized"}),
+        ("enriched", {"harmonic_degrees": (3,)})])
+    def test_owned_settings_reach_only_their_solve(self, method, extra,
+                                                   monkeypatch):
+        calls = {}
+        for name in ("solve_sf_vem", "solve_classic_vem",
+                     "solve_enriched_vem"):
+            def spy(*args, _name=name, _original=getattr(experiments, name),
+                    **kwargs):
+                calls.setdefault(_name, []).append(kwargs)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(experiments, name, spy)
+        run_experiment(ExperimentConfig(method=method, k=2, levels=(2, 2),
+                                        **extra))
+        solve = {"sf-hct": "solve_sf_vem", "classic": "solve_classic_vem",
+                 "enriched": "solve_enriched_vem"}[method]
+        [kwargs] = calls.pop(solve)
+        assert calls == {}
+        owned = {key for key, (_, owner) in OWNED.items() if owner == method}
+        assert owned <= set(kwargs)
+        assert not (set(OWNED) - owned) & set(kwargs)
+        for key in owned:
+            assert kwargs[key] == extra[key]
+
+    @pytest.mark.parametrize("key", sorted(OWNED))
+    @pytest.mark.parametrize("method", experiments.METHODS)
+    def test_owned_setting_off_default_under_another_method(self, key,
+                                                            method):
+        value, owner = OWNED[key]
+        needed = {"harmonic_degrees": (3,)} if method == "enriched" else {}
+        cfg = ExperimentConfig(method=method, k=2, **{**needed, key: value})
+        if method == owner:
+            cfg.validate()
+        else:
+            with pytest.raises(ConfigError, match=f"{key} is for the"):
+                cfg.validate()
+
+    def test_only_the_owned_settings_are_owned(self):
+        # every setting but these is read by every method or by the study
+        for f in dataclasses.fields(ExperimentConfig):
+            methods = f.metadata["methods"]
+            if f.name in OWNED:
+                assert methods == (OWNED[f.name][1],)
+            else:
+                assert methods in ((), experiments.METHODS), f.name
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_every_mesh_family_is_a_choice_of_both_commands(
+            self, name, tmp_path, monkeypatch):
+        seen = self.recorded(monkeypatch)
+        assert main(["run", "--mesh", name]) == 0
+        assert seen[0].mesh == name
+        ExperimentConfig(mesh=name).validate()
+        out = tmp_path / "m.txt"
+        assert main(["mesh", "--family", name, "--level", "1",
+                     "--mesh-out", str(out)]) == 0
+        assert generate_mesh(name, 2).num_triangles == \
+            FAMILIES[name](2).num_triangles
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_benchmark_studies_validate(workload):
+    # the benchmark worker builds each study this way and counts one that
+    # raises as failed operations
+    for study in WORKLOADS[workload]:
+        ExperimentConfig(**study).validate()
