@@ -333,12 +333,58 @@ level,dofs,l2,l2_order,h1,h1_order,kappa,seconds
 4,49,1.833156e-02,1.76,8.498993e-02,1.83,,
 """
 
+# Studies on each kappa path and on both baselines, as the CSV has read
+# since they were pinned (the same bytes under 1 and 2 BLAS threads).
+GOLDEN_CSVS = {
+    # kappa on this thread, after the direct solve (sf-hct is decoupled)
+    "sf-hct-k3-kappa": (
+        ["--method", "sf-hct", "--k", "3", "--mesh", "irregular8",
+         "--levels", "2..4", "--kappa"], b"""\
+level,dofs,l2,l2_order,h1,h1_order,kappa,seconds
+2,185,3.816690e-04,0.00,1.139060e-02,0.00,7.7079e+01,
+3,785,2.585416e-05,3.88,1.513968e-03,2.91,3.0224e+02,
+4,3233,1.650742e-06,3.97,1.935498e-04,2.97,1.2041e+03,
+"""),
+    # kappa after CG, which builds no factor
+    "sf-hct-k6-cg-kappa": (
+        ["--method", "sf-hct", "--k", "6", "--mesh", "irregular8",
+         "--levels", "1..2", "--solver", "cg", "--kappa"], b"""\
+level,dofs,l2,l2_order,h1,h1_order,kappa,seconds
+1,161,2.593398e-05,0.00,1.143300e-03,0.00,1.1298e+05,
+2,689,1.686736e-07,7.26,1.572391e-05,6.18,1.1828e+05,
+"""),
+    # lambda_max on the second thread (the classic condensation couples)
+    "classic-k3-kappa": (
+        ["--method", "classic", "--k", "3", "--dof-mode", "l2x10",
+         "--alpha", "-1", "--mesh", "irregular8", "--levels", "2..4",
+         "--kappa"], b"""\
+level,dofs,l2,l2_order,h1,h1_order,kappa,seconds
+2,185,3.279434e-04,0.00,1.223850e-02,0.00,2.7147e+03,
+3,785,2.302210e-05,3.83,1.657992e-03,2.88,3.9541e+04,
+4,3233,1.511260e-06,3.93,2.150792e-04,2.95,9.0273e+05,
+"""),
+    "enriched-k2": (
+        ["--method", "enriched", "--k", "2", "--harmonic-degrees", "3",
+         "--mesh", "irregular8", "--levels", "3..4"], b"""\
+level,dofs,l2,l2_order,h1,h1_order,kappa,seconds
+3,353,3.480804e-04,0.00,1.809192e-02,0.00,,
+4,1473,4.020269e-05,3.11,4.503190e-03,2.01,,
+"""),
+}
+
 
 class TestCli:
     def test_default_run_writes_golden_csv(self, tmp_path):
         out = tmp_path / "default.csv"
         assert main(["run", "--out", str(out)]) == 0
         assert out.read_bytes() == DEFAULT_CSV
+
+    @pytest.mark.parametrize("name", GOLDEN_CSVS)
+    def test_pinned_study_writes_golden_csv(self, tmp_path, name):
+        args, want = GOLDEN_CSVS[name]
+        out = tmp_path / f"{name}.csv"
+        assert main(["run", *args, "--out", str(out)]) == 0
+        assert out.read_bytes() == want
 
     def test_run_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
