@@ -7,6 +7,7 @@ no stabilizer)."""
 import numpy as np
 
 from .dofmap import DofMap, edge_slots
+from .mesh import signed_areas
 from .pipeline import (AssemblyError, ElementClass, Field, Solution,
                        assemble_load, assemble_matrix, build_classes,
                        solve_reduced)
@@ -75,9 +76,8 @@ class EnrichedElementClass(ElementClass):
         for i, (j, l) in enumerate(self.moment_exps):
             self.moment_values[:, i] = d[:, 0] ** j * d[:, 1] ** l
         if mode == "standard":
-            d1, d2 = self.verts[1:] - self.verts[0]
-            area = 0.5 * abs(d1[0] * d2[1] - d1[1] * d2[0])
-            self.normalizer = np.full(self.n_interior, area)
+            self.normalizer = np.full(self.n_interior,
+                                      abs(signed_areas(self.verts)))
         else:
             l2 = np.sqrt(self.quad_weights @ self.moment_values ** 2)
             self.normalizer = l2 if mode == "l2_normalized" else l2 / 10.0

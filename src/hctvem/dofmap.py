@@ -9,6 +9,8 @@ order of the boundary nodes that the numbering follows."""
 import numpy as np
 import scipy.sparse as sp
 
+from .polynomials import monomial_dim
+
 
 def edge_slots(k):
     """(3, k+1) local DOF slots of the edges 01, 12, 20, each walked from
@@ -39,7 +41,7 @@ class DofMap:
         self.mesh = mesh
         self.k = k
         self.n_edge = k - 1
-        self.n_interior = k * (k - 1) // 2
+        self.n_interior = monomial_dim(k - 2)
         V, E, T = mesh.num_vertices, mesh.num_edges, mesh.num_triangles
         dirichlet = np.concatenate([
             mesh.boundary_vertex, np.repeat(mesh.boundary_edge, self.n_edge),

@@ -173,8 +173,9 @@ class ExperimentConfig:
 
 
 def parse_config_file(path):
-    """Flat key=value file; blank lines and # comments ignored."""
-    values = {}
+    """Flat key=value file: # comments and blank lines ignored, no key
+    twice (an appended line would quietly override one above it)."""
+    values, lines = {}, {}
     with open(path) as fh:
         for ln, line in enumerate(fh, 1):
             line = line.strip()
@@ -183,7 +184,11 @@ def parse_config_file(path):
             if "=" not in line:
                 raise ConfigError(f"{path}:{ln}: expected key=value")
             key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+            key = key.strip()
+            if key in lines:
+                raise ConfigError(f"{path}:{ln}: {key} already set on line "
+                                  f"{lines[key]}")
+            values[key], lines[key] = val.strip(), ln
     return values
 
 

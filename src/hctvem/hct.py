@@ -21,6 +21,7 @@ import numpy as np
 from scipy.linalg import cho_factor
 
 from .dofmap import boundary_nodes
+from .mesh import signed_areas
 from .polynomials import (AffineMonomialBasis, lattice_multi_indices,
                           monomial_dim)
 from .quadrature import quad_rule_triangle
@@ -102,11 +103,11 @@ class HctLocalSpace:
 
     def _map(self, ref):
         """The reference space's nodes and quadrature mapped by x = v0 +
-        J x_hat.  det J and J^-1 are taken from the cross product and the
-        adjugate, which scale by exact powers of two with the triangle."""
+        J x_hat.  det J is twice mesh.signed_areas and J^-1 the adjugate
+        over it, which scale by exact powers of two with the triangle."""
         v0 = self.coords[0]
         J = np.column_stack([self.coords[1] - v0, self.coords[2] - v0])
-        det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
+        det = 2.0 * signed_areas(self.coords)
         jinv = np.array([[J[1, 1], -J[0, 1]], [-J[1, 0], J[0, 0]]]) / det
         self.nodes = v0 + ref.nodes @ J.T
         self.dim, self.num_boundary = ref.dim, ref.num_boundary

@@ -57,12 +57,14 @@ class TriangleMesh:
         return len(self.edges)
 
 
-def signed_areas(vertices, triangles):
-    """(T,) signed areas of the triangles, positive when CCW."""
-    v = vertices[triangles]
-    d1 = v[:, 1] - v[:, 0]
-    d2 = v[:, 2] - v[:, 0]
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+def signed_areas(coords):
+    """(...,) signed areas of the triangles with vertices coords (..., 3,
+    2), positive when CCW, from the cross product of the edges from the
+    first vertex: it scales by exactly 2^(2e) with the vertices, as
+    scale-free sf-hct needs, and np.linalg.det does not."""
+    d1 = coords[..., 1, :] - coords[..., 0, :]
+    d2 = coords[..., 2, :] - coords[..., 0, :]
+    return 0.5 * (d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])
 
 
 def _unique_first_seen(keys):
@@ -79,7 +81,7 @@ def _unique_first_seen(keys):
 def _build_topology(vertices, triangles):
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
-    if np.any(signed_areas(vertices, triangles) <= 0):
+    if np.any(signed_areas(vertices[triangles]) <= 0):
         raise MeshError("mesh contains a non-CCW or degenerate triangle")
 
     # half-edges in (triangle, local edge 01, 12, 20) order; edges are

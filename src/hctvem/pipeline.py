@@ -200,10 +200,8 @@ class ElementClass:
         (inf, -inf), which min and max pass over, when it is empty
         (k = 1)."""
         nb = self.n_boundary
-        if not self.n_interior:
-            return np.inf, -np.inf
         eig = np.linalg.eigvalsh(self.K_loc[nb:, nb:])
-        return float(eig[0]), float(eig[-1])
+        return float(eig.min(initial=np.inf)), float(eig.max(initial=-np.inf))
 
     @cached_property
     def load_matrix(self):

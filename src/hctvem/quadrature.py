@@ -5,6 +5,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .mesh import signed_areas
+
 MAX_DEGREE = 30
 
 
@@ -27,11 +29,7 @@ class TriangleQuadRule:
     def physical(self, coords):
         """Map to a physical triangle given its 3x2 vertex array."""
         coords = np.asarray(coords, dtype=float)
-        pts = self.points @ coords
-        d1 = coords[1] - coords[0]
-        d2 = coords[2] - coords[0]
-        area = 0.5 * abs(d1[0] * d2[1] - d1[1] * d2[0])
-        return pts, self.weights * area
+        return self.points @ coords, self.weights * abs(signed_areas(coords))
 
     def integrate(self, f, coords):
         pts, w = self.physical(coords)

@@ -7,13 +7,13 @@ Each class's HCT space is the affine image of the unit triangle's, which
 is built once per degree (hct.reference_space).  The interior P_{k-2}
 basis and the P_k Lagrange basis of the lattice are polynomials in the
 same affine coordinates, so their values at the mapped quadrature points
-are the unit triangle's too, computed once per degree (_unit_values).
+are the unit triangle's too, computed once per degree (_unit_table).
 
 The interior DOFs of I_h g are the moments of -Delta g against P_{k-2}.
 That integrand is smooth on the whole triangle, so they take one rule of
 degree 2k + 6 on the parent triangle ((k + 4)^2 points) in place of the
 HCT split's three sub-triangle rules (3 (k + 4)^2), mapped from the unit
-triangle's the same way (_unit_moment_rule).  The projection keeps the
+triangle's the same way (also in _unit_table).  The projection keeps the
 HCT rule: its integrand is only piecewise polynomial.
 
 The element is scale-free: the macro split at the barycenter, the
@@ -25,6 +25,7 @@ array, the load operators and interior moments included, from it; they
 equal a fresh build's bit for bit, as scaling by 2^e is exact in
 floating point (away from overflow and underflow)."""
 
+from collections import namedtuple
 from functools import cache, cached_property
 
 import numpy as np
@@ -32,42 +33,35 @@ from scipy.linalg import cho_solve
 
 from .dofmap import DofMap
 from .hct import UNIT_TRIANGLE, HctLocalSpace, reference_space
+from .mesh import signed_areas
 from .pipeline import (ElementClass, Field, Solution, assemble_load,
                        assemble_matrix, build_classes, solve_reduced)
 from .polynomials import AffineMonomialBasis
 from .quadrature import quad_rule_triangle
 
 
+_UnitTable = namedtuple("_UnitTable", "interior lagrange points weights mu")
+
+
 @cache
-def _unit_values(k):
-    """(interior, lagrange): the interior P_{k-2} basis and the P_k
-    Lagrange basis of the lattice of UNIT_TRIANGLE at the quadrature
-    points of reference_space(k).  Both are polynomials in the affine
-    coordinates of the edges from the first vertex, in which every
-    triangle's quadrature points are these points, so every
-    SfElementClass shares these arrays, which are read-only."""
+def _unit_table(k):
+    """The read-only arrays on UNIT_TRIANGLE that every SfElementClass of
+    degree k shares, built on first use: the interior P_{k-2} basis and
+    the lattice's P_k Lagrange basis at reference_space(k)'s quadrature
+    points, and the parent-triangle rule of degree 2k + 6 with the
+    interior basis at its points (mu).  Both bases are polynomials in the
+    affine coordinates of the edges from the first vertex."""
     unit = ElementClass(k, UNIT_TRIANGLE)
     unit.quad_points = reference_space(k).quad_points
     # the interior_basis of the unit triangle, whose edge matrix is I
     interior = AffineMonomialBasis(unit.barycenter, np.eye(2), k - 2)
-    values = interior.values(unit.quad_points), unit.lagrange_values
-    for a in values:
-        a.flags.writeable = False
-    return values
-
-
-@cache
-def _unit_moment_rule(k):
-    """(points, weights, interior): the rule of degree 2k + 6 on
-    UNIT_TRIANGLE and the interior P_{k-2} basis at its points, which
-    every SfElementClass maps (moment_points, moments) and shares; the
-    arrays are read-only."""
     points, weights = quad_rule_triangle(2 * k + 6).physical(UNIT_TRIANGLE)
-    interior = AffineMonomialBasis(UNIT_TRIANGLE.mean(axis=0), np.eye(2),
-                                   k - 2).values(points)
-    for a in (points, weights, interior):
+    table = _UnitTable(interior.values(unit.quad_points),
+                       unit.lagrange_values, points, weights,
+                       interior.values(points))
+    for a in table:
         a.flags.writeable = False
-    return points, weights, interior
+    return table
 
 
 class SfElementClass(ElementClass):
@@ -116,13 +110,13 @@ class SfElementClass(ElementClass):
     def interior_values(self):
         """(nq, n_interior) interior_basis at quad_points: the unit
         triangle's, shared by every shape."""
-        return _unit_values(self.k)[0]
+        return _unit_table(self.k).interior
 
     @property
     def lagrange_values(self):
         """(nq, dim P_k) the lattice's Lagrange basis at quad_points: the
         unit triangle's, shared by every shape."""
-        return _unit_values(self.k)[1]
+        return _unit_table(self.k).lagrange
 
     def _projection_matrix(self):
         sp_ = self.space
@@ -143,18 +137,18 @@ class SfElementClass(ElementClass):
         """The parent-triangle rule's points: the unit rule's mapped by
         x = v0 + J x_hat."""
         v0 = self.verts[0]
-        return v0 + _unit_moment_rule(self.k)[0] @ (self.verts[1:] - v0)
+        return v0 + _unit_table(self.k).points @ (self.verts[1:] - v0)
 
     @cached_property
     def moments(self):
         """(w mu, mu^T w mu): the interior basis at moment_points weighted
-        by the rule's weights |det J| w_hat (det J from the cross product,
+        by the rule's weights |det J| w_hat (det J = 2 mesh.signed_areas,
         which scales exactly with the triangle), and its Gram, which
         interior_dofs solves with."""
-        (a, b), (c, d) = self.verts[1:] - self.verts[0]
-        _, weights, mu = _unit_moment_rule(self.k)
-        wmu = (abs(a * d - b * c) * weights)[:, None] * mu
-        return wmu, mu.T @ wmu
+        unit = _unit_table(self.k)
+        det = 2.0 * signed_areas(self.verts)
+        wmu = (abs(det) * unit.weights)[:, None] * unit.mu
+        return wmu, unit.mu.T @ wmu
 
     def interior_dofs(self, g, lap_g, origins):
         """(nE, n_interior) -Delta of I_h g on the copies translated by

@@ -16,7 +16,7 @@ SOLVERS = ("direct", "cg")
 
 
 class NotSpdError(RuntimeError):
-    """Raised when a matrix expected to be SPD shows negative curvature."""
+    """A matrix expected to be SPD is singular or has negative curvature."""
 
 
 class ConvergenceError(RuntimeError):
@@ -110,14 +110,14 @@ def two_level_preconditioner(A, coarse, element_dofs):
     element e, the rows of element_dofs (an index >= n marks an
     eliminated DOF, whose slot gets an identity row).  When P is square
     the coarse solve is exact and is applied alone.  Raises NotSpdError
-    when an element block is not positive definite.
+    when P^T A P or an element block is not positive definite.
     """
     n = A.shape[0]
     if n == 0:
         return lambda r: r
     nc = coarse.shape[1]
     if nc:
-        coarse_solve = spla.factorized((coarse.T @ A @ coarse).tocsc())
+        coarse_solve = _factorized(coarse.T @ A @ coarse)
         if nc == n:
             return lambda r: coarse @ coarse_solve(coarse.T @ r)
 
@@ -168,8 +168,11 @@ def _superlu_inverse(A):
     """x -> A^-1 x by a SuperLU factor of the SPD matrix A."""
     # a minimum-degree ordering of A^T + A with diagonal pivots preferred
     # keeps the fill far below COLAMD's
-    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                     options=dict(SymmetricMode=True)).solve
+    try:
+        return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                         options=dict(SymmetricMode=True)).solve
+    except RuntimeError as exc:
+        raise NotSpdError(f"singular matrix: {exc}") from exc
 
 
 def _alternating(n):
@@ -222,37 +225,32 @@ def solve_spd(A, b, method="direct", tol=1e-12, coarse=None,
     kappa is estimate_condition_2's, on the solve's own factor, of A or,
     with condensed (a pipeline.Condensation whose Schur complement is A),
     of the full system that condensed describes; after CG, A is factored
-    by spla.factorized for it.  When condensed is decoupled, the full
-    system is A plus the interior blocks on its diagonal: kappa is A's
-    with the blocks' extremes (condensed.interior_spectrum), all on this
-    thread.  Otherwise its products are condensed.matvec, and its
-    inverse is condensed.inverse of A's.  lambda_max needs only products,
-    mostly GIL-free sparse or BLAS work, so it runs on a second thread
-    beside the factorization (mostly GIL-free as well) and the solve;
-    lambda_min's Lanczos, whose SuperLU solves hold the GIL, stays on
-    this thread.  The thread is joined before this returns or raises."""
+    by spla.factorized for it.  A bare A, or a decoupled condensed, whose
+    full system is A plus the interior blocks on its diagonal (kappa is
+    A's with their extremes, condensed.interior_spectrum), takes both
+    Lanczos runs on this thread.  Otherwise the products are
+    condensed.matvec, and the inverse is condensed.inverse of A's;
+    lambda_max needs only products, mostly GIL-free sparse or BLAS work,
+    so it runs on a second thread beside the factorization (mostly
+    GIL-free as well) and the solve, and lambda_min's Lanczos, whose
+    SuperLU solves hold the GIL, stays on this one.  The thread is joined
+    before this returns or raises."""
     if method not in SOLVERS:
         raise ValueError(f"unknown solver {method!r}")
-    system = A if condensed is None else condensed
-    n = system.shape[0]
-    if condensed is not None and condensed.decoupled:
+    n = (A if condensed is None else condensed).shape[0]
+    if not (kappa and n):
+        return _solve(A, b, method, tol, coarse, element_dofs)[0], None
+    if condensed is None or condensed.decoupled:
         x, inverse = _solve(A, b, method, tol, coarse, element_dofs)
-        if not (kappa and n):
-            return x, None
-        return x, estimate_condition_2(
-            A, inverse, interior=condensed.interior_spectrum)
+        interior = (np.inf, -np.inf) if condensed is None \
+            else condensed.interior_spectrum
+        return x, estimate_condition_2(A, inverse, interior=interior)
     with ThreadPoolExecutor(max_workers=1) as pool:
-        lam_max = None
-        if kappa and n:
-            lam_max = (pool.submit(_lambda_max, A) if condensed is None else
-                       pool.submit(_lanczos_extreme, condensed.matvec, n,
-                                   start=_alternating(n))).result
+        lam_max = pool.submit(_lanczos_extreme, condensed.matvec, n,
+                              start=_alternating(n)).result
         x, inverse = _solve(A, b, method, tol, coarse, element_dofs)
-        if lam_max is None:
-            return x, None
-        if condensed is not None:
-            inverse = condensed.inverse(inverse or _factorized(A))
-        return x, estimate_condition_2(system, inverse, lam_max)
+        inverse = condensed.inverse(inverse or _factorized(A))
+        return x, estimate_condition_2(condensed, inverse, lam_max)
 
 
 def _lanczos_extreme(apply, n, *, start=None, max_iter=None, tol=1e-10):

@@ -47,6 +47,13 @@ class TestParsing:
         assert cfg.alpha == -1.0
         assert cfg.kappa is True
 
+    def test_config_file_rejects_a_repeated_key(self, tmp_path):
+        p = tmp_path / "cfg.txt"
+        p.write_text("k=2\nmesh=uniform\n\n# a later edit\n k = 3\n")
+        with pytest.raises(ConfigError,
+                           match=r"cfg\.txt:5: k already set on line 1$"):
+            parse_config_file(p)
+
     def test_config_file_rejects_bad_lines(self, tmp_path):
         p = tmp_path / "cfg.txt"
         p.write_text("method classic\n")

@@ -221,7 +221,7 @@ class TestAffineMap:
         code = ("import hctvem, hctvem.cli\n"
                 "from hctvem import hct, sf_vem\n"
                 "assert not hct._REFERENCES\n"
-                "assert not sf_vem._unit_values.cache_info().currsize\n")
+                "assert not sf_vem._unit_table.cache_info().currsize\n")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, env=env,
                               timeout=60)

@@ -36,6 +36,16 @@ class TestTriangleRule:
         got = rule.integrate(lambda x, y: 2.0 * x - y + 1.0, tri)
         assert got == pytest.approx(area * (2 * bc[0] - bc[1] + 1), rel=1e-13)
 
+    @pytest.mark.parametrize("e", [-12, -3, 4])
+    def test_physical_weights_scale_exactly(self, e):
+        # the area is the cross product, which scales by exactly 2^(2e)
+        rule = quad_rule_triangle(8)
+        rng = np.random.default_rng(7)
+        for tri in rng.uniform(-1.0, 1.0, (50, 3, 2)):
+            _, w = rule.physical(tri)
+            _, got = rule.physical(np.ldexp(tri, e))
+            assert got.tobytes() == np.ldexp(w, 2 * e).tobytes()
+
     def test_bad_degree_rejected(self):
         with pytest.raises(QuadratureError):
             quad_rule_triangle(-1)

@@ -521,8 +521,8 @@ class TestMomentRule:
                          fresh.interior_dofs(prob.u, prob.lap_u, origins))
 
     def test_unit_rule_built_once_per_degree(self, monkeypatch):
-        monkeypatch.setattr(sf_vem, "_unit_moment_rule",
-                            cache(sf_vem._unit_moment_rule.__wrapped__))
+        monkeypatch.setattr(sf_vem, "_unit_table",
+                            cache(sf_vem._unit_table.__wrapped__))
         built = []
         rule = sf_vem.quad_rule_triangle
 
@@ -544,7 +544,7 @@ class TestMomentRule:
         assert built == [10, 12, 18]
         for k in (2, 3, 6):
             assert not any(a.flags.writeable
-                           for a in sf_vem._unit_moment_rule(k))
+                           for a in sf_vem._unit_table(k))
 
     def test_unit_rule_not_built_at_import(self):
         src = str(Path(hctvem.__file__).resolve().parent.parent)
@@ -552,7 +552,7 @@ class TestMomentRule:
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = ("import hctvem, hctvem.cli\n"
                 "from hctvem import sf_vem\n"
-                "assert not sf_vem._unit_moment_rule.cache_info().currsize\n")
+                "assert not sf_vem._unit_table.cache_info().currsize\n")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, env=env,
                               timeout=60)
@@ -563,8 +563,8 @@ class TestMomentRule:
         rule = sf_vem.quad_rule_triangle
         monkeypatch.setattr(sf_vem, "quad_rule_triangle",
                             lambda degree: rule(degree - 8))
-        monkeypatch.setattr(sf_vem, "_unit_moment_rule",
-                            cache(sf_vem._unit_moment_rule.__wrapped__))
+        monkeypatch.setattr(sf_vem, "_unit_table",
+                            cache(sf_vem._unit_table.__wrapped__))
         # keep the classes built meanwhile out of the shared cache
         monkeypatch.setattr(sf_vem, "_GLOBAL_CACHE", {})
         assert main(["verify"]) == 1

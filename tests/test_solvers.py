@@ -100,6 +100,15 @@ class TestSolveSpd:
             assert kappa == pytest.approx(d[-1] / d[0], rel=1e-10)
         assert solve_spd(As, b)[1] is None
 
+    @pytest.mark.parametrize("method", solvers.SOLVERS)
+    def test_singular_matrix_is_not_spd(self, method):
+        # the direct factor, and CG's coarse factor, which comes before
+        # the element blocks
+        _, b, P, ed = two_level_system("sf-hct", "irregular8", 3, 3)
+        Z = sp.csc_matrix((len(b), len(b)))
+        with pytest.raises(NotSpdError, match="singular"):
+            solve_spd(Z, b, method=method, coarse=P, element_dofs=ed)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             solve_spd(sp.eye(3, format="csc"), np.ones(3), method="gmres")
@@ -402,43 +411,28 @@ class TestStartVector:
         assert len(products) <= 90
 
 
+def condensed_system(method, family, k, level):
+    """(S, g, cond): the skeleton matrix (CSC), the condensed load of the
+    sinsin problem and the Condensation, as pipeline.solve_reduced hands
+    them to solve_spd."""
+    mesh = generate_mesh(family, level)
+    classes = element_classes(method, mesh, k)
+    dm = DofMap(mesh, k)
+    cond = pipeline.Condensation(dm, classes)
+    b = pipeline.assemble_load(dm, classes, get_solution("sinsin").f)
+    return (pipeline.assemble_matrix(dm, classes, skeleton=True),
+            cond.condense(b[:dm.n_free]), cond)
+
+
 class TestKappaThread:
-    """solve_spd runs lambda_max's Lanczos on a second thread and joins
-    it whatever happens on its own."""
+    """solve_spd runs lambda_max's Lanczos on a second thread for a
+    coupled condensation (classic here) and joins it whatever happens on
+    its own."""
 
     @pytest.fixture(autouse=True)
-    def no_thread_left(self):
+    def started(self, monkeypatch):
+        """The threads started meanwhile; none is left running."""
         before = threading.active_count()
-        yield
-        assert threading.active_count() == before
-
-    def test_lambda_max_error_comes_out(self, monkeypatch):
-        lanczos = solvers._lanczos_extreme
-
-        def fail_off_main(apply, n, **kwargs):
-            if threading.current_thread() is not threading.main_thread():
-                raise ConvergenceError("lambda_max not settled", 0)
-            return lanczos(apply, n, **kwargs)
-
-        monkeypatch.setattr(solvers, "_lanczos_extreme", fail_off_main)
-        A = clustered_diagonal()
-        for method in ("direct", "cg"):
-            with pytest.raises(ConvergenceError, match="lambda_max"):
-                solve_spd(A, np.ones(A.shape[0]), method=method, kappa=True)
-
-    def test_cg_failure_joins_thread(self):
-        A, b, _, _ = two_level_system("sf-hct", "irregular8", 3, 3)
-        lam = np.linalg.eigvalsh(A.toarray())
-        B = (A - 2.0 * lam[0] * sp.eye(A.shape[0])).tocsc()
-        with pytest.raises(NotSpdError):
-            solve_spd(B, b, method="cg", kappa=True)
-
-    def test_singular_direct_failure_joins_thread(self):
-        A = sp.diags(np.r_[np.linspace(1.0, 2.0, 2999), 0.0]).tocsc()
-        with pytest.raises(RuntimeError, match="singular"):
-            solve_spd(A, np.ones(3000), method="direct", kappa=True)
-
-    def test_thread_only_with_kappa_on_a_nonempty_matrix(self, monkeypatch):
         started = []
         start = threading.Thread.start
 
@@ -447,15 +441,67 @@ class TestKappaThread:
             start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", spy)
-        A = clustered_diagonal(100)
-        b = np.ones(100)
+        yield started
+        assert threading.active_count() == before
+
+    @pytest.fixture(scope="class")
+    def classic(self):
+        S, g, cond = condensed_system("classic", "irregular8", 3, 3)
+        assert not cond.decoupled
+        return S, g, cond
+
+    def test_lambda_max_error_comes_out(self, monkeypatch, classic, started):
+        lanczos = solvers._lanczos_extreme
+
+        def fail_off_main(apply, n, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise ConvergenceError("lambda_max not settled", 0)
+            return lanczos(apply, n, **kwargs)
+
+        monkeypatch.setattr(solvers, "_lanczos_extreme", fail_off_main)
+        S, g, cond = classic
+        for method in ("direct", "cg"):
+            with pytest.raises(ConvergenceError, match="lambda_max"):
+                solve_spd(S, g, method=method, kappa=True, condensed=cond)
+        assert len(started) == 2
+
+    def test_cg_failure_joins_thread(self, classic, started):
+        S, g, cond = classic
+        lam = np.linalg.eigvalsh(S.toarray())
+        B = (S - 2.0 * lam[0] * sp.eye(S.shape[0])).tocsc()
+        with pytest.raises(NotSpdError):
+            solve_spd(B, g, method="cg", kappa=True, condensed=cond)
+        assert len(started) == 1
+
+    def test_singular_direct_failure_joins_thread(self, classic, started):
+        S, g, cond = classic
+        keep = sp.diags(np.r_[np.ones(S.shape[0] - 1), 0.0])
+        with pytest.raises(RuntimeError, match="singular"):
+            solve_spd((keep @ S @ keep).tocsc(), g, method="direct",
+                      kappa=True, condensed=cond)
+        assert len(started) == 1
+
+    def test_thread_only_with_kappa_on_a_nonempty_matrix(self, classic,
+                                                         started):
+        S, g, cond = classic
         for method in solvers.SOLVERS:
-            solve_spd(A, b, method=method)
-        solve_spd(sp.csc_matrix((0, 0)), np.zeros(0), kappa=True)
+            solve_spd(S, g, method=method, condensed=cond)
+        # classic k = 1 on uniform level 1 has no free DOF
+        empty = condensed_system("classic", "uniform", 1, 1)
+        assert empty[2].shape == (0, 0)
+        solve_spd(*empty[:2], kappa=True, condensed=empty[2])
         assert started == []
         for method in solvers.SOLVERS:
-            solve_spd(A, b, method=method, kappa=True)
+            solve_spd(S, g, method=method, kappa=True, condensed=cond)
         assert len(started) == len(solvers.SOLVERS)
+
+    def test_bare_matrix_starts_no_thread(self, started):
+        # both Lanczos runs on this thread, as for a decoupled system
+        A = clustered_diagonal(100)
+        for method in solvers.SOLVERS:
+            _, kappa = solve_spd(A, np.ones(100), method=method, kappa=True)
+            assert kappa == estimate_condition_2(A)
+        assert started == []
 
 
 def two_level_system(method, family, k, level):
