@@ -508,13 +508,9 @@ def two_level_system(method, family, k, level):
     """The skeleton matrix (CSR) and condensed load, the coarse space and
     the elements' skeleton DOFs of the sinsin problem, built as
     pipeline.solve_reduced builds them."""
-    mesh = generate_mesh(family, level)
-    classes = element_classes(method, mesh, k)
-    dm = DofMap(mesh, k)
-    b = pipeline.assemble_load(dm, classes, get_solution("sinsin").f)
-    g = pipeline.Condensation(dm, classes).condense(b[:dm.n_free])
-    return (pipeline.assemble_matrix(dm, classes, skeleton=True).tocsr(), g,
-            dm.coarse_space(), dm.element_dofs[:, :3 * k])
+    S, g, cond = condensed_system(method, family, k, level)
+    return (S.tocsr(), g, cond.dm.coarse_space(),
+            cond.dm.element_dofs[:, :3 * k])
 
 
 def hat_values(mesh, dm):
