@@ -230,11 +230,13 @@ def solve_spd(A, b, method="direct", tol=1e-12, coarse=None,
     A's with their extremes, condensed.interior_spectrum), takes both
     Lanczos runs on this thread.  Otherwise the products are
     condensed.matvec, and the inverse is condensed.inverse of A's;
-    lambda_max needs only products, mostly GIL-free sparse or BLAS work,
-    so it runs on a second thread beside the factorization (mostly
-    GIL-free as well) and the solve, and lambda_min's Lanczos, whose
-    SuperLU solves hold the GIL, stays on this one.  The thread is joined
-    before this returns or raises."""
+    lambda_max needs only products, so it runs on a second thread beside
+    the solve, and lambda_min's Lanczos, which needs the solve's factor,
+    follows the solve on this one.  They overlap where they release the
+    GIL: SuperLU's factorization and solves do in scipy 1.17 (a Python
+    loop on another thread keeps 93-100 % of its speed during them), and
+    so does the BLAS product of each class.  The thread is joined before
+    this returns or raises."""
     if method not in SOLVERS:
         raise ValueError(f"unknown solver {method!r}")
     n = (A if condensed is None else condensed).shape[0]

@@ -132,9 +132,11 @@ class TestSolveSpd:
     def test_direct_factor_fill_is_small(self, monkeypatch):
         # the direct solve factors the skeleton system S (the interior
         # DOFs condensed out).  At irregular8 k=3 L5 a symmetric
-        # minimum-degree ordering keeps nnz(L)+nnz(U) at 2.2 times the nnz
-        # of the full reduced matrix A (4.6 nnz(S)); COLAMD gives 4.3 nnz(A)
-        # (9.1 nnz(S)).  Factoring A itself took 2.7 nnz(A)
+        # minimum-degree ordering keeps nnz(L)+nnz(U) at 3.97 times the nnz
+        # of the full reduced matrix A (4.6 nnz(S)); COLAMD gives 7.8 nnz(A)
+        # (9.1 nnz(S)).  Factoring A itself takes 4.2 nnz(A).  A holds no
+        # K_ib entries (sf-hct's vanish, and assembly drops their
+        # round-off), so nnz(A) is nnz(S) plus the interior blocks
         factor_nnz = []
         splu = solvers.spla.splu
 
