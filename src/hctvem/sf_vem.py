@@ -53,7 +53,8 @@ def _unit_table(k):
     affine coordinates of the edges from the first vertex."""
     unit = ElementClass(k, UNIT_TRIANGLE)
     unit.quad_points = reference_space(k).quad_points
-    # the interior_basis of the unit triangle, whose edge matrix is I
+    # P_{k-2} in the affine coordinates of the unit triangle's edges from
+    # its first vertex, whose edge matrix is I
     interior = AffineMonomialBasis(unit.barycenter, np.eye(2), k - 2)
     points, weights = quad_rule_triangle(2 * k + 6).physical(UNIT_TRIANGLE)
     table = _UnitTable(interior.values(unit.quad_points),
@@ -98,18 +99,10 @@ class SfElementClass(ElementClass):
         self.interior_scale = e
         self.projection[:, nb:] = Pi / e
 
-    @cached_property
-    def interior_basis(self):
-        """P_{k-2} in the affine coordinates of the edges from verts[0]."""
-        v = self.verts
-        return AffineMonomialBasis(
-            self.barycenter,
-            np.column_stack([v[1] - v[0], v[2] - v[0]]), self.k - 2)
-
     @property
     def interior_values(self):
-        """(nq, n_interior) interior_basis at quad_points: the unit
-        triangle's, shared by every shape."""
+        """(nq, n_interior) the interior P_{k-2} basis at quad_points:
+        the unit triangle's, shared by every shape."""
         return _unit_table(self.k).interior
 
     @property

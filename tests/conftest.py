@@ -11,8 +11,7 @@ import numpy as np
 from scipy.linalg import cho_solve, eigvalsh_tridiagonal
 
 from hctvem import pipeline
-from hctvem.cli import _p1_fem_stiffness as p1_fem_stiffness  # noqa: F401
-from hctvem.cli import _polynomial as polynomial  # noqa: F401
+from hctvem.checks import p1_fem_stiffness, polynomial  # noqa: F401
 from hctvem.classic_vem import (ClassicElementClass, EnrichedElementClass,
                                 solve_classic_vem, solve_enriched_vem)
 from hctvem.dofmap import DofMap
@@ -337,6 +336,17 @@ def min_angle_deg(tri):
     cos = np.einsum("id,id->i", a, b) \
         / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
     return float(np.degrees(np.arccos(cos)).min())
+
+
+def shape_regular_triangles(seed, n=20, min_angle=15.0):
+    """n random CCW triangles of smallest angle >= min_angle degrees."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        tri = random_ccw_triangle(rng)
+        if min_angle_deg(tri) >= min_angle:
+            out.append(tri)
+    return out
 
 
 def topology_oracle(vertices, triangles):

@@ -9,19 +9,19 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from conftest import reduced_system
+from conftest import reduced_system, shape_regular_triangles
 
-from hctvem import classic_vem, pipeline, sf_vem, solvers
+from hctvem import checks, classic_vem, pipeline, sf_vem, solvers
+from hctvem.checks import TRI
 from hctvem.cli import main
 from hctvem.classic_vem import (ClassicElementClass, solve_classic_vem,
                                 solve_enriched_vem)
 from hctvem.experiments import ExperimentConfig, run_experiment
 from hctvem.mesh import _build_topology, generate_mesh
 from hctvem.problems import get_solution
-from hctvem.sf_vem import SfElementClass, sf_class, solve_sf_vem
+from hctvem.sf_vem import SfElementClass, solve_sf_vem
 
 PROB = get_solution("sinsin")
-TRI = np.array([[0.0, 0.0], [1.0, 0.1], [0.3, 0.9]])
 
 
 def solve(method, family, k, level, solver="direct", load_rule="interp",
@@ -245,14 +245,9 @@ def test_condensed_operators(k):
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_scaled_classes_share_the_condensation(k):
-    cache = {}
-    big = sf_class(k, TRI, cache)
-    small = sf_class(k, np.ldexp(TRI, -3), cache)
-    assert big.base is small.base
-    assert small.condensed is big.condensed is big.base.condensed
-    # and the scale-free S_loc carries a fresh build's bits
-    fresh = SfElementClass(k, np.ldexp(TRI, -3))
-    assert small.condensed[2].tobytes() == fresh.condensed[2].tobytes()
+    # the check also holds S_loc to a fresh build's bits
+    for tri in shape_regular_triangles(50 + k, n=5):
+        assert checks.scale_free_class(k, tri - tri[0], 2) == []
 
 
 def doctored(k, verts, mode="standard", alpha=0.0):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import hctvem
-from hctvem import cli, experiments, solvers
+from hctvem import experiments, solvers
 from hctvem.cli import main
 from hctvem.dofmap import DofMap
 from hctvem.experiments import (CSV_HEADER, ConfigError, ErrorReport,
@@ -439,7 +439,7 @@ class TestCli:
             seen.append(cfg)
             return ErrorReport(cfg)
 
-        monkeypatch.setattr(cli, "run_experiment", record)
+        monkeypatch.setattr("hctvem.cli.run_experiment", record)
         path = tmp_path / "cfg.txt"
         path.write_text(f"method=classic\ndof_mode={spelling}\n")
         assert main(["run", "--config", str(path)]) == 0
@@ -550,7 +550,7 @@ class TestSettingsTable:
             seen.append(cfg)
             return ErrorReport(cfg)
 
-        monkeypatch.setattr(cli, "run_experiment", record)
+        monkeypatch.setattr("hctvem.cli.run_experiment", record)
         return seen
 
     def test_every_field_has_a_sample(self):

@@ -6,19 +6,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (eval_basis, min_angle_deg, polynomial,
-                      random_ccw_triangle)
+from conftest import eval_basis, polynomial, shape_regular_triangles
 
 import hctvem
-from hctvem import hct, sf_vem
+from hctvem import checks, hct, sf_vem
+from hctvem.checks import TRI
 from hctvem.cli import main
 from hctvem.hct import (HctError, HctLocalSpace, hct_dimension,
                         reference_space)
 from hctvem.mesh import generate_mesh
 from hctvem.polynomials import AffineMonomialBasis
 from hctvem.sf_vem import SfElementClass, _class_cache_build
-
-TRI = np.array([[0.0, 0.0], [1.0, 0.1], [0.3, 0.9]])
 
 
 class TestDimensionsAndNodes:
@@ -155,34 +153,15 @@ class TestProjection:
         assert m.sum() == pytest.approx(area, rel=1e-12)
 
 
-def shape_regular_triangles(seed, n=20, min_angle=15.0):
-    rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < n:
-        tri = random_ccw_triangle(rng)
-        if min_angle_deg(tri) >= min_angle:
-            out.append(tri)
-    return out
-
-
 class TestAffineMap:
     """Every triangle's space is the unit triangle's mapped by x = v0 +
     J x_hat, built once per (k, quadrature degree)."""
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_mapped_space_matches_physical_build(self, k):
-        # bound set before the run: 1e-10 of the largest entry; the
-        # largest difference measured is 2e-12 (quad_values, k = 6)
+        # the largest difference measured is 2e-12 (quad_values, k = 6)
         for tri in shape_regular_triangles(k):
-            mapped = HctLocalSpace(k, tri)
-            physical = HctLocalSpace(k, tri, physical=True)
-            assert mapped.reference is reference_space(k)
-            for name in ("stiffness", "quad_values", "quad_gradients",
-                         "quad_weights", "quad_points", "nodes"):
-                got, want = getattr(mapped, name), getattr(physical, name)
-                assert got.shape == want.shape, name
-                assert np.abs(got - want).max() \
-                    <= 1e-10 * np.abs(want).max(), name
+            assert checks.mapped_space(k, tri) == []
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_power_of_two_copy_has_identical_stiffness(self, k):
@@ -218,7 +197,10 @@ class TestAffineMap:
         src = str(Path(hctvem.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = ("import hctvem, hctvem.cli\n"
+        # a bare import leaves the checks unloaded; loading builds nothing
+        code = ("import sys, hctvem\n"
+                "assert 'hctvem.checks' not in sys.modules\n"
+                "import hctvem.cli, hctvem.checks\n"
                 "from hctvem import hct, sf_vem\n"
                 "assert not hct._REFERENCES\n"
                 "assert not sf_vem._unit_table.cache_info().currsize\n")

@@ -6,26 +6,23 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import (group_elements_oracle, min_angle_deg,
-                      p1_fem_stiffness, polynomial, random_ccw_triangle,
-                      reduced_system, sf_errors)
+from conftest import (group_elements_oracle, p1_fem_stiffness, polynomial,
+                      reduced_system, sf_errors, shape_regular_triangles)
 
-from hctvem import sf_vem
+from hctvem import checks, sf_vem
+from hctvem.checks import TRI, hct_rule_interior_dofs
 from hctvem.classic_vem import (DOF_MODES, ClassicElementClass,
                                 EnrichedElementClass)
-from hctvem.cli import _hct_rule_interior_dofs, main
+from hctvem.cli import main
 from hctvem.dofmap import DofMap, boundary_nodes, edge_slots
 from hctvem.mesh import _build_topology, generate_mesh
 from hctvem.pipeline import (LOAD_RULES, AssemblyError, ElementClass,
                              assemble_load, assemble_matrix, build_classes,
                              group_elements, true_entries)
-from hctvem.polynomials import AffineMonomialBasis
 from hctvem.problems import get_solution
 from hctvem.sf_vem import (SfElementClass, _assemble, _class_cache_build,
-                           sf_class, solve_sf_vem)
+                           solve_sf_vem)
 from hctvem.solvers import solve_dense_cholesky
-
-TRI = np.array([[0.0, 0.0], [1.0, 0.1], [0.3, 0.9]])
 
 
 def assert_groups_match_oracle(mesh):
@@ -193,16 +190,8 @@ class TestInteriorDecoupling:
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_interior_block_does_not_couple(self, k):
-        # bound set before the run: 1e-14 of max|K_loc|
-        rng = np.random.default_rng(21)
-        for _ in range(20):
-            tri = random_ccw_triangle(rng)
-            while min_angle_deg(tri) < 15.0:
-                tri = random_ccw_triangle(rng)
-            ec = SfElementClass(k, tri - tri[0])
-            nb, K = ec.n_boundary, ec.K_loc
-            assert np.abs(K[nb:, :nb]).max() <= 1e-14 * np.abs(K).max()
-            assert not ec.interior_coupled
+        for tri in shape_regular_triangles(21):
+            assert checks.interior_decoupling(k, tri - tri[0]) == []
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_interior_spectrum(self, k):
@@ -217,34 +206,21 @@ class TestInteriorDecoupling:
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_scaled_class_carries_its_bases_spectrum(self, k):
-        cache = {}
-        base_class = sf_class(k, TRI, cache)
-        scaled = sf_class(k, np.ldexp(TRI, -3), cache)
-        assert scaled.base is base_class.base
-        fresh = SfElementClass(k, np.ldexp(TRI, -3))
-        for other in (scaled.base, fresh):
-            assert np.array(scaled.interior_spectrum).tobytes() \
-                == np.array(other.interior_spectrum).tobytes()
+        # the check compares the interior spectrum, among other arrays
+        for shape in irregular8_shapes():
+            assert checks.scale_free_class(k, shape) == []
 
 
 class TestLocalProjection:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_polynomial_dofs_reproduced_through_projection(self, k):
         # dof_values(p, Delta p, origins) @ projection.T is p on every
-        # translated copy: sf-hct compared by HCT node values, classic
-        # (k <= 4) and enriched (k = 2, degree 3) by the coefficients of
-        # their P_k basis, whose origin moves with the copy
+        # translated copy: sf-hct by HCT node values (verify's check, on
+        # other draws), classic (k <= 4) and enriched (k = 2, degree 3) by
+        # the coefficients of their P_k basis, whose origin moves with it
+        assert checks.pk_reproduction(k, TRI, seed=k) == []
         rng = np.random.default_rng(k)
         origins = rng.uniform(-2.0, 2.0, (3, 2))
-        ec = SfElementClass(k, TRI)
-        basis = ec.space.sub_bases[0]
-        c = rng.normal(size=basis.dim)
-        p, lap_p = polynomial(basis, c)
-        got = ec.dof_values(p, lap_p, origins) @ ec.projection.T
-        want = p(origins[:, None, 0] + ec.space.nodes[:, 0],
-                 origins[:, None, 1] + ec.space.nodes[:, 1])
-        assert np.allclose(got, want, rtol=0,
-                           atol=1e-11 * np.abs(want).max())
         others = [ClassicElementClass(k, TRI)] if k <= 4 else []
         if k == 2:
             others.append(EnrichedElementClass(k, TRI, (3,)))
@@ -286,24 +262,29 @@ class TestLocalProjection:
         assert np.allclose(en, 1.0, rtol=1e-10)
 
     def test_random_triangles_all_spd(self):
-        # the coercivity lemma: on shape-regular triangles the kernel of
-        # K_loc is exactly the constants.  The smallest lambda_1/lambda_max
-        # measured on such triangles falls from 5.8e-2 (k=1) to 6.9e-6
-        # (k=6), and |lambda_0|/lambda_max stays below 1.5e-15
-        rng = np.random.default_rng(11)
+        # the coercivity lemma: the kernel of K_loc is exactly the
+        # constants.  The smallest lambda_1/lambda_max measured falls from
+        # 5.8e-2 (k=1) to 6.9e-6 (k=6) on shape-regular triangles, and to
+        # 2.6e-8 (k=6, flat) on needles (apex angle theta) and flat
+        # triangles (two angles theta) down to theta = 0.1 degrees, whose
+        # bound was set before the run.  |lambda_0|/lambda_max < 1.5e-15
+        regular = shape_regular_triangles(11, n=300)
+        degenerate = [np.array([[0.0, 0.0], [1.0, 0.0], apex])
+                      for t in np.radians([30.0, 5.0, 1.0, 0.1])
+                      for apex in ([np.cos(t), np.sin(t)],
+                                   [0.5, 0.5 * np.tan(t)])]
         for k in range(1, 7):
-            for _ in range(50):
-                tri = random_ccw_triangle(rng)
-                while min_angle_deg(tri) < 15.0:
-                    tri = random_ccw_triangle(rng)
-                ec = SfElementClass(k, tri - tri[0])
-                ev, vec = np.linalg.eigh(ec.K_loc)
-                const = np.zeros(ec.ndof)
-                const[:ec.n_boundary] = 1.0 / np.sqrt(ec.n_boundary)
-                assert abs(ev[0]) / ev[-1] < 1e-12
-                assert abs(vec[:, 0] @ const) == pytest.approx(1.0,
-                                                               abs=1e-12)
-                assert ev[1] / ev[-1] > 1e-7
+            for tris, bound in ((regular[50 * (k - 1):50 * k], 1e-7),
+                                (degenerate, 1e-9)):
+                for tri in tris:
+                    ec = SfElementClass(k, tri - tri[0])
+                    ev, vec = np.linalg.eigh(ec.K_loc)
+                    const = np.zeros(ec.ndof)
+                    const[:ec.n_boundary] = 1.0 / np.sqrt(ec.n_boundary)
+                    assert abs(ev[0]) / ev[-1] < 1e-12
+                    assert abs(vec[:, 0] @ const) \
+                        == pytest.approx(1.0, abs=1e-12)
+                    assert ev[1] / ev[-1] > bound
 
 
 class TestAssembly:
@@ -470,22 +451,8 @@ class TestMomentRule:
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_polynomial_moments_match_the_hct_rule(self, k):
-        # -Delta g mu has degree 2k + 4 for g of degree k + 8: both rules
-        # are exact.  Bound set before the run: 1e-12 relative
-        rng = np.random.default_rng(100 + k)
-        for _ in range(5):
-            tri = random_ccw_triangle(rng)
-            while min_angle_deg(tri) < 15.0:
-                tri = random_ccw_triangle(rng)
-            ec = SfElementClass(k, tri)
-            basis = AffineMonomialBasis(ec.barycenter,
-                                        ec.diameter * np.eye(2), k + 8)
-            g, lap_g = polynomial(basis, rng.normal(size=basis.dim))
-            origin = np.zeros((1, 2))
-            want = _hct_rule_interior_dofs(ec, lap_g, origin)
-            got = ec.interior_dofs(g, lap_g, origin)
-            assert len(ec.moment_points) == (k + 4) ** 2
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        for tri in shape_regular_triangles(100 + k, n=5):
+            assert checks.parent_rule_moments(k, tri) == []
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_sinsin_moments_match_the_hct_rule(self, k):
@@ -496,7 +463,7 @@ class TestMomentRule:
         diff = scale = 0.0
         for ec, idx in _class_cache_build(m, k, {}):
             got = ec.interior_dofs(prob.u, prob.lap_u, v0[idx])
-            want = _hct_rule_interior_dofs(ec, prob.lap_u, v0[idx])
+            want = hct_rule_interior_dofs(ec, prob.lap_u, v0[idx])
             diff = max(diff, np.abs(got - want).max())
             scale = max(scale, np.abs(want).max())
         assert diff <= 1e-10 * scale
@@ -504,18 +471,7 @@ class TestMomentRule:
     @pytest.mark.parametrize("e", [-3, 2])
     @pytest.mark.parametrize("k", range(2, 7))
     def test_scaled_class_moments_equal_a_fresh_build(self, k, e):
-        prob = get_solution("sinsin")
-        cache = {}
-        base = sf_class(k, TRI, cache)
-        scaled = sf_class(k, np.ldexp(TRI, e), cache)
-        assert scaled.base is base.base
-        fresh = SfElementClass(k, np.ldexp(TRI, e))
-        assert same_bits(scaled.moment_points, fresh.moment_points)
-        for got, want in zip(scaled.moments, fresh.moments):
-            assert same_bits(got, want)
-        origins = np.random.default_rng(k).uniform(0.0, 1.0, (4, 2))
-        assert same_bits(scaled.interior_dofs(prob.u, prob.lap_u, origins),
-                         fresh.interior_dofs(prob.u, prob.lap_u, origins))
+        assert checks.scale_free_class(k, TRI, e, seed=k) == []
 
     def test_unit_rule_built_once_per_degree(self, monkeypatch):
         monkeypatch.setattr(sf_vem, "_unit_table",

@@ -132,24 +132,25 @@ class TestSolveSpd:
     def test_direct_factor_fill_is_small(self, monkeypatch):
         # the direct solve factors the skeleton system S (the interior
         # DOFs condensed out).  At irregular8 k=3 L5 a symmetric
-        # minimum-degree ordering keeps nnz(L)+nnz(U) at 3.97 times the nnz
-        # of the full reduced matrix A (4.6 nnz(S)); COLAMD gives 7.8 nnz(A)
-        # (9.1 nnz(S)).  Factoring A itself takes 4.2 nnz(A).  A holds no
-        # K_ib entries (sf-hct's vanish, and assembly drops their
-        # round-off), so nnz(A) is nnz(S) plus the interior blocks
-        factor_nnz = []
+        # minimum-degree ordering keeps nnz(L)+nnz(U) at 4.63 nnz(S);
+        # COLAMD gives about 9.1 nnz(S).  The bound, set before the run,
+        # is 5 times the nnz of the matrix factored, which must be S
+        factored = []
         splu = solvers.spla.splu
 
         def spy(A, *args, **kwargs):
             lu = splu(A, *args, **kwargs)
-            factor_nnz.append(lu.L.nnz + lu.U.nnz)
+            factored.append((A.shape, A.nnz, lu.L.nnz + lu.U.nnz))
             return lu
 
         monkeypatch.setattr(solvers.spla, "splu", spy)
         sol = solve_sf_vem(generate_mesh("irregular8", 5), 3,
                            get_solution("sinsin"))
-        assert len(factor_nnz) == 1
-        assert factor_nnz[0] / sol.matrix.nnz < 4
+        assert len(factored) == 1
+        shape, nnz, fill = factored[0]
+        n = sol.dofmap.n_skeleton
+        assert shape == (n, n)
+        assert fill / nnz < 5
 
 
 class TestConditionEstimate:
