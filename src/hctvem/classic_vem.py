@@ -12,7 +12,7 @@ from .pipeline import (AssemblyError, ElementClass, Field, Solution,
                        assemble_load, assemble_matrix, build_classes,
                        solve_reduced)
 from .polynomials import harmonic_basis, monomial_exponents
-from .quadrature import quad_rule_triangle, quad_rule_edge
+from .quadrature import MAX_DEGREE, quad_rule_triangle, quad_rule_edge
 
 DOF_MODES = ("standard", "l2_normalized", "l2_normalized_x10")
 
@@ -191,11 +191,31 @@ def _assemble_and_solve(mesh, k, classes, problem, solver, tol, load_rule,
                          kappa)
 
 
+def check_settings(method, k, harmonic_degrees=()):
+    """The sorted harmonic degrees of `method` at degree k.  Raises
+    ValueError when the baseline ("classic" or "enriched") does not take k
+    or the degrees; ExperimentConfig.validate reports the same text.
+    sf-hct sets no rule here."""
+    degrees = tuple(sorted(harmonic_degrees))
+    if method == "classic" and not 1 <= k <= 4:
+        raise ValueError(f"classic baseline supports k in 1..4, got {k}")
+    if method == "enriched":
+        if not degrees:
+            raise ValueError("enriched method needs harmonic degrees")
+        if degrees[0] <= k:
+            raise ValueError(
+                f"harmonic degrees must exceed k={k}, got {degrees}")
+        # a degree-m harmonic needs a volume rule of degree 2m
+        if 2 * degrees[-1] > MAX_DEGREE:
+            raise ValueError(f"harmonic degrees above {MAX_DEGREE // 2} "
+                             "are not supported by the quadrature")
+    return degrees
+
+
 def solve_classic_vem(mesh, k, problem, dof_mode="standard", alpha=0.0,
                       solver="direct", tol=1e-12, load_rule="interp",
                       kappa=False):
-    if not 1 <= k <= 4:
-        raise ValueError(f"classical baseline supports k in 1..4, got {k}")
+    check_settings("classic", k)
     classes = _build_classes(
         mesh, lambda lv: ClassicElementClass(k, lv, dof_mode, alpha))
     return _assemble_and_solve(mesh, k, classes, problem, solver, tol,
@@ -204,12 +224,7 @@ def solve_classic_vem(mesh, k, problem, dof_mode="standard", alpha=0.0,
 
 def solve_enriched_vem(mesh, k, problem, harmonic_degrees, solver="direct",
                        tol=1e-12, load_rule="interp", kappa=False):
-    degrees = tuple(sorted(harmonic_degrees))
-    if not degrees:
-        raise ValueError("enriched variant needs at least one degree")
-    if degrees[0] <= k:
-        raise ValueError(
-            f"harmonic enrichment degrees must exceed k={k}, got {degrees}")
+    degrees = check_settings("enriched", k, harmonic_degrees)
     classes = _build_classes(
         mesh, lambda lv: EnrichedElementClass(k, lv, degrees))
     return _assemble_and_solve(mesh, k, classes, problem, solver, tol,

@@ -13,9 +13,9 @@ from . import solvers
 from .mesh import FAMILIES, MAX_LEVEL, generate_mesh, is_integer
 from .pipeline import LOAD_RULES
 from .problems import SOLUTIONS, get_solution
-from .quadrature import MAX_DEGREE
 from .sf_vem import solve_sf_vem
-from .classic_vem import solve_classic_vem, solve_enriched_vem, DOF_MODES
+from .classic_vem import (DOF_MODES, check_settings, solve_classic_vem,
+                          solve_enriched_vem)
 
 CSV_HEADER = "level,dofs,l2,l2_order,h1,h1_order,kappa,seconds"
 
@@ -131,26 +131,16 @@ class ExperimentConfig:
                     and f.type(value) != f.default:
                 raise ConfigError(f"{f.name} is for the "
                                   f"{' and '.join(owners)} method")
-        levels, degrees = tuple(self.levels), tuple(self.harmonic_degrees)
+        levels = tuple(self.levels)
         if len(levels) != 2 or not 1 <= levels[0] <= levels[1] <= MAX_LEVEL:
             raise ConfigError(f"levels are a pair a <= b in 1..{MAX_LEVEL}, "
                               f"got {self.levels!r}")
         if not 1 <= self.k <= 6:
             raise ConfigError(f"k must be in 1..6, got {self.k}")
-        if self.method == "classic" and self.k > 4:
-            raise ConfigError("classic baseline supports k in 1..4")
-        if self.method == "enriched":
-            if not degrees:
-                raise ConfigError("enriched method needs harmonic degrees")
-            if min(degrees) <= self.k:
-                raise ConfigError(
-                    f"harmonic degrees must exceed k={self.k}, "
-                    f"got {degrees}")
-            # a degree-m harmonic needs a volume rule of degree 2m
-            if 2 * max(degrees) > MAX_DEGREE:
-                raise ConfigError(
-                    f"harmonic degrees above {MAX_DEGREE // 2} are not "
-                    "supported by the quadrature")
+        try:
+            check_settings(self.method, self.k, self.harmonic_degrees)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         # nan compares false: a plain tol <= 0 test would let it through
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ConfigError("tol must be positive and finite, "

@@ -60,10 +60,11 @@ the block [0, n_free) of its numbering and the skeleton the block
 [0, n_skeleton); assembly drops the Dirichlet entries, and the reduced
 load and solution are slices.  The full reduced matrix is assembled only
 when read (Solution.matrix).  kappa multiplies by it element by element
-(Condensation.matvec), unless no class's interior block couples to the
-skeleton (ElementClass.interior_coupled, false for sf-hct): then the
-reduced matrix is S plus the blocks K_ii on its diagonal, and kappa
-takes S's extremes and interior_spectrum's.
+(Condensation.matvec), unless the level is decoupled: assembly keeps no
+entry of any class's interior-boundary block K_ib (true_entries).  Then
+the reduced matrix is S plus the blocks K_ii on its diagonal, and kappa
+takes S's extremes and interior_spectrum's.  That is sf-hct at every k,
+and every method at k = 1, which has no interior block.
 
 Assembly emits only true nonzeros (true_entries): an element entry
 |K_ij| <= 1e-12 sqrt(K_ii K_jj) is the round-off of a true zero and is
@@ -75,7 +76,7 @@ level 3 every one is <= 5.6e-15 (1.6e-14 in K_ii of enriched k = 5 with
 five harmonic degrees) and every true entry >= 1.3e-5, for each method,
 degree and DOF mode the tests run.  So at k = 1 on `uniform` S is the
 5-point stencil, and sf-hct's assembled A is block diagonal, S plus the
-blocks K_ii, as interior_coupled = False says.
+blocks K_ii, which Condensation.decoupled reads off the same cut.
 
 Local coordinates put the class's first vertex at the origin; `origins`
 are the first vertices of the class's triangles.
@@ -146,10 +147,6 @@ class ElementClass:
     docstring)."""
 
     stabilizer = 0.0
-    # whether K_loc's interior block K_ii couples to its boundary DOFs
-    # (K_ib != 0); a class that says no lets kappa take the spectrum of
-    # the full system from the skeleton's and interior_spectrum
-    interior_coupled = True
 
     def __init__(self, k, verts):
         self.k = k
@@ -362,32 +359,20 @@ class Condensation:
         self.dm, self.classes = dm, classes
         self.shape = (dm.n_free, dm.n_free)
         self.n_skeleton = dm.n_skeleton
-
-    @cached_property
-    def _rows(self):
-        """Per class, the slice of its elements' rows in _all_slots."""
-        ends = np.cumsum([0] + [len(idx) for _, idx in self.classes])
-        return [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
-
-    @cached_property
-    def _all_slots(self):
-        """(T, ndof) positions of the elements' DOFs in A, class after
-        class, Dirichlet DOFs at a discarded position n."""
-        order = np.concatenate([idx for _, idx in self.classes])
-        slots = self.dm.element_dofs[order]
-        return np.minimum(slots, self.shape[0], out=slots)
-
-    @cached_property
-    def _slots(self):
-        """Per class, the view of _all_slots of its elements."""
-        return [self._all_slots[rows] for rows in self._rows]
+        # (T, ndof) positions of the elements' DOFs in A, class after
+        # class, Dirichlet DOFs at a discarded position n; _slots are the
+        # views of each class's rows, split at _ends
+        self._ends = np.cumsum([len(idx) for _, idx in classes])[:-1]
+        slots = dm.element_dofs[np.concatenate([idx for _, idx in classes])]
+        self._all_slots = np.minimum(slots, dm.n_free, out=slots)
+        self._slots = np.split(slots, self._ends)
 
     def matvec(self, x):
         """A x, summed from the K_loc products of the elements."""
         n, slots = self.shape[0], self._all_slots
         xe = np.append(x, 0.0)[slots]
-        for (ec, _), rows in zip(self.classes, self._rows):
-            xe[rows] = xe[rows] @ ec.K_loc
+        for (ec, _), xc in zip(self.classes, np.split(xe, self._ends)):
+            xc[:] = xc @ ec.K_loc
         return np.bincount(slots.ravel(), weights=xe.ravel(),
                            minlength=n + 1)[:n]
 
@@ -427,9 +412,12 @@ class Condensation:
 
     @cached_property
     def decoupled(self):
-        """Whether no class's interior block couples to the skeleton, so
-        that A is S plus the interior blocks K_ii on its diagonal."""
-        return not any(ec.interior_coupled for ec, _ in self.classes)
+        """Whether assembly keeps no entry of any class's K_ib
+        (true_entries), so that A is S plus the interior blocks K_ii on
+        its diagonal."""
+        return not any(true_entries(ec.K_loc)[ec.n_boundary:,
+                                              :ec.n_boundary].any()
+                       for ec, _ in self.classes)
 
     @cached_property
     def interior_spectrum(self):

@@ -74,9 +74,3 @@ def quad_rule_triangle(degree):
     bary = np.column_stack([1.0 - x - y, x, y])
     weights = w / 0.5  # normalize: reference area is 1/2
     return TriangleQuadRule(degree, bary, weights)
-
-
-def monomial_integral_reference(a, b):
-    """Exact integral of x^a y^b over the reference triangle."""
-    from math import factorial
-    return factorial(a) * factorial(b) / factorial(a + b + 2)

@@ -73,10 +73,9 @@ class SfElementClass(ElementClass):
     boundary columns of the projection are discrete-harmonic extensions
     in the HCT space, so they are energy-orthogonal to the HCT bubbles
     that carry the interior columns, and K_ib = 0 in exact arithmetic
-    (to about 1e-15 of max|K_loc| in floating point).  The reduced system
-    is then S plus the blocks K_ii on its diagonal."""
-
-    interior_coupled = False
+    (to about 1e-15 of max|K_loc| in floating point).  Assembly drops that
+    round-off (pipeline.true_entries), so the reduced system is S plus the
+    blocks K_ii on its diagonal, and Condensation.decoupled holds."""
 
     def __init__(self, k, local_verts, space=None):
         """space: the HCT space on local_verts at the default quadrature,

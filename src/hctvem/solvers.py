@@ -225,14 +225,14 @@ def solve_spd(A, b, method="direct", tol=1e-12, coarse=None,
     kappa is estimate_condition_2's, on the solve's own factor, of A or,
     with condensed (a pipeline.Condensation whose Schur complement is A),
     of the full system that condensed describes; after CG, A is factored
-    by spla.factorized for it.  A bare A, or a decoupled condensed, whose
-    full system is A plus the interior blocks on its diagonal (kappa is
-    A's with their extremes, condensed.interior_spectrum), takes both
-    Lanczos runs on this thread.  Otherwise the products are
-    condensed.matvec, and the inverse is condensed.inverse of A's;
-    lambda_max needs only products, so it runs on a second thread beside
-    the solve, and lambda_min's Lanczos, which needs the solve's factor,
-    follows the solve on this one.  They overlap where they release the
+    by spla.factorized for it.  A bare A, or a decoupled condensed (its
+    assembly keeps no entry of any K_ib, so its full system is A plus the
+    interior blocks on its diagonal, and kappa is A's with their extremes,
+    condensed.interior_spectrum), takes both Lanczos runs on this thread.
+    Otherwise the products are condensed.matvec, and the inverse is
+    condensed.inverse of A's; lambda_max needs only products, so it runs
+    on a second thread beside the solve, and lambda_min's Lanczos, which
+    needs the solve's factor, follows the solve on this one.  They overlap where they release the
     GIL: SuperLU's factorization and solves do in scipy 1.17 (a Python
     loop on another thread keeps 93-100 % of its speed during them), and
     so does the BLAS product of each class.  The thread is joined before

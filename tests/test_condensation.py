@@ -4,20 +4,23 @@ class.  The oracle is the full reduced system of conftest.reduced_system,
 assembled without condensation and solved by SuperLU."""
 
 import functools
+import threading
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from conftest import reduced_system, shape_regular_triangles
+from conftest import element_classes, reduced_system, shape_regular_triangles
 
 from hctvem import checks, classic_vem, pipeline, sf_vem, solvers
 from hctvem.checks import TRI
 from hctvem.cli import main
-from hctvem.classic_vem import (ClassicElementClass, solve_classic_vem,
+from hctvem.classic_vem import (DOF_MODES, ClassicElementClass,
+                                EnrichedElementClass, solve_classic_vem,
                                 solve_enriched_vem)
+from hctvem.dofmap import DofMap
 from hctvem.experiments import ExperimentConfig, run_experiment
-from hctvem.mesh import _build_topology, generate_mesh
+from hctvem.mesh import FAMILIES, _build_topology, generate_mesh
 from hctvem.problems import get_solution
 from hctvem.sf_vem import SfElementClass, solve_sf_vem
 
@@ -105,20 +108,74 @@ def spy_condensation(monkeypatch):
     return calls
 
 
+DECOUPLING_CASES = (
+    [("sf-hct", k, None, None) for k in range(1, 7)]
+    + [("classic", k, mode, alpha) for k in range(1, 5) for mode in DOF_MODES
+       for alpha in (0.0, -1.0, -2.0)]
+    + [("enriched", k, mode, None) for k in range(1, 5)
+       for mode in DOF_MODES])
+
+
+def level_classes(mesh, method, k, mode, alpha):
+    """The classes of one method on mesh, classic and enriched in the DOF
+    mode given (enriched with the harmonic degree k + 1)."""
+    if method == "sf-hct":
+        return element_classes(method, mesh, k)
+    if method == "classic":
+        return pipeline.build_classes(
+            mesh, lambda lv: ClassicElementClass(k, lv, mode, alpha))
+    return pipeline.build_classes(
+        mesh, lambda lv: EnrichedElementClass(k, lv, (k + 1,), mode))
+
+
+@pytest.mark.parametrize("method,k,mode,alpha", DECOUPLING_CASES)
+def test_decoupled_exactly_for_sf_hct_and_degree_one(method, k, mode,
+                                                     alpha):
+    # decoupled is read off K_ib by true_entries, assembly's own cut, so
+    # it says whether the assembled A couples the skeleton to the
+    # interior: sf-hct's K_ib is round-off, and k = 1 has no interior block
+    for family in FAMILIES:
+        for level in (1, 2, 3):
+            mesh = generate_mesh(family, level)
+            dm = DofMap(mesh, k)
+            classes = level_classes(mesh, method, k, mode, alpha)
+            cond = pipeline.Condensation(dm, classes)
+            assert cond.decoupled == (method == "sf-hct" or k == 1), \
+                (family, level)
+            A, n_s = pipeline.assemble_matrix(dm, classes), dm.n_skeleton
+            assert (A[:n_s, n_s:].nnz == 0) == cond.decoupled, \
+                (family, level)
+
+
 @pytest.mark.parametrize("solver", ["direct", "cg"])
 @pytest.mark.parametrize("method,k", [("sf-hct", 1), ("sf-hct", 3),
                                       ("sf-hct", 6), ("classic", 1),
-                                      ("classic", 3), ("enriched", 2)])
+                                      ("classic", 3), ("enriched", 1),
+                                      ("enriched", 2)])
 def test_only_coupled_methods_take_kappa_through_the_full_system(
         method, k, solver, monkeypatch):
+    # a decoupled level (sf-hct, or k = 1, which has no interior block)
+    # takes kappa from the skeleton on this thread; a coupled one runs
+    # lambda_max on a second thread, by products with the full system
+    started = []
+    start = threading.Thread.start
+
+    def spy(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
     calls = spy_condensation(monkeypatch)
     sol = solve(method, "irregular8", k, 2, solver, kappa=True)
-    assert sol.kappa > 1
-    assert sol.condensation.decoupled == (method == "sf-hct")
-    if method == "sf-hct":
-        assert calls == {"matvec": 0, "inverse": 0}
+    assert sol.condensation.decoupled == (method == "sf-hct" or k == 1)
+    if sol.condensation.decoupled:
+        assert calls == {"matvec": 0, "inverse": 0} and started == []
     else:
         assert calls["matvec"] > 0 and calls["inverse"] == 1
+        assert len(started) == 1
+    # bound set before the run: 1e-10 relative
+    want = solvers.estimate_condition_2(sol.matrix)
+    assert sol.kappa > 1 and abs(sol.kappa - want) <= 1e-10 * want
 
 
 @pytest.mark.parametrize("method,k", [("sf-hct", 1), ("sf-hct", 3),
@@ -302,6 +359,9 @@ def test_verify_catches_a_coupled_interior_block(monkeypatch, capsys):
     monkeypatch.setattr(sf_vem, "_GLOBAL_CACHE", {})
     assert main(["verify"]) == 1
     assert "interior block couples" in capsys.readouterr().err
+    # assembly keeps the planted entries, so kappa takes the level whole
+    sol = solve_sf_vem(generate_mesh("irregular8", 2), 3, PROB)
+    assert not sol.condensation.decoupled
 
 
 def test_verify_catches_a_wrong_kappa(monkeypatch, capsys):

@@ -9,6 +9,7 @@ import pytest
 
 import hctvem
 from hctvem import experiments, solvers
+from hctvem.classic_vem import solve_classic_vem, solve_enriched_vem
 from hctvem.cli import main
 from hctvem.dofmap import DofMap
 from hctvem.experiments import (CSV_HEADER, ConfigError, ErrorReport,
@@ -17,6 +18,7 @@ from hctvem.experiments import (CSV_HEADER, ConfigError, ErrorReport,
                                 parse_degree_list, parse_level_range,
                                 run_experiment)
 from hctvem.mesh import FAMILIES, MAX_LEVEL, generate_mesh
+from hctvem.problems import get_solution
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
@@ -187,6 +189,27 @@ class TestValidation:
         cfg = ExperimentConfig(**patch)
         with pytest.raises(ConfigError):
             cfg.validate()
+
+    @pytest.mark.parametrize("method,k,degrees", [
+        ("classic", 5, ()),
+        ("enriched", 2, ()),
+        ("enriched", 2, (2,)),
+        ("enriched", 3, (5, 1)),
+        ("enriched", 2, (16,)),                         # quadrature
+    ])
+    def test_library_and_validate_give_the_same_message(self, method, k,
+                                                        degrees):
+        mesh, prob = generate_mesh("uniform", 1), get_solution("sinsin")
+        with pytest.raises(ValueError) as library:
+            if method == "classic":
+                solve_classic_vem(mesh, k, prob)
+            else:
+                solve_enriched_vem(mesh, k, prob, degrees)
+        with pytest.raises(ConfigError) as config:
+            ExperimentConfig(method=method, k=k,
+                             harmonic_degrees=degrees).validate()
+        assert type(library.value) is ValueError
+        assert str(config.value) == str(library.value)
 
 
 class TestOrders:

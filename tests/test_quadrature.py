@@ -1,9 +1,15 @@
+from math import factorial
+
 import numpy as np
 import pytest
 
-from hctvem.quadrature import (MAX_DEGREE, QuadratureError,
-                               monomial_integral_reference, quad_rule_edge,
+from hctvem.quadrature import (MAX_DEGREE, QuadratureError, quad_rule_edge,
                                quad_rule_triangle)
+
+
+def monomial_integral_reference(a, b):
+    """Exact integral of x^a y^b over the reference triangle."""
+    return factorial(a) * factorial(b) / factorial(a + b + 2)
 
 
 class TestTriangleRule:
