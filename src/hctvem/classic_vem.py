@@ -10,9 +10,9 @@ from .dofmap import DofMap, edge_slots
 from .mesh import signed_areas
 from .pipeline import (AssemblyError, ElementClass, Field, Solution,
                        assemble_load, assemble_matrix, build_classes,
-                       solve_reduced)
-from .polynomials import harmonic_basis, monomial_exponents
-from .quadrature import MAX_DEGREE, quad_rule_triangle, quad_rule_edge
+                       check_settings, solve_reduced)
+from .polynomials import HarmonicBasis, monomial_exponents
+from .quadrature import quad_rule_triangle, quad_rule_edge
 
 DOF_MODES = ("standard", "l2_normalized", "l2_normalized_x10")
 
@@ -82,25 +82,20 @@ class EnrichedElementClass(ElementClass):
             l2 = np.sqrt(self.quad_weights @ self.moment_values ** 2)
             self.normalizer = l2 if mode == "l2_normalized" else l2 / 10.0
 
-        self.harm = harmonic_basis(k, self.harmonic_degrees, self.barycenter,
-                                   self.diameter) \
-            if self.harmonic_degrees else None
+        self.harm = HarmonicBasis(self.barycenter, self.diameter,
+                                  self.harmonic_degrees)
         self.basis_values = self._values(self.quad_points)
         self.basis_gradients = self._gradients(self.quad_points)
         self.dim = self.basis_values.shape[1]
         self._build_projection(2 * top + 6)
 
     def _values(self, pts):
-        vals = self.poly.values(pts)
-        if self.harm is None:
-            return vals
-        return np.column_stack([vals, self.harm.values(pts)])
+        return np.column_stack([self.poly.values(pts),
+                                self.harm.values(pts)])
 
     def _gradients(self, pts):
-        grads = self.poly.gradients(pts)
-        if self.harm is None:
-            return grads
-        return np.concatenate([grads, self.harm.gradients(pts)], axis=1)
+        return np.concatenate([self.poly.gradients(pts),
+                               self.harm.gradients(pts)], axis=1)
 
     def _build_projection(self, edge_degree):
         """Energy projection from the DOFs: gradient moments by
@@ -191,31 +186,10 @@ def _assemble_and_solve(mesh, k, classes, problem, solver, tol, load_rule,
                          kappa)
 
 
-def check_settings(method, k, harmonic_degrees=()):
-    """The sorted harmonic degrees of `method` at degree k.  Raises
-    ValueError when the baseline ("classic" or "enriched") does not take k
-    or the degrees; ExperimentConfig.validate reports the same text.
-    sf-hct sets no rule here."""
-    degrees = tuple(sorted(harmonic_degrees))
-    if method == "classic" and not 1 <= k <= 4:
-        raise ValueError(f"classic baseline supports k in 1..4, got {k}")
-    if method == "enriched":
-        if not degrees:
-            raise ValueError("enriched method needs harmonic degrees")
-        if degrees[0] <= k:
-            raise ValueError(
-                f"harmonic degrees must exceed k={k}, got {degrees}")
-        # a degree-m harmonic needs a volume rule of degree 2m
-        if 2 * degrees[-1] > MAX_DEGREE:
-            raise ValueError(f"harmonic degrees above {MAX_DEGREE // 2} "
-                             "are not supported by the quadrature")
-    return degrees
-
-
 def solve_classic_vem(mesh, k, problem, dof_mode="standard", alpha=0.0,
                       solver="direct", tol=1e-12, load_rule="interp",
                       kappa=False):
-    check_settings("classic", k)
+    check_settings("classic", k, tol=tol, alpha=alpha)
     classes = _build_classes(
         mesh, lambda lv: ClassicElementClass(k, lv, dof_mode, alpha))
     return _assemble_and_solve(mesh, k, classes, problem, solver, tol,
@@ -224,7 +198,7 @@ def solve_classic_vem(mesh, k, problem, dof_mode="standard", alpha=0.0,
 
 def solve_enriched_vem(mesh, k, problem, harmonic_degrees, solver="direct",
                        tol=1e-12, load_rule="interp", kappa=False):
-    degrees = check_settings("enriched", k, harmonic_degrees)
+    degrees = check_settings("enriched", k, harmonic_degrees, tol)
     classes = _build_classes(
         mesh, lambda lv: EnrichedElementClass(k, lv, degrees))
     return _assemble_and_solve(mesh, k, classes, problem, solver, tol,

@@ -2,7 +2,6 @@
 writes one CSV row per level with errors, computed orders and, on
 request, a condition-number estimate."""
 
-import math
 import numbers
 import os
 from dataclasses import dataclass, field, fields
@@ -11,11 +10,10 @@ import numpy as np
 
 from . import solvers
 from .mesh import FAMILIES, MAX_LEVEL, generate_mesh, is_integer
-from .pipeline import LOAD_RULES
+from .pipeline import LOAD_RULES, check_settings
 from .problems import SOLUTIONS, get_solution
 from .sf_vem import solve_sf_vem
-from .classic_vem import (DOF_MODES, check_settings, solve_classic_vem,
-                          solve_enriched_vem)
+from .classic_vem import DOF_MODES, solve_classic_vem, solve_enriched_vem
 
 CSV_HEADER = "level,dofs,l2,l2_order,h1,h1_order,kappa,seconds"
 
@@ -135,18 +133,11 @@ class ExperimentConfig:
         if len(levels) != 2 or not 1 <= levels[0] <= levels[1] <= MAX_LEVEL:
             raise ConfigError(f"levels are a pair a <= b in 1..{MAX_LEVEL}, "
                               f"got {self.levels!r}")
-        if not 1 <= self.k <= 6:
-            raise ConfigError(f"k must be in 1..6, got {self.k}")
         try:
-            check_settings(self.method, self.k, self.harmonic_degrees)
+            check_settings(self.method, self.k, self.harmonic_degrees,
+                           self.tol, self.alpha)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        # nan compares false: a plain tol <= 0 test would let it through
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ConfigError("tol must be positive and finite, "
-                              f"got {self.tol!r}")
-        if not math.isfinite(self.alpha):
-            raise ConfigError(f"alpha must be finite, got {self.alpha!r}")
         # checked before any level runs, not after the last one
         for what, path in (("out", self.out),
                            ("dump_matrix", self.dump_matrix)):

@@ -72,8 +72,6 @@ class HctLocalSpace:
     """
 
     def __init__(self, k, coords, quad_degree=None, physical=False):
-        if not 1 <= k <= 6:
-            raise HctError(f"polynomial degree k={k} outside 1..6")
         coords = np.asarray(coords, dtype=float)
         self.k = k
         self.coords = coords

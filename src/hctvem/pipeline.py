@@ -1,7 +1,8 @@
 """The method-independent pipeline shared by all three methods: element
 classes per translation class, global assembly, Dirichlet reduction,
 static condensation and solve, and the discrete and reference fields with
-their error norms.
+their error norms.  check_settings holds the rules on the solve settings,
+once, for every solve_* and ExperimentConfig.validate.
 A method hands build_classes a factory(local) for the class of each
 translation class.  Classic and enriched build one per class on every
 level and keep nothing, as a level meets each class once and the next
@@ -82,6 +83,7 @@ Local coordinates put the class's first vertex at the origin; `origins`
 are the first vertices of the class's triangles.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -93,6 +95,7 @@ from . import solvers
 from .dofmap import boundary_nodes
 from .polynomials import (AffineMonomialBasis, lattice_multi_indices,
                           monomial_dim)
+from .quadrature import MAX_DEGREE
 
 LOAD_RULES = ("interp", "exact", "vem")
 
@@ -426,6 +429,36 @@ class Condensation:
         spectra = [ec.interior_spectrum for ec, _ in self.classes]
         return (min(lo for lo, _ in spectra),
                 max(hi for _, hi in spectra))
+
+
+def check_settings(method, k, harmonic_degrees=(), tol=1e-12, alpha=0.0):
+    """The sorted, distinct harmonic degrees of a `method` solve at degree
+    k.  Raises ValueError for a setting the method does not take: k
+    outside 1..6 (1..4 for "classic"), for "enriched" no degrees, a degree
+    not above k or one past the quadrature, a tol that is not positive and
+    finite, or a non-finite alpha.  Each solve_* calls it first, and
+    ExperimentConfig.validate reports its text as a ConfigError."""
+    if not 1 <= k <= 6:
+        raise ValueError(f"k must be in 1..6, got {k}")
+    if method == "classic" and k > 4:
+        raise ValueError(f"classic baseline supports k in 1..4, got {k}")
+    degrees = tuple(sorted({int(j) for j in harmonic_degrees}))
+    if method == "enriched":
+        if not degrees:
+            raise ValueError("enriched method needs harmonic degrees")
+        if degrees[0] <= k:
+            raise ValueError(
+                f"harmonic degrees must exceed k={k}, got {degrees}")
+        # a degree-m harmonic needs a volume rule of degree 2m
+        if 2 * degrees[-1] > MAX_DEGREE:
+            raise ValueError(f"harmonic degrees above {MAX_DEGREE // 2} "
+                             "are not supported by the quadrature")
+    # nan compares false: a plain tol <= 0 test would let it through
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
+    return degrees
 
 
 def solve_reduced(solution_class, dm, S, b, classes, solver, tol,

@@ -116,12 +116,12 @@ class HarmonicBasis:
 
     def values(self, points):
         z = self._z(points)
-        cols = []
-        for j in self.degrees:
+        vals = np.empty((len(z), self.dim))
+        for i, j in enumerate(self.degrees):
             zj = z ** j
-            cols.append(zj.real)
-            cols.append(zj.imag)
-        return np.column_stack(cols)
+            vals[:, 2 * i] = zj.real
+            vals[:, 2 * i + 1] = zj.imag
+        return vals
 
     def gradients(self, points):
         z = self._z(points)
@@ -136,15 +136,3 @@ class HarmonicBasis:
             grads[:, 2 * i + 1, 1] = d.real
         return grads
 
-
-def harmonic_basis(k, enrichment_degrees, origin=(0.0, 0.0), scale=1.0):
-    """Harmonic enrichment functions of degrees strictly above k."""
-    degrees = tuple(sorted(set(int(j) for j in enrichment_degrees)))
-    if not degrees:
-        raise ValueError("empty enrichment degree list")
-    bad = [j for j in degrees if j <= k]
-    if bad:
-        raise ValueError(
-            f"enrichment degrees {bad} not above base degree k={k}")
-    return HarmonicBasis(np.asarray(origin, dtype=float), float(scale),
-                         degrees)

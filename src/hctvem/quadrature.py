@@ -31,10 +31,6 @@ class TriangleQuadRule:
         coords = np.asarray(coords, dtype=float)
         return self.points @ coords, self.weights * abs(signed_areas(coords))
 
-    def integrate(self, f, coords):
-        pts, w = self.physical(coords)
-        return float(np.dot(w, f(pts[:, 0], pts[:, 1])))
-
 
 @dataclass(frozen=True)
 class EdgeQuadRule:
@@ -43,9 +39,6 @@ class EdgeQuadRule:
     degree: int
     points: np.ndarray
     weights: np.ndarray
-
-    def integrate(self, f):
-        return float(np.dot(self.weights, f(self.points)))
 
 
 @lru_cache(maxsize=None)

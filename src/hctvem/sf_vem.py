@@ -35,7 +35,8 @@ from .dofmap import DofMap
 from .hct import UNIT_TRIANGLE, HctLocalSpace, reference_space
 from .mesh import signed_areas
 from .pipeline import (ElementClass, Field, Solution, assemble_load,
-                       assemble_matrix, build_classes, solve_reduced)
+                       assemble_matrix, build_classes, check_settings,
+                       solve_reduced)
 from .polynomials import AffineMonomialBasis
 from .quadrature import quad_rule_triangle
 
@@ -256,6 +257,7 @@ class SfSolution(Solution):
 
 def solve_sf_vem(mesh, k, problem, solver="direct", tol=1e-12,
                  load_rule="interp", kappa=False):
+    check_settings("sf-hct", k, tol=tol)
     classes = _class_cache_build(mesh, k, _GLOBAL_CACHE)
     dm, S, b = _assemble(mesh, k, classes, problem.f, load_rule,
                          problem.lap_f)

@@ -19,6 +19,7 @@ from hctvem.experiments import (CSV_HEADER, ConfigError, ErrorReport,
                                 run_experiment)
 from hctvem.mesh import FAMILIES, MAX_LEVEL, generate_mesh
 from hctvem.problems import get_solution
+from hctvem.sf_vem import solve_sf_vem
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
@@ -190,24 +191,30 @@ class TestValidation:
         with pytest.raises(ConfigError):
             cfg.validate()
 
-    @pytest.mark.parametrize("method,k,degrees", [
-        ("classic", 5, ()),
-        ("enriched", 2, ()),
-        ("enriched", 2, (2,)),
-        ("enriched", 3, (5, 1)),
-        ("enriched", 2, (16,)),                         # quadrature
+    @pytest.mark.parametrize("method,k,degrees,extra", [
+        ("classic", 5, (), {}),
+        ("enriched", 2, (), {}),
+        ("enriched", 2, (2,), {}),
+        ("enriched", 3, (5, 1), {}),
+        ("enriched", 2, (16,), {}),                     # quadrature
+        ("sf-hct", 0, (), {}),
+        ("sf-hct", 7, (), {}),
+        ("enriched", 7, (9,), {}),
+        ("classic", 0, (), {}),
+        ("sf-hct", 2, (), {"solver": "cg", "tol": float("inf")}),
+        ("classic", 2, (), {"alpha": float("nan")}),
     ])
     def test_library_and_validate_give_the_same_message(self, method, k,
-                                                        degrees):
+                                                        degrees, extra):
         mesh, prob = generate_mesh("uniform", 1), get_solution("sinsin")
+        solve = {"sf-hct": solve_sf_vem, "classic": solve_classic_vem,
+                 "enriched": solve_enriched_vem}[method]
+        if method == "enriched":
+            extra = dict(extra, harmonic_degrees=degrees)
         with pytest.raises(ValueError) as library:
-            if method == "classic":
-                solve_classic_vem(mesh, k, prob)
-            else:
-                solve_enriched_vem(mesh, k, prob, degrees)
+            solve(mesh, k, prob, **extra)
         with pytest.raises(ConfigError) as config:
-            ExperimentConfig(method=method, k=k,
-                             harmonic_degrees=degrees).validate()
+            ExperimentConfig(method=method, k=k, **extra).validate()
         assert type(library.value) is ValueError
         assert str(config.value) == str(library.value)
 

@@ -12,8 +12,7 @@ import hctvem
 from hctvem import checks, hct, sf_vem
 from hctvem.checks import TRI
 from hctvem.cli import main
-from hctvem.hct import (HctError, HctLocalSpace, hct_dimension,
-                        reference_space)
+from hctvem.hct import HctLocalSpace, hct_dimension, reference_space
 from hctvem.mesh import generate_mesh
 from hctvem.polynomials import AffineMonomialBasis
 from hctvem.sf_vem import SfElementClass, _class_cache_build
@@ -45,12 +44,6 @@ class TestDimensionsAndNodes:
         lam = np.linalg.solve(J, (sp.nodes[3 * k:] - TRI[0]).T).T
         bary = np.column_stack([1 - lam.sum(axis=1), lam])
         assert np.all(bary > 1e-6)
-
-    def test_degree_out_of_range_rejected(self):
-        with pytest.raises(HctError):
-            HctLocalSpace(0, TRI)
-        with pytest.raises(HctError):
-            HctLocalSpace(7, TRI)
 
 
 class TestMacroSplit:

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hctvem.pipeline import check_settings
 from hctvem.polynomials import (AffineMonomialBasis, HarmonicBasis,
-                                harmonic_basis, lattice_multi_indices,
-                                monomial_dim, monomial_exponents)
+                                lattice_multi_indices, monomial_dim,
+                                monomial_exponents)
 
 
 def fd_gradient(f, pts, h=1e-6):
@@ -140,10 +141,14 @@ class TestHarmonicBasis:
         fd = fd_gradient(lambda p: self.basis.values(p) @ c, self.pts)
         assert np.allclose(grads, fd, atol=1e-7)
 
-    def test_factory_validates_degrees(self):
-        with pytest.raises(ValueError):
-            harmonic_basis(2, ())
-        with pytest.raises(ValueError):
-            harmonic_basis(3, (2, 4))
-        b = harmonic_basis(2, (4, 3, 4))
-        assert b.degrees == (3, 4)
+    def test_empty_basis(self):
+        # the classic element's: no columns, at any number of points
+        empty = HarmonicBasis(np.array([0.2, 0.1]), 1.3, ())
+        assert empty.dim == 0
+        assert empty.values(self.pts).shape == (len(self.pts), 0)
+        assert empty.gradients(self.pts).shape == (len(self.pts), 0, 2)
+
+    def test_check_settings_sorts_and_dedups(self):
+        # the raising cases are rows of test_experiments'
+        # test_library_and_validate_give_the_same_message
+        assert check_settings("enriched", 2, (4, 3, 4)) == (3, 4)
