@@ -7,8 +7,8 @@ the same whichever checks ran before it."""
 import numpy as np
 import scipy.sparse as sp
 
-from . import solvers
-from .hct import HctLocalSpace, reference_space
+from . import sf_vem, solvers
+from .hct import HctLocalSpace
 from .mesh import FAMILIES, generate_mesh
 from .pipeline import true_entries
 from .polynomials import AffineMonomialBasis
@@ -120,20 +120,21 @@ def interior_decoupling(k, tri):
 
 
 def mapped_space(k, tri):
-    """The space is the unit triangle's mapped onto tri: its arrays and
-    K_loc match a build in tri's own coordinates to 1e-10 of the
-    largest entry (a shape mismatch is off by inf)."""
+    """The space is the unit triangle's (sf_vem._unit_table(k).space)
+    mapped onto tri: its arrays and K_loc match a build in tri's own
+    coordinates to 1e-10 of the largest entry (a shape mismatch is off
+    by inf)."""
     mapped = SfElementClass(k, tri)
-    physical = SfElementClass(k, tri, HctLocalSpace(k, tri, physical=True))
+    own = SfElementClass(k, tri, HctLocalSpace(k, tri))
     failures = []
-    if mapped.space.reference is not reference_space(k):
+    if mapped.space.reference is not sf_vem._unit_table(k).space:
         failures.append(f"k={k} mapped space not built on the unit "
                         "triangle's")
     pairs = [("HCT " + name, getattr(mapped.space, name),
-              getattr(physical.space, name))
+              getattr(own.space, name))
              for name in ("stiffness", "quad_values", "quad_gradients",
                           "quad_weights", "quad_points", "nodes")]
-    for name, a, b in pairs + [("K_loc", mapped.K_loc, physical.K_loc)]:
+    for name, a, b in pairs + [("K_loc", mapped.K_loc, own.K_loc)]:
         diff = np.abs(a - b).max() / np.abs(b).max() \
             if a.shape == b.shape else np.inf
         if diff > 1e-10:

@@ -8,14 +8,14 @@ triangle's barycenter to the triangle's, so it takes the unit triangle's
 split, nodes, sub-triangle lattices and quadrature onto the triangle's,
 and every nodal basis function is the unit triangle's composed with the
 inverse map (an affine-equivalent family: Ciarlet, The Finite Element
-Method for Elliptic Problems, 1978, Sec. 2.3).  So the space is built in
-physical coordinates once per (k, quadrature degree) and process, on the
-unit triangle (reference_space), and HctLocalSpace(k, coords) maps that
-build: the basis values at the quadrature points are the reference's
-array itself, the gradients are the reference's times J^-1 and the
-weights the reference's times |det J|.  HctLocalSpace(k, coords,
-physical=True) builds a triangle's space in its own coordinates, as
-reference_space does for the unit triangle."""
+Method for Elliptic Problems, 1978, Sec. 2.3).  So HctLocalSpace(k,
+coords, reference) maps a space built on UNIT_TRIANGLE onto coords: the
+basis values at the quadrature points are the reference's array itself,
+the gradients are the reference's times J^-1 and the weights the
+reference's times |det J|.  HctLocalSpace(k, coords) builds the space in
+the coordinates of coords themselves.  The module keeps no state: the
+stabilizer-free element builds the unit triangle's space once per degree
+(sf_vem._unit_table) and hands it to every class it maps."""
 
 import numpy as np
 from scipy.linalg import cho_factor
@@ -37,41 +37,18 @@ def hct_dimension(k):
     return 4 + 6 * (k - 1) + 3 * (k - 1) * (k - 2) // 2
 
 
-def _quad_degree(k, quad_degree):
-    return 2 * k + 6 if quad_degree is None else quad_degree
-
-
-# (k, quadrature degree) -> the space on UNIT_TRIANGLE; see reference_space
-_REFERENCES = {}
-
-
-def reference_space(k, quad_degree=None):
-    """The space of degree k on UNIT_TRIANGLE built in physical
-    coordinates, once per (k, quadrature degree) and process, on first
-    use.  The arrays every space mapped from it shares (quad_values,
-    the node index ranges, sub_l2g and sub_coeffs) are read-only."""
-    key = (k, _quad_degree(k, quad_degree))
-    if key not in _REFERENCES:
-        ref = HctLocalSpace(k, UNIT_TRIANGLE, key[1], physical=True)
-        for a in [ref.quad_values, ref.boundary_index, ref.bubble_index,
-                  *ref.sub_l2g, *ref.sub_coeffs]:
-            a.flags.writeable = False
-        _REFERENCES[key] = ref
-    return _REFERENCES[key]
-
-
 class HctLocalSpace:
     """Nodal Lagrange basis of C0 piecewise P_k over the 3-way split.
 
     Node ordering: the 3k boundary nodes of the parent triangle in
     dofmap.boundary_nodes order, then the barycenter, internal-edge nodes,
     and sub-triangle interior nodes.  The space is the affine image of
-    reference_space(k, quad_degree) (the reference attribute), or, with
-    physical, built in the coordinates of the triangle itself (reference
-    None).
+    reference, a space of degree k on UNIT_TRIANGLE, or, without one,
+    built in the coordinates of the triangle itself with a volume rule
+    of degree quad_degree (default 2k + 6) on each sub-triangle.
     """
 
-    def __init__(self, k, coords, quad_degree=None, physical=False):
+    def __init__(self, k, coords, reference=None, quad_degree=None):
         coords = np.asarray(coords, dtype=float)
         self.k = k
         self.coords = coords
@@ -87,14 +64,14 @@ class HctLocalSpace:
                 k)
             for sub in self.sub_triangles]
 
-        if physical:
-            self.reference = None
+        self.reference = reference
+        if reference is None:
             self._build_nodes()
             self._build_basis()
-            self._build_quadrature(quad_degree)
+            self._build_quadrature(
+                2 * k + 6 if quad_degree is None else quad_degree)
         else:
-            self.reference = reference_space(k, quad_degree)
-            self._map(self.reference)
+            self._map(reference)
         self._build_stiffness()
 
     # -- construction -----------------------------------------------------
@@ -160,7 +137,7 @@ class HctLocalSpace:
             self.sub_coeffs.append(coeffs)
 
     def _build_quadrature(self, quad_degree):
-        rule = quad_rule_triangle(_quad_degree(self.k, quad_degree))
+        rule = quad_rule_triangle(quad_degree)
         pts_list, w_list, phi_list, grad_list = [], [], [], []
         for s, sub in enumerate(self.sub_triangles):
             pts, w = rule.physical(sub)

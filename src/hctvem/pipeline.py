@@ -93,6 +93,7 @@ from scipy.linalg import cho_solve
 
 from . import solvers
 from .dofmap import boundary_nodes
+from .mesh import is_integer
 from .polynomials import (AffineMonomialBasis, lattice_multi_indices,
                           monomial_dim)
 from .quadrature import MAX_DEGREE
@@ -433,11 +434,18 @@ class Condensation:
 
 def check_settings(method, k, harmonic_degrees=(), tol=1e-12, alpha=0.0):
     """The sorted, distinct harmonic degrees of a `method` solve at degree
-    k.  Raises ValueError for a setting the method does not take: k
+    k.  Raises ValueError for a setting the method does not take: a k or
+    a degree that is not an integer (mesh.is_integer: a bool is none), k
     outside 1..6 (1..4 for "classic"), for "enriched" no degrees, a degree
     not above k or one past the quadrature, a tol that is not positive and
     finite, or a non-finite alpha.  Each solve_* calls it first, and
-    ExperimentConfig.validate reports its text as a ConfigError."""
+    ExperimentConfig.validate reports its text as a ConfigError; the type
+    texts are validate's own, which refuses both first."""
+    if not is_integer(k):
+        raise ValueError(f"k must be of type int, got {k!r}")
+    if not all(map(is_integer, harmonic_degrees)):
+        raise ValueError("harmonic_degrees must be of type tuple, got "
+                         f"{harmonic_degrees!r}")
     if not 1 <= k <= 6:
         raise ValueError(f"k must be in 1..6, got {k}")
     if method == "classic" and k > 4:

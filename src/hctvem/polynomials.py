@@ -75,8 +75,10 @@ class AffineMonomialBasis:
         jinv = np.linalg.inv(self.jac)
         return gl @ jinv                  # d/dx_i = sum_a Jinv[a,i] d/dlam_a
 
-    def lowered(self, drop=2):
-        return AffineMonomialBasis(self.origin, self.jac, self.degree - drop)
+    def lowered(self):
+        """The basis of degree k - 2 with the same origin and Jacobian:
+        the one laplacian_map maps into."""
+        return AffineMonomialBasis(self.origin, self.jac, self.degree - 2)
 
     def laplacian_map(self):
         """Matrix L with Delta m_a = sum_b L[a, b] mu_b where mu is the

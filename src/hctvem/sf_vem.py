@@ -4,10 +4,11 @@ barycenter (scaled by the squared diameter).  The local stiffness is the
 energy product of the HCT projections of the DOF basis.
 
 Each class's HCT space is the affine image of the unit triangle's, which
-is built once per degree (hct.reference_space).  The interior P_{k-2}
-basis and the P_k Lagrange basis of the lattice are polynomials in the
-same affine coordinates, so their values at the mapped quadrature points
-are the unit triangle's too, computed once per degree (_unit_table).
+is built once per degree and process, on first use (_unit_table, the
+one cache of the unit triangle's data).  The interior P_{k-2} basis and
+the P_k Lagrange basis of the lattice are polynomials in the same affine
+coordinates, so their values at the mapped quadrature points are the
+unit triangle's too, computed once per degree (also in _unit_table).
 
 The interior DOFs of I_h g are the moments of -Delta g against P_{k-2}.
 That integrand is smooth on the whole triangle, so they take one rule of
@@ -32,7 +33,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from .dofmap import DofMap
-from .hct import UNIT_TRIANGLE, HctLocalSpace, reference_space
+from .hct import UNIT_TRIANGLE, HctLocalSpace
 from .mesh import signed_areas
 from .pipeline import (ElementClass, Field, Solution, assemble_load,
                        assemble_matrix, build_classes, check_settings,
@@ -41,27 +42,33 @@ from .polynomials import AffineMonomialBasis
 from .quadrature import quad_rule_triangle
 
 
-_UnitTable = namedtuple("_UnitTable", "interior lagrange points weights mu")
+_UnitTable = namedtuple("_UnitTable",
+                        "space interior lagrange points weights mu")
 
 
 @cache
 def _unit_table(k):
-    """The read-only arrays on UNIT_TRIANGLE that every SfElementClass of
-    degree k shares, built on first use: the interior P_{k-2} basis and
-    the lattice's P_k Lagrange basis at reference_space(k)'s quadrature
-    points, and the parent-triangle rule of degree 2k + 6 with the
-    interior basis at its points (mu).  Both bases are polynomials in the
-    affine coordinates of the edges from the first vertex."""
+    """What every SfElementClass of degree k shares, built on
+    UNIT_TRIANGLE on first use: the HCT space that each class's space
+    maps, the interior P_{k-2} basis and the lattice's P_k Lagrange basis
+    at the space's quadrature points, and the parent-triangle rule of
+    degree 2k + 6 with the interior basis at its points (mu).  Both bases
+    are polynomials in the affine coordinates of the edges from the first
+    vertex.  The arrays the classes hold as they are (the space's
+    quad_values, node index ranges, sub_l2g and sub_coeffs, and the
+    table's own) are read-only."""
+    space = HctLocalSpace(k, UNIT_TRIANGLE)
     unit = ElementClass(k, UNIT_TRIANGLE)
-    unit.quad_points = reference_space(k).quad_points
+    unit.quad_points = space.quad_points
     # P_{k-2} in the affine coordinates of the unit triangle's edges from
     # its first vertex, whose edge matrix is I
     interior = AffineMonomialBasis(unit.barycenter, np.eye(2), k - 2)
     points, weights = quad_rule_triangle(2 * k + 6).physical(UNIT_TRIANGLE)
-    table = _UnitTable(interior.values(unit.quad_points),
+    table = _UnitTable(space, interior.values(unit.quad_points),
                        unit.lagrange_values, points, weights,
                        interior.values(points))
-    for a in table:
+    for a in [space.quad_values, space.boundary_index, space.bubble_index,
+              *space.sub_l2g, *space.sub_coeffs, *table[1:]]:
         a.flags.writeable = False
     return table
 
@@ -79,12 +86,12 @@ class SfElementClass(ElementClass):
     blocks K_ii on its diagonal, and Condensation.decoupled holds."""
 
     def __init__(self, k, local_verts, space=None):
-        """space: the HCT space on local_verts at the default quadrature,
-        HctLocalSpace(k, local_verts), mapped from the unit triangle's,
-        when not given."""
+        """space: the HCT space on local_verts; when not given, the unit
+        triangle's (_unit_table(k).space) mapped onto them."""
         super().__init__(k, local_verts)
-        self.space = HctLocalSpace(k, self.verts) if space is None else space
-        sp_ = self.space
+        if space is None:
+            space = HctLocalSpace(k, self.verts, _unit_table(k).space)
+        self.space = sp_ = space
         self.stiffness = sp_.stiffness
         self.quad_points = sp_.quad_points
         self.quad_weights = sp_.quad_weights
@@ -157,10 +164,11 @@ class SfElementClass(ElementClass):
 class ScaledSfClass(SfElementClass):
     """The class `base` scaled by 2^e, built from base's arrays.  The
     projection, interior scale, basis values, K_loc, its condensation,
-    interior_spectrum and R_S are base's; points, weights, R_M,
-    gradients, the load operators, the moment points and the interior
-    moments are base's times exact powers of two; only the geometry is
-    computed at the level's scale."""
+    interior_spectrum and R_S are base's; points, weights, R_M, the load
+    operators, the moment points and the interior moments are base's
+    times exact powers of two; only the geometry is computed at the
+    level's scale.  It keeps no basis gradients: error_factors, their
+    one reader, are base's."""
 
     def __init__(self, base, e):
         ElementClass.__init__(self, base.k, np.ldexp(base.verts, e))
@@ -170,10 +178,6 @@ class ScaledSfClass(SfElementClass):
         self.basis_values = base.basis_values
         self.quad_points = np.ldexp(base.quad_points, e)
         self.quad_weights = np.ldexp(base.quad_weights, 2 * e)
-
-    @cached_property
-    def basis_gradients(self):
-        return np.ldexp(self.base.basis_gradients, -self.e)
 
     @cached_property
     def load_matrix(self):

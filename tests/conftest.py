@@ -19,7 +19,8 @@ from hctvem.experiments import convergence_order
 from hctvem.mesh import generate_mesh
 from hctvem.polynomials import AffineMonomialBasis
 from hctvem.problems import get_solution
-from hctvem.sf_vem import _class_cache_build, solve_sf_vem
+from hctvem.sf_vem import (ScaledSfClass, SfElementClass, _class_cache_build,
+                           solve_sf_vem)
 from hctvem.solvers import ConvergenceError
 
 
@@ -158,7 +159,7 @@ def _sf_oracle_elements(family, k, level):
     n_interior = monomial_dim(k - 2)
     for t in range(mesh.num_triangles):
         X = mesh.vertices[mesh.triangles[t]]
-        space = HctLocalSpace(k, X, quad_degree=qdeg, physical=True)
+        space = HctLocalSpace(k, X, quad_degree=qdeg)
         nb = space.num_boundary
         diameter = np.linalg.norm(X[[1, 2, 0]] - X, axis=1).max()
         lap_basis = AffineMonomialBasis(space.barycenter,
@@ -263,11 +264,15 @@ def quadrature_error_norms(field, other):
     """(l2, h1) of Pi_h (field - other) summed at the quadrature points,
     in np.longdouble: each element's DOF difference is mapped to its
     projection coefficients, evaluated with its gradient at every volume
-    quadrature point of its class, squared and weighted there."""
+    quadrature point of its class, squared and weighted there.  An
+    sf-hct level class keeps no basis gradients, so its sum runs on a
+    fresh build of its triangle, whose arrays carry the same bits."""
     ld = np.longdouble
     l2 = h1 = ld(0)
     for (ec, _, da), (_, _, db) in zip(field.parts, other.parts,
                                        strict=True):
+        if isinstance(ec, ScaledSfClass):
+            ec = SfElementClass(ec.k, ec.verts)
         coeffs = (da.astype(ld) - db.astype(ld)) @ ec.projection.T.astype(ld)
         w = ec.quad_weights.astype(ld)
         l2 += np.sum(w * (coeffs @ ec.basis_values.T.astype(ld)) ** 2)

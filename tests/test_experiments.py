@@ -203,6 +203,8 @@ class TestValidation:
         ("classic", 0, (), {}),
         ("sf-hct", 2, (), {"solver": "cg", "tol": float("inf")}),
         ("classic", 2, (), {"alpha": float("nan")}),
+        ("sf-hct", 2.0, (), {}),
+        ("enriched", 2, (3.7,), {}),
     ])
     def test_library_and_validate_give_the_same_message(self, method, k,
                                                         degrees, extra):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import hctvem
 from hctvem import checks, hct, sf_vem
 from hctvem.checks import TRI
 from hctvem.cli import main
-from hctvem.hct import HctLocalSpace, hct_dimension, reference_space
+from hctvem.hct import HctLocalSpace, hct_dimension
 from hctvem.mesh import generate_mesh
 from hctvem.polynomials import AffineMonomialBasis
 from hctvem.sf_vem import SfElementClass, _class_cache_build
@@ -148,7 +149,7 @@ class TestProjection:
 
 class TestAffineMap:
     """Every triangle's space is the unit triangle's mapped by x = v0 +
-    J x_hat, built once per (k, quadrature degree)."""
+    J x_hat, built once per degree (sf_vem._unit_table)."""
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_mapped_space_matches_physical_build(self, k):
@@ -158,32 +159,32 @@ class TestAffineMap:
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_power_of_two_copy_has_identical_stiffness(self, k):
+        ref = sf_vem._unit_table(k).space
         for tri in [TRI] + shape_regular_triangles(30 + k, n=3):
-            want = HctLocalSpace(k, tri)
+            want = HctLocalSpace(k, tri, ref)
             for j in (-7, -1, 3):
-                got = HctLocalSpace(k, np.ldexp(tri, j))
+                got = HctLocalSpace(k, np.ldexp(tri, j), ref)
                 assert got.stiffness.tobytes() == want.stiffness.tobytes()
                 assert got.quad_weights.tobytes() \
                     == np.ldexp(want.quad_weights, 2 * j).tobytes()
 
     def test_reference_built_once_per_degree(self, monkeypatch):
-        monkeypatch.setattr(hct, "_REFERENCES", {})
+        monkeypatch.setattr(sf_vem, "_unit_table",
+                            cache(sf_vem._unit_table.__wrapped__))
         built = []
-        physical_build = HctLocalSpace._build_quadrature
+        own_build = HctLocalSpace._build_quadrature
 
         def spy(space, quad_degree):
             built.append((space.k, quad_degree))
-            physical_build(space, quad_degree)
+            own_build(space, quad_degree)
 
         monkeypatch.setattr(HctLocalSpace, "_build_quadrature", spy)
         tris = shape_regular_triangles(3, n=4)
         for k in (1, 2, 4):
             for tri in tris:
-                HctLocalSpace(k, tri)
-                HctLocalSpace(k, tri, quad_degree=2 * k + 10)
-        assert built == [(k, d) for k in (1, 2, 4)
-                         for d in (2 * k + 6, 2 * k + 10)]
-        assert reference_space(2).coords.tobytes() \
+                SfElementClass(k, tri)
+        assert built == [(k, 2 * k + 6) for k in (1, 2, 4)]
+        assert sf_vem._unit_table(2).space.coords.tobytes() \
             == hct.UNIT_TRIANGLE.tobytes()
 
     def test_nothing_built_at_import(self):
@@ -194,9 +195,9 @@ class TestAffineMap:
         code = ("import sys, hctvem\n"
                 "assert 'hctvem.checks' not in sys.modules\n"
                 "import hctvem.cli, hctvem.checks\n"
-                "from hctvem import hct, sf_vem\n"
-                "assert not hct._REFERENCES\n"
-                "assert not sf_vem._unit_table.cache_info().currsize\n")
+                "from hctvem import sf_vem\n"
+                "assert not sf_vem._unit_table.cache_info().currsize\n"
+                "assert not sf_vem._GLOBAL_CACHE\n")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, env=env,
                               timeout=60)
@@ -204,9 +205,10 @@ class TestAffineMap:
 
     @pytest.mark.parametrize("k", [1, 3, 6])
     def test_every_shape_shares_the_reference_values(self, k):
-        ref = reference_space(k).quad_values
+        unit = sf_vem._unit_table(k).space
+        ref = unit.quad_values
         assert not ref.flags.writeable
-        spaces = [HctLocalSpace(k, tri)
+        spaces = [HctLocalSpace(k, tri, unit)
                   for tri in shape_regular_triangles(40, n=3)]
         for level in (1, 2):
             m = generate_mesh("irregular8", level)
